@@ -25,9 +25,19 @@ policy (docs/PERFORMANCE.md, "Scoring kernels") promises:
   additional calm-regime impact of storing the maps in float32
   (the ``dtype`` option).
 
+The trajectory above starts at the crystal pose; training starts at
+Figure 3's pose A, ~14 A off the pocket mouth, where about two thirds
+of the ligand's atoms sit outside the fine field box.  The ``pose_a_*``
+rows measure that regime on seeded walks of uniform random Table 1
+actions from ``ligand_initial`` (what epsilon ~ 1 executes, escape
+rule included): exact / incremental / field poses per second, and the
+field scorer's calm drift and reward-sign agreement against exact over
+``POSE_A_SEEDS`` x ``POSE_A_PAIRS`` consecutive pose pairs -- the
+numbers the outer field level is accountable for.
+
 The speedup assertions (incremental >= 5x exact, field >= 5x
-incremental) are ratios of measurements on the same machine, so they
-are robust to absolute runner speed.
+incremental, field >= 10x exact at pose A) are ratios of measurements
+on the same machine, so they are robust to absolute runner speed.
 """
 
 from __future__ import annotations
@@ -39,7 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import DQNDockingConfig
 from repro.constants import DEFAULT_CUTOFF
+from repro.metadock.engine import MetadockEngine
 from repro.scoring.field import (
     FIELD_CALM_STEP_BOUND,
     FIELD_CLASH_REL_BOUND,
@@ -76,6 +88,13 @@ CALM_SCORE = 1e4
 #: Documented relative per-step drift bound on clash steps (measured
 #: ~9e-4).
 TRUNCATION_CLASH_REL_BOUND = 1e-2
+#: Pose-A walks: seeds x consecutive pose pairs per seed.
+POSE_A_SEEDS = (3, 107)
+POSE_A_PAIRS = 1000
+#: Required field throughput over exact at pose A, and the reward-sign
+#: agreement floor there (ISSUE 13 acceptance).
+POSE_A_FIELD_SPEEDUP_BOUND = 10.0
+POSE_A_SIGN_AGREEMENT_BOUND = 0.95
 
 
 def _trajectory(built, n_poses: int, seed: int = 11) -> np.ndarray:
@@ -103,6 +122,33 @@ def _trajectory(built, n_poses: int, seed: int = 11) -> np.ndarray:
             )
         out[t] = coords
     return out
+
+
+def _pose_a_walk(built, n_pairs: int, seed: int):
+    """Uniform random Table 1 actions from pose A, as the env runs them.
+
+    Returns ``(poses, keep)``: the visited ligand coordinates and, per
+    consecutive pair, whether it is a real step (False for the pair
+    straddling an escape reset).
+    """
+    engine = MetadockEngine(built)
+    # The env's escape rule (config default: 4/3 of the initial distance).
+    escape = (
+        DQNDockingConfig.escape_factor * engine.initial_com_distance()
+    )
+    rng = np.random.default_rng(seed)
+    engine.reset(observe=False)
+    poses = [engine.ligand_coords().copy()]
+    keep = []
+    for step in range(1, n_pairs + 1):
+        engine.apply_action(int(rng.integers(engine.n_actions)))
+        poses.append(engine.ligand_coords().copy())
+        keep.append(True)
+        if engine.com_distance() > escape and step < n_pairs:
+            engine.reset(observe=False)
+            poses.append(engine.ligand_coords().copy())
+            keep.append(False)
+    return np.stack(poses), np.array(keep)
 
 
 def _measure(scorer, poses: np.ndarray) -> tuple[float, np.ndarray]:
@@ -147,6 +193,9 @@ def test_bench_score_step(paper_complex):
 
     fld = FieldScorer(rec, lig)
     fld32 = FieldScorer(rec, lig, dtype="float32")
+    t0 = time.perf_counter()
+    field_bytes = fld.maps.nbytes()  # first access builds both levels
+    field_build_s = time.perf_counter() - t0
 
     rate_exact, s_exact = _measure(exact, poses)
     rate_cutoff, s_cutoff = _measure(cutoff, poses)
@@ -158,7 +207,6 @@ def test_bench_score_step(paper_complex):
         fld.score(p)
         nf.append(fld.near_fraction)
     s_field32 = np.array([fld32.score(p) for p in poses])
-    field_bytes = fld.maps.nbytes()
 
     # Batched pose-major rows: the same trajectory scored in BATCH_K
     # batches through the fused score_batch kernels.  Every batch path
@@ -223,6 +271,34 @@ def test_bench_score_step(paper_complex):
         (np.sign(d_field) == np.sign(d_exact)).mean()
     )
 
+    # Pose A: where every training episode starts.  Throughput over
+    # the first walk's leading N_POSES poses; accuracy over every walk.
+    walks = [_pose_a_walk(built, POSE_A_PAIRS, s) for s in POSE_A_SEEDS]
+    a_poses = walks[0][0][:N_POSES]
+    rate_a_exact, _ = _measure(exact, a_poses)
+    rate_a_inc, _ = _measure(inc, a_poses)
+    rate_a_field, _ = _measure(fld, a_poses)
+    a_calm_drift, a_agreement, a_outer, a_near = [], [], [], []
+    for w_poses, keep in walks:
+        sa_exact = np.array([exact.score(p) for p in w_poses])
+        sa_field = np.empty(len(w_poses))
+        for i, p in enumerate(w_poses):
+            sa_field[i] = fld.score(p)
+            a_outer.append(fld.outer_fraction)
+            a_near.append(fld.near_fraction)
+        da_exact = np.diff(sa_exact)[keep]
+        da_field = np.diff(sa_field)[keep]
+        a_calm = (
+            (np.abs(sa_exact[:-1]) < CALM_SCORE)
+            & (np.abs(sa_exact[1:]) < CALM_SCORE)
+        )[keep]
+        a_calm_drift.append(
+            float(np.abs(da_field - da_exact)[a_calm].max())
+        )
+        a_agreement.append(
+            float((np.sign(da_field) == np.sign(da_exact)).mean())
+        )
+
     payload = {
         "receptor_atoms": rec.n_atoms,
         "ligand_atoms": lig.n_atoms,
@@ -270,6 +346,27 @@ def test_bench_score_step(paper_complex):
             rate_inc_batch / rate_inc, 3
         ),
         "batch_bitwise_equal": True,
+        "field_build_s": round(field_build_s, 2),
+        "pose_a_seeds": list(POSE_A_SEEDS),
+        "pose_a_pairs_per_seed": POSE_A_PAIRS,
+        "pose_a_exact_poses_per_second": round(rate_a_exact, 2),
+        "pose_a_incremental_poses_per_second": round(rate_a_inc, 2),
+        "pose_a_field_poses_per_second": round(rate_a_field, 2),
+        "pose_a_speedup_field_vs_exact": round(
+            rate_a_field / rate_a_exact, 3
+        ),
+        "pose_a_field_outer_fraction_mean": round(
+            float(np.mean(a_outer)), 4
+        ),
+        "pose_a_field_near_fraction_mean": round(
+            float(np.mean(a_near)), 4
+        ),
+        "pose_a_field_calm_step_drift_vs_exact": round(
+            max(a_calm_drift), 3
+        ),
+        "pose_a_field_reward_sign_agreement_vs_exact": [
+            round(a, 4) for a in a_agreement
+        ],
     }
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nscore-step throughput: {payload}")
@@ -293,3 +390,11 @@ def test_bench_score_step(paper_complex):
     assert (
         rate_field_batch >= FIELD_BATCH_SPEEDUP_BOUND * rate_field
     ), payload
+    # Pose A (the start of every training episode): the field scorer
+    # must stay O(ligand atoms) there too, inside the same calm budget,
+    # with rewards that agree with the Eq. 1 oracle.
+    assert (
+        rate_a_field >= POSE_A_FIELD_SPEEDUP_BOUND * rate_a_exact
+    ), payload
+    assert max(a_calm_drift) <= FIELD_CALM_STEP_BOUND, payload
+    assert min(a_agreement) >= POSE_A_SIGN_AGREEMENT_BOUND, payload

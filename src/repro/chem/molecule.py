@@ -49,6 +49,11 @@ class Molecule:
         default_factory=lambda: np.empty((0, 2), dtype=np.int64)
     )
     name: str = ""
+    #: Lazily computed per-atom masses (see :attr:`masses`); once looked
+    #: up they are shared by :meth:`with_coords` copies (same symbols).
+    _masses: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.symbols)
@@ -131,8 +136,12 @@ class Molecule:
 
     @property
     def masses(self) -> np.ndarray:
-        """Per-atom masses (amu)."""
-        return el.masses(self.symbols)
+        """Per-atom masses (amu), looked up once and kept read-only."""
+        if self._masses is None:
+            m = el.masses(self.symbols)
+            m.flags.writeable = False
+            self._masses = m
+        return self._masses
 
     def center_of_mass(self) -> np.ndarray:
         """Mass-weighted centroid."""
@@ -166,7 +175,7 @@ class Molecule:
         coords = np.ascontiguousarray(coords, dtype=float)
         if coords.shape != self.coords.shape:
             raise ValueError("coords shape mismatch")
-        return Molecule(
+        mol = Molecule(
             symbols=self.symbols,
             coords=coords,
             charges=self.charges,
@@ -177,6 +186,8 @@ class Molecule:
             bonds=self.bonds,
             name=self.name,
         )
+        mol._masses = self._masses
+        return mol
 
     def translated(self, vec) -> "Molecule":
         """Copy translated by ``vec``."""

@@ -148,6 +148,13 @@ class MetadockEngine:
             np.empty(dyn, dtype=np.float32),
         )
         self._dyn_flip = 0
+        # Static geometry of the termination rules: the receptor is
+        # rigid and the ligand's masses never change, so com_distance()
+        # only weighs the current ligand coordinates.
+        self._receptor_com = self.receptor.center_of_mass()
+        masses = self.template.masses
+        self._mass_col = masses[:, None]
+        self._mass_total = masses.sum()
         self.pose: Pose = self._initial_pose
         self._coords_cache: np.ndarray | None = None
         self._score_cache: float | None = None
@@ -380,13 +387,16 @@ class MetadockEngine:
 
     # -- geometry helpers used by the termination rules ----------------------
     def com_distance(self) -> float:
-        """Distance between ligand and receptor centers of mass."""
-        lig = self.template.with_coords(self.ligand_coords())
-        return float(
-            np.linalg.norm(
-                lig.center_of_mass() - self.receptor.center_of_mass()
-            )
-        )
+        """Distance between ligand and receptor centers of mass.
+
+        The same formula and operand order as
+        :meth:`Molecule.center_of_mass` on both sides (bit-identical),
+        with everything that does not depend on the pose cached.
+        """
+        lig_com = (
+            self.ligand_coords() * self._mass_col
+        ).sum(axis=0) / self._mass_total
+        return float(np.linalg.norm(lig_com - self._receptor_com))
 
     def initial_com_distance(self) -> float:
         """COM distance at the canonical initial pose."""

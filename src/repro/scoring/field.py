@@ -53,17 +53,39 @@ the actual ``r < clash_radius`` pairs (the table is validated against
 :func:`~repro.scoring.neighborlist.query_pairs` on a receptor
 ``CellList`` in the tests).  The clash-dominating terms are therefore
 computed exactly, pair by pair, while everything smooth stays two
-table lookups per atom.  Atoms outside the grid box always take the
-exact full-column path -- no silent boundary clamp (the documented
-``PotentialGrid._trilinear`` behavior, counted by
-``scoring/grid_oob_points`` there); box padding exceeds
-``clash_radius``, so out-of-box atoms can have no overlapping pairs.
+table lookups per atom.
+
+Two lattice levels
+------------------
+The fine lattice (``spacing``, ``padding``) hugs the receptor; the
+env's start pose (Figure 3, pose A) and the whole escape ball
+(``escape_factor`` x the initial COM distance) reach well beyond it.
+A second, coarse *outer* level -- the same :class:`FieldMaps` class
+built in the same ``ensure()`` call, its geometry derived from the fine
+level by :data:`OUTER_SPACING_RATIO` / :data:`OUTER_PADDING_RATIO` --
+covers that ball, so atoms outside the fine box but inside the outer
+box (the *shell*) are interpolated too: they are at least ``padding`` >
+``clash_radius`` from every receptor atom, where no pair can overlap
+(no pair corrections, no candidate table on the outer level) and the
+fields are smooth.  Smooth, but the per-step score *changes* out there
+are tiny (a 0.5 degree rotation moves an atom 0.05 A), and their sign
+is the reward: trilinear interpolation's gradient is only first-order
+accurate (relative error ~ spacing / distance), which on a 4 A -- or
+even a 2 A -- lattice flips too many reward signs.  The outer level is
+therefore read with the 4-point *cubic* Lagrange stencil per axis (64
+nodes, exact for cubics; no prefilter, so each slot stays a pure
+function of its own maps), which makes the shell's error negligible
+next to the fine level's.  Both levels live in one flattened stack
+and share one stencil kernel (2 or 4 nodes per axis).  Only atoms
+outside *both* boxes take the exact full-column path -- no silent
+boundary clamp (the documented ``PotentialGrid._trilinear`` behavior,
+counted by ``scoring/grid_oob_points`` there).
 
 Error budget (PR 5 truncation-policy style)
 -------------------------------------------
-A pose whose atoms are all out-of-box scores *bit-identically* to
-:class:`~repro.scoring.scorers.ExactScorer` (same kernels, same
-reduction order).  For in-box atoms the only error source is trilinear
+A pose whose atoms are all outside both boxes scores *bit-identically*
+to :class:`~repro.scoring.scorers.ExactScorer` (same kernels, same
+reduction order).  For in-box atoms the only error source is
 interpolation of the clipped fields, whose curvature is bounded by the
 kernels at ``r = clash_radius``; overlapping pairs -- where the exact
 and clipped kernels diverge by up to ~1e15 -- contribute their
@@ -109,13 +131,22 @@ from repro.scoring.scorers import as_pose_batch
 #: cache-resident (halving the spacing grew the maps 8x and measurably
 #: *slowed* the gather at 2BSM scale).
 DEFAULT_SPACING: float = 1.0
-#: Default box padding beyond the receptor extent, angstrom.  Sized so
-#: docking trajectories (hundreds of 1 A moves from a pocket pose) stay
-#: inside the box: out-of-box atoms fall back to exact full columns,
-#: which is correct but ~200x slower per atom.  Must exceed
-#: ``clash_radius`` so out-of-box atoms cannot have overlapping pairs
-#: (enforced at construction).
+#: Default fine-box padding beyond the receptor extent, angstrom.  The
+#: fine box holds pocket poses and their neighbourhood; it does *not*
+#: hold the env's start pose (Figure 3's pose A sits ~14 A off the
+#: pocket mouth with about a third of its atoms inside) -- the outer
+#: level below covers that regime.  Must exceed ``clash_radius`` so
+#: atoms outside the fine box cannot have overlapping pairs (enforced
+#: at construction).
 DEFAULT_PADDING: float = 16.0
+#: Outer-level lattice spacing as a multiple of the fine spacing.
+OUTER_SPACING_RATIO: float = 4.0
+#: Outer-level box padding as a multiple of the fine padding: at the
+#: defaults 48 A beyond the receptor extent (44 A usable: the cubic
+#: stencil needs a one-node margin), which contains the env's escape
+#: ball (``escape_factor`` x the initial COM distance plus the ligand's
+#: bounding radius) for the 2BSM-scale and CI-scale complexes.
+OUTER_PADDING_RATIO: float = 3.0
 #: Default near-field (exact-pair) radius, angstrom.  Map kernels are
 #: clipped at this distance; pairs closer than it are rescored through
 #: the exact pairwise path.  Beyond it the clipped fields are smooth
@@ -137,13 +168,16 @@ FIELD_CALM_STEP_BOUND: float = 25.0
 #: interpolated remainder differs (measured ~8e-5 at the defaults).
 FIELD_CLASH_REL_BOUND: float = 1e-3
 
-#: Gauge reporting the built field maps' memory footprint (maps plus
-#: the per-ligand combined interpolation stack).
+#: Gauge reporting the built field maps' memory footprint (both
+#: levels' maps plus the shared combined interpolation stack).
 FIELD_BYTES_METRIC = "scoring/field_bytes"
 #: Histogram over the per-call fraction of ligand atoms routed through
-#: the exact pairwise path (overlapping or out-of-box atoms;
-#: ``repro inspect`` renders its mean/max).
+#: the exact pairwise path (overlapping atoms, or atoms outside both
+#: boxes; ``repro inspect`` renders its mean/max).
 NEAR_FRACTION_METRIC = "scoring/near_field_fraction"
+#: Histogram over the per-call fraction of ligand atoms interpolated
+#: from the outer level (outside the fine box, inside the outer box).
+OUTER_FRACTION_METRIC = "scoring/outer_field_fraction"
 
 _VALID_DTYPES = ("float32", "float64")
 
@@ -173,8 +207,46 @@ def _atom_type_specs(ligand: Molecule) -> tuple[list[tuple], np.ndarray]:
     return specs, ids
 
 
+def _trilinear_weights(t: np.ndarray) -> np.ndarray:
+    """``(rows, 8)`` weights of a cell's corners (x-major) for in-cell
+    offsets ``t``.  Column by column: long contiguous loops, which is
+    what keeps the fused batch path fast."""
+    tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
+    ex, ey, ez = 1.0 - tx, 1.0 - ty, 1.0 - tz
+    p00 = ex * ey
+    p01 = ex * ty
+    p10 = tx * ey
+    p11 = tx * ty
+    w = np.empty((t.shape[0], 8))
+    w[:, 0] = p00 * ez
+    w[:, 1] = p00 * tz
+    w[:, 2] = p01 * ez
+    w[:, 3] = p01 * tz
+    w[:, 4] = p10 * ez
+    w[:, 5] = p10 * tz
+    w[:, 6] = p11 * ez
+    w[:, 7] = p11 * tz
+    return w
+
+
+def _tricubic_weights(t: np.ndarray) -> np.ndarray:
+    """``(rows, 64)`` tensor-product Lagrange weights of the 4 x 4 x 4
+    nodes at -1, 0, 1, 2 per axis (x-major) for in-cell offsets ``t``."""
+    a, b, c = t + 1.0, t - 1.0, t - 2.0
+    ax = np.empty(t.shape + (4,))
+    ax[..., 0] = t * b * c / -6.0
+    ax[..., 1] = a * b * c / 2.0
+    ax[..., 2] = a * t * c / -2.0
+    ax[..., 3] = a * t * b / 6.0
+    return (
+        ax[:, 0, :, None, None]
+        * ax[:, 1, None, :, None]
+        * ax[:, 2, None, None, :]
+    ).reshape(t.shape[0], 64)
+
+
 class FieldMaps:
-    """Lazily grown per-type receptor field maps on one shared lattice.
+    """Lazily grown per-type receptor field maps on a two-level lattice.
 
     One instance serves every ligand scored against its receptor:
     screening workers build it once per worker and pass it to each
@@ -183,6 +255,10 @@ class FieldMaps:
     only the maps missing for a ligand's type set; each map's content
     is independent of which other types share a build pass, so shared
     and private builds are bitwise identical.
+
+    The instance a caller constructs is the *fine* level; it owns the
+    coarse :attr:`outer` level (module docstring, "Two lattice
+    levels"), which is built, extended and sized along with it.
     """
 
     def __init__(
@@ -193,6 +269,7 @@ class FieldMaps:
         padding: float = DEFAULT_PADDING,
         clash_radius: float = DEFAULT_CLASH_RADIUS,
         dtype: str = DEFAULT_DTYPE,
+        _is_outer: bool = False,
     ):
         if spacing <= 0:
             raise ValueError("spacing must be positive")
@@ -219,6 +296,46 @@ class FieldMaps:
         self.origin = receptor.coords.min(axis=0) - padding
         upper = receptor.coords.max(axis=0) + padding
         self.shape = np.ceil((upper - self.origin) / spacing).astype(int) + 1
+        # Lattice addressing.  A point in cell ``idx`` is interpolated
+        # from the ``support`` nodes per axis starting ``margin`` nodes
+        # below the cell (2 / 0 on the fine level: the cell's corners;
+        # 4 / 1 on the outer level), so it is *in the box* while that
+        # stencil exists: margin <= frac <= shape - 1 - margin.  Flat
+        # node id = idx @ strides; the stencil's nodes sit at
+        # (idx - margin) @ strides + stencil_offs.
+        nx, ny, nz = (int(v) for v in self.shape)
+        self.n_nodes = nx * ny * nz
+        self.strides = np.array([ny * nz, nz, 1], dtype=np.int64)
+        self.support = 4 if _is_outer else 2
+        self.margin = self.support // 2 - 1
+        self.stencil_weights = (
+            _tricubic_weights if _is_outer else _trilinear_weights
+        )
+        k = np.arange(self.support, dtype=np.int64)
+        self.stencil_offs = (
+            k[:, None, None] * (ny * nz) + k[None, :, None] * nz + k
+        ).reshape(-1)
+        self.inv_spacing = 1.0 / self.spacing
+        self.upper = self.shape.astype(float) - 1.0 - self.margin
+        self.max_idx = self.shape - 2 - self.margin
+        #: In-slot id of this level's node 0 in the shared stack (the
+        #: outer level's nodes follow the fine level's).
+        self.slot_base = 0
+        #: The coarse outer level (None on the outer level itself).
+        self.outer: FieldMaps | None = (
+            None
+            if _is_outer
+            else FieldMaps(
+                receptor,
+                spacing=OUTER_SPACING_RATIO * self.spacing,
+                padding=OUTER_PADDING_RATIO * self.padding,
+                clash_radius=clash_radius,
+                dtype=dtype,
+                _is_outer=True,
+            )
+        )
+        if self.outer is not None:
+            self.outer.slot_base = self.n_nodes
         #: Candidate radius for the clash-voxel table: a receptor atom
         #: within this of a voxel's base node is a candidate for every
         #: point inside the voxel, so an atom in a voxel with no
@@ -229,7 +346,8 @@ class FieldMaps:
         self.phi: np.ndarray | None = None
         self.near_mask: np.ndarray | None = None
         # Voxel-granular cell list (CSR over flat node ids): receptor
-        # atoms within flag_radius of each voxel's base node.
+        # atoms within flag_radius of each voxel's base node.  Fine
+        # level only -- shell atoms cannot overlap a receptor atom.
         self.cand_start: np.ndarray | None = None
         self.cand_count: np.ndarray | None = None
         self.cand_atoms: np.ndarray | None = None
@@ -239,9 +357,10 @@ class FieldMaps:
         self._hblj: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # Combined-stack addressing: every distinct atom-type spec ever
         # ensured gets a stable slot in one shared flattened stack
-        # ([phi, combined(spec 0), combined(spec 1), ...]), so *every*
-        # ligand scored against this receptor gathers from the same
-        # array -- the property the fused cross-ligand batch path
+        # ([phi, combined(spec 0), combined(spec 1), ...], each slot
+        # holding the fine nodes followed by the outer nodes), so
+        # *every* ligand scored against this receptor gathers from the
+        # same array -- the property the fused cross-ligand batch path
         # (:func:`score_field_group`) relies on.  Slots are append-only;
         # the stack is (re)assembled lazily in :meth:`flat_stack`.
         self._slot: dict[tuple, int] = {}
@@ -293,11 +412,13 @@ class FieldMaps:
         return self._hblj[(key, cls)]
 
     def nbytes(self) -> int:
-        """Total map storage in bytes (including the clash-voxel table
-        and the shared combined interpolation stack)."""
+        """Total map storage in bytes: both levels' maps, the
+        clash-voxel table and the shared combined interpolation stack."""
         total = 0
         if self.phi is not None:
-            total += self.phi.nbytes + self.near_mask.nbytes
+            total += self.phi.nbytes
+        if self.near_mask is not None:
+            total += self.near_mask.nbytes
             total += (
                 self.cand_start.nbytes
                 + self.cand_count.nbytes
@@ -311,11 +432,42 @@ class FieldMaps:
             total += rep.nbytes + disp.nbytes
         if self._flat_stack is not None:
             total += self._flat_stack.nbytes
+        if self.outer is not None:
+            total += self.outer.nbytes()
         return total
 
     def slot_of(self, spec: tuple) -> int:
         """Combined-stack slot of an ensured atom-type spec."""
         return self._slot[spec]
+
+    @property
+    def slot_stride(self) -> int:
+        """Nodes per stack slot: the fine nodes, then the outer nodes
+        (an outer node's in-slot id is ``n_nodes + its flat id``)."""
+        return self.n_nodes + self.outer.n_nodes
+
+    def locate(self, pts: np.ndarray):
+        """Lattice coordinates of ``pts`` and the in-box mask."""
+        frac = (pts - self.origin) * self.inv_spacing
+        inside = (frac >= self.margin).all(axis=1) & (
+            frac <= self.upper
+        ).all(axis=1)
+        return frac, inside
+
+    def stencil(self, frac: np.ndarray):
+        """Interpolation stencils of in-box lattice coordinates ``frac``.
+
+        Returns ``(base, w)``: each row's first stencil node as an
+        in-slot flat id (add :attr:`stencil_offs` for all
+        ``support**3`` of them) and its ``(rows, support**3)`` tensor-
+        product weights, x-major like ``stencil_offs``.  Elementwise in
+        the rows, so a point's stencil is the same alone and inside
+        any batch.
+        """
+        idx = np.floor(frac).astype(np.int64)
+        np.clip(idx, self.margin, self.max_idx, out=idx)
+        base = (idx - self.margin) @ self.strides + self.slot_base
+        return base, self.stencil_weights(frac - idx)
 
     def flat_stack(self) -> np.ndarray:
         """The flattened shared stack [phi, combined(slot 0), ...].
@@ -326,14 +478,26 @@ class FieldMaps:
         specs have been ensured since the last assembly.  Slot ``1+s``
         holds spec ``s``'s full non-electrostatic clipped-field energy
         ``rep - disp + hb1210 - hb_rep + hb_disp``; slot 0 holds phi.
+        Each slot is :attr:`slot_stride` long: the fine level's nodes
+        followed by the outer level's.
         """
         nslots = len(self._slot)
         if self._flat_stack is not None and self._flat_slots == nslots:
             return self._flat_stack
-        n_nodes = int(np.prod(self.shape))
-        flat = np.empty((1 + nslots) * n_nodes, dtype=self._np_dtype)
-        flat[:n_nodes] = self.phi.reshape(-1)
-        for spec, slot in self._slot.items():
+        flat = np.empty(
+            (1 + nslots) * self.slot_stride, dtype=self._np_dtype
+        )
+        rows = flat.reshape(1 + nslots, self.slot_stride)
+        self._fill_slots(rows[:, : self.n_nodes], self._slot)
+        self.outer._fill_slots(rows[:, self.n_nodes :], self._slot)
+        self._flat_stack = flat
+        self._flat_slots = nslots
+        return flat
+
+    def _fill_slots(self, rows: np.ndarray, slots: dict) -> None:
+        """Write this level's phi and combined maps into stack ``rows``."""
+        rows[0] = self.phi.reshape(-1)
+        for spec, slot in slots.items():
             sig, eps, don, acc = spec
             rep, disp = self._lj[(sig, eps)]
             combined = rep.astype(np.float64) - disp
@@ -343,11 +507,7 @@ class FieldMaps:
                 hrep, hdisp = self._hblj[((sig, eps), cls)]
                 combined -= hrep
                 combined += hdisp
-            start = (1 + slot) * n_nodes
-            flat[start : start + n_nodes] = combined.reshape(-1)
-        self._flat_stack = flat
-        self._flat_slots = nslots
-        return flat
+            rows[1 + slot] = combined.reshape(-1)
 
     # -- construction ------------------------------------------------------
     def ensure(self, specs) -> bool:
@@ -387,6 +547,8 @@ class FieldMaps:
         if not (first or lj_keys or classes or hb_pairs):
             return False
         self._build_pass(first, lj_keys, classes, hb_pairs)
+        if self.outer is not None:
+            self.outer._build_pass(first, lj_keys, classes, hb_pairs)
         self.build_count += 1
         return True
 
@@ -394,7 +556,9 @@ class FieldMaps:
         rec = self.receptor
         n = rec.n_atoms
         nx, ny, nz = (int(v) for v in self.shape)
-        n_nodes = nx * ny * nz
+        n_nodes = self.n_nodes
+        # The clash-voxel candidate table exists on the fine level only.
+        tabulate = first and self.outer is not None
         # Per-type receptor weight vectors: 4 sqrt(eps_j eps_t) with the
         # *arithmetic* sigma combination (sigma_j + sigma_t)/2 -- the
         # exact Lorentz-Berthelot pair coefficients.
@@ -408,16 +572,19 @@ class FieldMaps:
             w6[key] = eps_pair * s6
             w12[key] = eps_pair * s6 * s6
         rel = self._hrel
-        need_hb = bool(classes or hb_pairs)
+        need_hb = bool(classes or hb_pairs) and bool(rel.size)
         sel_of_cls = {
             cls: self.class_eligible(cls)
             for cls in {c for c in classes} | {p[1] for p in hb_pairs}
+        }
+        pairs_of_cls = {
+            cls: [p for p in hb_pairs if p[1] == cls] for cls in sel_of_cls
         }
         c_hb, d_hb = hb.hbond_coefficients()
         # Flat accumulation buffers (float64 during the build; stored
         # astype(self.dtype) at the end).
         out_phi = np.empty(n_nodes) if first else None
-        out_count = np.zeros(n_nodes, dtype=np.int32) if first else None
+        out_count = np.zeros(n_nodes, dtype=np.int32) if tabulate else None
         cand_chunks: list[np.ndarray] = []
         out_lj = {k: (np.empty(n_nodes), np.empty(n_nodes)) for k in lj_keys}
         out_1210 = {c: np.empty(n_nodes) for c in classes}
@@ -426,9 +593,13 @@ class FieldMaps:
         }
         flag_r2 = self.flag_radius**2
         clip_r2 = self.clip_radius**2
-        # Chunk the node list so the (chunk, n_rec) temporaries stay
-        # bounded (~30 MB each at 2BSM scale).
-        chunk = max(256, int(4_000_000 // max(1, n)))
+        # Chunk the node list so the ~10 live (chunk, n_rec) float64
+        # temporaries stay cache-sized (~1.6 MB each): with 32 MB
+        # temporaries the build was page-fault/DRAM-bound and twice as
+        # slow.  The chunk size depends on the receptor only, so every
+        # map sees the same chunk boundaries whichever pass builds it
+        # (shared == private, warm == cold bitwise).
+        chunk = max(32, int(200_000 // max(1, n)))
         coords = rec.coords
         a2 = (coords * coords).sum(axis=1)[None, :]
         q = rec.charges
@@ -446,7 +617,7 @@ class FieldMaps:
             # stay smooth even on nodes inside receptor atoms.
             p2 = (pts * pts).sum(axis=1)[:, None]
             r2 = p2 + a2 - 2.0 * (pts @ coords.T)
-            if first:
+            if tabulate:
                 # Voxel candidate extraction from the same distances
                 # the maps integrate: nonzero is row-major, so the CSR
                 # lists come out node-major with atoms ascending -- the
@@ -460,43 +631,55 @@ class FieldMaps:
             inv_r = 1.0 / np.sqrt(r2)
             if first:
                 out_phi[start:stop] = COULOMB_CONSTANT * (inv_r @ q)
-            inv_r2 = inv_r * inv_r
-            inv_r6 = inv_r2 * inv_r2 * inv_r2
-            inv_r12 = inv_r6 * inv_r6
-            for key in lj_keys:
-                out_lj[key][0][start:stop] = inv_r12 @ w12[key]
-                out_lj[key][1][start:stop] = inv_r6 @ w6[key]
-            if need_hb and rel.size:
+            if lj_keys:
+                inv_r2 = inv_r * inv_r
+                inv_r6 = inv_r2 * inv_r2 * inv_r2
+                inv_r12 = inv_r6 * inv_r6
+                for key in lj_keys:
+                    out_lj[key][0][start:stop] = inv_r12 @ w12[key]
+                    out_lj[key][1][start:stop] = inv_r6 @ w6[key]
+            if need_hb:
+                # The H-bond terms only see the donor/acceptor columns:
+                # gather them once and take powers on the narrow block
+                # (elementwise, so the same floats as gathering powers
+                # of the full block).
+                inv_h = inv_r[:, rel]
+                r2_h = r2[:, rel]
+                inv2_h = inv_h * inv_h
+                inv6_h = inv2_h * inv2_h * inv2_h
+                inv12_h = inv6_h * inv6_h
                 # cos(theta_j(x)) = dir_j . (x - a_j) / r_clip: the
                 # clipped-distance normalization is deliberate -- the
                 # pair corrections subtract exactly this convention.
-                cos = (pts @ self._hdirs.T - self._hdot) * inv_r[:, rel]
+                cos = (pts @ self._hdirs.T - self._hdot) * inv_h
                 cos[:, self._hiso] = 1.0
                 np.clip(cos, 0.0, 1.0, out=cos)
                 sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
                 np.subtract(1.0, sin, out=sin)  # now (1 - sin)
-                inv12_h = inv_r12[:, rel]
-                e_1210 = c_hb * inv12_h - d_hb * (inv12_h * r2[:, rel])
-                for cls in classes:
-                    sel = sel_of_cls[cls]
-                    out_1210[cls][start:stop] = (
-                        cos[:, sel] * e_1210[:, sel]
-                    ).sum(axis=1)
-                for pair in hb_pairs:
-                    key, cls = pair
-                    sel = sel_of_cls[cls]
-                    gsel = rel[sel]
-                    oms = sin[:, sel]
-                    out_hblj[pair][0][start:stop] = (
-                        oms * inv12_h[:, sel]
-                    ) @ w12[key][gsel]
-                    out_hblj[pair][1][start:stop] = (
-                        oms * inv_r6[:, rel][:, sel]
-                    ) @ w6[key][gsel]
+                e_1210 = c_hb * inv12_h - d_hb * (inv12_h * r2_h)
+                for cls, sel in sel_of_cls.items():
+                    if cls in out_1210:
+                        out_1210[cls][start:stop] = (
+                            cos[:, sel] * e_1210[:, sel]
+                        ).sum(axis=1)
+                    if pairs_of_cls[cls]:
+                        gsel = rel[sel]
+                        oms = sin[:, sel]
+                        oms12 = oms * inv12_h[:, sel]
+                        oms6 = oms * inv6_h[:, sel]
+                        for pair in pairs_of_cls[cls]:
+                            key = pair[0]
+                            out_hblj[pair][0][start:stop] = (
+                                oms12 @ w12[key][gsel]
+                            )
+                            out_hblj[pair][1][start:stop] = (
+                                oms6 @ w6[key][gsel]
+                            )
         dt = self._np_dtype
         shape3 = (nx, ny, nz)
         if first:
             self.phi = out_phi.astype(dt).reshape(shape3)
+        if tabulate:
             self.near_mask = (out_count > 0).reshape(shape3)
             self.cand_count = out_count
             starts = np.zeros(n_nodes, dtype=np.int64)
@@ -532,7 +715,7 @@ class FieldScorer:
     ligands -- screening workers build one per receptor per worker.
 
     The hot path folds each ligand atom's full clipped-field energy
-    into two trilinear lookups -- the shared ``phi`` map (times the
+    into two interpolated lookups -- the shared ``phi`` map (times the
     atom charge) and a per-type *combined* map ``rep - disp + hb1210 -
     hb_rep + hb_disp`` assembled once per ligand from the stored
     component maps -- gathered for all atoms in a single fused fancy
@@ -590,41 +773,23 @@ class FieldScorer:
         self._tables = ScoringTables.build(receptor, ligand)
         self._specs, spec_ids = _atom_type_specs(ligand)
         self._charges = np.asarray(ligand.charges, dtype=float)
-        # Flat-stack addressing: stack slot 0 is phi, slot 1+g is type
-        # g's combined map; per-atom slot offsets in flattened units.
-        nx, ny, nz = (int(v) for v in self._maps.shape)
-        self._n_nodes = nx * ny * nz
-        self._strides = np.array(
-            [ny * nz, nz, 1], dtype=np.int64
-        )
-        self._corner_offs = np.array(
-            [
-                0,
-                1,
-                nz,
-                nz + 1,
-                ny * nz,
-                ny * nz + 1,
-                ny * nz + nz,
-                ny * nz + nz + 1,
-            ],
-            dtype=np.int64,
-        )
         self._spec_ids = spec_ids
-        self._inv_spacing = 1.0 / self._maps.spacing
-        self._upper = self._maps.shape.astype(float) - 1.0
-        self._max_idx = self._maps.shape - 2
+        self._all_atoms = np.arange(ligand.n_atoms)
         # Built lazily: per-atom flat offsets of each atom's combined
-        # map slot in the shared stack, plus views of the stack / the
-        # flattened near mask.
+        # map slot in the shared stack (slot 0 is phi, slot 1+g is type
+        # g's combined map), plus views of the stack / the flattened
+        # near mask.
         self._foff: np.ndarray | None = None
         self._flat: np.ndarray | None = None
         self._near_flat: np.ndarray | None = None
         self._tracer = None
         self._metrics = None
         #: Exact-path atom fraction of the most recent evaluation
-        #: (atoms with overlapping pairs or outside the box).
+        #: (atoms with overlapping pairs or outside both boxes).
         self.near_fraction = 0.0
+        #: Outer-level (shell) atom fraction of the most recent
+        #: evaluation.
+        self.outer_fraction = 0.0
 
     # -- telemetry ---------------------------------------------------------
     @property
@@ -695,42 +860,39 @@ class FieldScorer:
         slots = np.array(
             [maps.slot_of(s) for s in self._specs], dtype=np.int64
         )
-        self._foff = (slots[self._spec_ids] + 1) * self._n_nodes
+        self._foff = (slots[self._spec_ids] + 1) * maps.slot_stride
         self._flat = maps.flat_stack()
         self._near_flat = maps.near_mask.reshape(-1)
 
     # -- scoring -----------------------------------------------------------
-    def _interp_energy(self, ib, base, t) -> float:
-        """Fused two-lookup interpolation over the in-box atoms ``ib``.
+    def _record(self, near: float, outer: float) -> None:
+        """Publish one evaluation's exact-path / shell atom fractions."""
+        self.near_fraction = near
+        self.outer_fraction = outer
+        if self._metrics is not None:
+            self._metrics.observe(NEAR_FRACTION_METRIC, near)
+            self._metrics.observe(OUTER_FRACTION_METRIC, outer)
 
-        One fancy gather pulls all 8 corners of both the phi slot and
-        each atom's type slot from the flattened stack; the ligand
-        charge folds into the phi corner weights so a single reduction
-        yields the total.
+    def _interp_energy(self, level: FieldMaps, ib, frac):
+        """Fused two-lookup interpolation of atoms ``ib`` on ``level``.
+
+        ``frac`` holds the atoms' lattice coordinates on that level.
+        One fancy gather pulls every stencil node of both the phi slot
+        and each atom's type slot from the flattened stack; the ligand
+        charge folds into the phi weights so a single reduction yields
+        the total.  Returns ``(energy, base)`` -- ``base`` being the
+        atoms' cell nodes, which on the fine level index the near mask.
         """
+        base, w1 = level.stencil(frac)
         b = ib.size
         lin = np.empty(2 * b, dtype=np.int64)
         lin[:b] = base
         lin[b:] = base + self._foff[ib]
-        corners = self._flat[lin[:, None] + self._corner_offs[None, :]]
-        tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
-        ex, ey, ez = 1.0 - tx, 1.0 - ty, 1.0 - tz
-        p00 = ex * ey
-        p01 = ex * ty
-        p10 = tx * ey
-        p11 = tx * ty
-        w = np.empty((2 * b, 8))
-        w[:b, 0] = p00 * ez
-        w[:b, 1] = p00 * tz
-        w[:b, 2] = p01 * ez
-        w[:b, 3] = p01 * tz
-        w[:b, 4] = p10 * ez
-        w[:b, 5] = p10 * tz
-        w[:b, 6] = p11 * ez
-        w[:b, 7] = p11 * tz
-        w[b:] = w[:b]
-        w[:b] *= self._charges[ib][:, None]
-        return float(np.einsum("pc,pc->", corners, w))
+        values = self._flat[lin[:, None] + level.stencil_offs]
+        w = np.empty(values.shape)
+        np.multiply(w1, self._charges[ib][:, None], out=w[:b])
+        w[b:] = w1
+        return float(np.einsum("pc,pc->", values, w)), base
 
     def _pair_correction(self, lig, rec_i, lig_i) -> float:
         """Exact-vs-clipped Eq. 1 energy difference of overlapping pairs.
@@ -838,33 +1000,38 @@ class FieldScorer:
             raise ValueError(f"coords must have shape ({m}, 3)")
         self._ensure_built()
         maps = self._maps
-        frac = (lig - maps.origin) * self._inv_spacing
-        in_box = (frac >= 0.0).all(axis=1) & (frac <= self._upper).all(
-            axis=1
-        )
-        idx = np.floor(frac).astype(np.int64)
-        np.clip(idx, 0, self._max_idx, out=idx)
-        base = idx @ self._strides
         energy = 0.0
-        n_exact = 0
-        if in_box.all():
-            ib = np.arange(m)
-            energy += self._interp_energy(ib, base, frac - idx)
+        n_exact = n_shell = 0
+        # Accumulation order (the batch path reproduces it): fine
+        # atoms, shell atoms, atoms outside both boxes, pair
+        # corrections.
+        frac, fine = maps.locate(lig)
+        if fine.all():
+            fi, rest = self._all_atoms, None
         else:
-            ib = np.flatnonzero(in_box)
-            if ib.size:
-                energy += self._interp_energy(
-                    ib, base[ib], frac[ib] - idx[ib]
-                )
-            oob = np.flatnonzero(~in_box)
-            energy += self._exact_energy(lig, oob)
-            n_exact += oob.size
-        if ib.size:
-            base_ib = base if ib.size == m else base[ib]
-            near = self._near_flat[base_ib]
+            fi, rest = np.flatnonzero(fine), np.flatnonzero(~fine)
+            frac = frac[fi]
+        if fi.size:
+            e, base_fi = self._interp_energy(maps, fi, frac)
+            energy += e
+        if rest is not None:
+            frac_o, in_outer = maps.outer.locate(lig[rest])
+            if in_outer.all():
+                shell = rest
+            else:
+                shell, frac_o = rest[in_outer], frac_o[in_outer]
+                oob = rest[~in_outer]
+            n_shell = shell.size
+            if n_shell:
+                energy += self._interp_energy(maps.outer, shell, frac_o)[0]
+            if n_shell < rest.size:
+                energy += self._exact_energy(lig, oob)
+                n_exact += oob.size
+        if fi.size:
+            near = self._near_flat[base_fi]
             if near.any():
-                flagged = ib[near]
-                vox = base_ib[near]
+                flagged = fi[near]
+                vox = base_fi[near]
                 counts = maps.cand_count[vox].astype(np.int64)
                 total = int(counts.sum())
                 if total:
@@ -886,26 +1053,24 @@ class FieldScorer:
                         lig_i = np.compress(keep, lig_i)
                         energy += self._pair_correction(lig, rec_i, lig_i)
                         n_exact += np.unique(lig_i).size
-        self.near_fraction = n_exact / m
-        if self._metrics is not None:
-            self._metrics.observe(NEAR_FRACTION_METRIC, self.near_fraction)
+        self._record(n_exact / m, n_shell / m)
         return -energy
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
         """Scores for (k, m, 3) poses; bitwise-equal per entry to
         :meth:`score`.
 
-        Pose-major fused path: per chunk of poses, one trilinear corner
-        gather / einsum over the shared stack covers every in-box atom
-        of every pose, the voxel CSR candidate table is expanded across
+        Pose-major fused path: per chunk of poses, one stencil gather
+        per lattice level over the shared stack covers every in-box
+        atom of every pose, the voxel CSR candidate table is expanded across
         all flagged atoms at once, and only the per-pose scalar
         reductions (contiguous-slice einsums, rare exact columns, pair
         corrections) remain in Python.  Every floating-point reduction
         stays per-pose over the same arrays in the same order as
         :meth:`score`, so entries are bitwise identical to sequential
-        single-pose calls.  ``near_fraction`` ends at the last pose's
-        value and the near-field histogram observes one value per pose,
-        exactly as sequential calls would.
+        single-pose calls.  ``near_fraction`` / ``outer_fraction`` end
+        at the last pose's values and their histograms observe one
+        value per pose, exactly as sequential calls would.
         """
         m = self.ligand.n_atoms
         cb = as_pose_batch(coords_batch, m)
@@ -914,27 +1079,54 @@ class FieldScorer:
         if k == 0:
             return out
         self._ensure_built()
-        # Chunk so the (2*rows, 8) corner/weight temporaries stay a few
+        # Chunk so the (2*rows, 8) stencil/weight temporaries stay a few
         # MB (see docs/PERFORMANCE.md "Batched pose evaluation").
         step = max(1, _BATCH_CHUNK_ROWS // max(1, m))
-        last_frac = self.near_fraction
         for s in range(0, k, step):
             e = min(s + step, k)
-            scores, fracs = _fused_scores(
+            scores, near, outer = _fused_scores(
                 [self] * (e - s), cb[s:e].reshape(-1, 3), [m] * (e - s)
             )
             out[s:e] = scores
-            if self._metrics is not None:
-                for f in fracs:
-                    self._metrics.observe(NEAR_FRACTION_METRIC, float(f))
-            last_frac = float(fracs[-1])
-        self.near_fraction = last_frac
+            for f, g in zip(near, outer):
+                self._record(float(f), float(g))
         return out
 
 
 #: Ligand-atom rows per fused chunk in :meth:`FieldScorer.score_batch`:
-#: bounds the (2*rows, 8) float64 corner + weight temporaries to ~4 MB.
+#: bounds the (2*rows, 8) float64 stencil-value + weight temporaries of
+#: fine-level rows to ~4 MB (shell rows are 64 wide: at most 8x that).
 _BATCH_CHUNK_ROWS = 16384
+
+
+def _level_rows(level, flat, frac, rows, item_of, k, foff_rows, ch_rows):
+    """Gathered stencil values and weights of ``rows`` on ``level``.
+
+    ``rows`` (ascending row ids into the fused batch, so grouped by
+    pose) are the atoms interpolated on ``level``; ``frac`` their
+    lattice coordinates.  Returns ``(values, w, bounds, base)``: pose
+    ``i``'s interpolation energy on this level is ``einsum("pc,pc->",
+    values[s], w[s])`` over ``s = slice(2 * bounds[i], 2 * bounds[i +
+    1])`` -- a contiguous slice laid out exactly like
+    :meth:`FieldScorer._interp_energy`'s single-pose arrays (phi rows
+    first, type rows after), holding the same floats.
+    """
+    base, w1 = level.stencil(frac)
+    item = item_of[rows]
+    counts = np.bincount(item, minlength=k).astype(np.int64)
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    n = rows.size
+    pos_phi = bounds[item] + np.arange(n, dtype=np.int64)
+    pos_typ = pos_phi + counts[item]
+    lin = np.empty(2 * n, dtype=np.int64)
+    lin[pos_phi] = base
+    lin[pos_typ] = base + foff_rows[rows]
+    values = flat[lin[:, None] + level.stencil_offs]
+    w = np.empty(values.shape)
+    w[pos_phi] = w1 * ch_rows[rows][:, None]
+    w[pos_typ] = w1
+    return values, w, bounds, base
 
 
 def _fused_scores(scorers, pts, sizes):
@@ -946,13 +1138,14 @@ def _fused_scores(scorers, pts, sizes):
     from its shared flat stack -- their per-atom slot offsets address
     it directly, which is what lets heterogeneous ligands fuse).
 
-    Returns ``(scores, near_fracs)``; each entry is bitwise-equal to
-    ``scorers[i].score(pose_i)``: the batched stages are elementwise or
-    per-row (identical values regardless of batch), while every
-    floating-point *reduction* -- the corner einsum, the exact-column
-    energy, the pair-correction sum -- runs per pose over contiguous
-    slices laid out exactly like the single-pose arrays, in the same
-    accumulation order (interpolation, out-of-box columns, pair
+    Returns ``(scores, near_fracs, outer_fracs)``; each entry is
+    bitwise-equal to what ``scorers[i].score(pose_i)`` produces: the
+    batched stages are elementwise or per-row (identical values
+    regardless of batch), while every floating-point *reduction* -- the
+    per-level stencil einsums, the exact-column energy, the
+    pair-correction sum -- runs per pose over contiguous slices laid
+    out exactly like the single-pose arrays, in the same accumulation
+    order (fine level, outer level, out-of-box columns, pair
     corrections).
     """
     k = len(sizes)
@@ -962,62 +1155,37 @@ def _fused_scores(scorers, pts, sizes):
     s0 = scorers[0]
     maps = s0._maps
     flat = maps.flat_stack()
-    frac = (pts - maps.origin) * s0._inv_spacing
-    in_box = (frac >= 0.0).all(axis=1) & (frac <= s0._upper).all(axis=1)
-    idx = np.floor(frac).astype(np.int64)
-    np.clip(idx, 0, s0._max_idx, out=idx)
-    base = idx @ s0._strides
     item_of = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    ib_all = np.flatnonzero(in_box)
-    item_ib = item_of[ib_all]
-    b_counts = np.bincount(item_ib, minlength=k).astype(np.int64)
-    ib_bounds = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(b_counts, out=ib_bounds[1:])
-    n_ib = ib_all.size
-    corners = w = None
+    foff_rows = np.concatenate([sc._foff for sc in scorers])
+    ch_rows = np.concatenate([sc._charges for sc in scorers])
+    frac, fine = maps.locate(pts)
+    fi = np.flatnonzero(fine)
+    rest = np.flatnonzero(~fine)
+    frac_o, in_outer = maps.outer.locate(pts[rest])
+    shell = rest[in_outer]
+    beyond = np.zeros(pts.shape[0], dtype=bool)
+    beyond[rest[~in_outer]] = True
+    n_beyond = np.bincount(item_of[beyond], minlength=k)
+    # (values, weights, per-pose bounds) per level that has rows.
+    levels = []
     pair_e = pair_bounds = uniq_cum = None
-    if n_ib:
-        base_ib = base[ib_all]
-        # Trilinear corner weights for every in-box row (same
-        # elementwise ops and column order as _interp_energy).
-        t_ib = (frac - idx)[ib_all]
-        tx, ty, tz = t_ib[:, 0], t_ib[:, 1], t_ib[:, 2]
-        ex, ey, ez = 1.0 - tx, 1.0 - ty, 1.0 - tz
-        p00 = ex * ey
-        p01 = ex * ty
-        p10 = tx * ey
-        p11 = tx * ty
-        pw = np.empty((n_ib, 8))
-        pw[:, 0] = p00 * ez
-        pw[:, 1] = p00 * tz
-        pw[:, 2] = p01 * ez
-        pw[:, 3] = p01 * tz
-        pw[:, 4] = p10 * ez
-        pw[:, 5] = p10 * tz
-        pw[:, 6] = p11 * ez
-        pw[:, 7] = p11 * tz
-        # Row layout replicates the single-pose lin/w arrays pose by
-        # pose: pose i's 2*b_i rows start at 2*ib_bounds[i], phi rows
-        # first, type rows after -- so the per-pose einsum below runs
-        # over a contiguous slice shaped exactly like _interp_energy's.
-        foff_rows = np.concatenate([sc._foff for sc in scorers])
-        ch_rows = np.concatenate([sc._charges for sc in scorers])
-        ranks = np.arange(n_ib, dtype=np.int64) - ib_bounds[item_ib]
-        pos_phi = 2 * ib_bounds[item_ib] + ranks
-        pos_typ = pos_phi + b_counts[item_ib]
-        lin = np.empty(2 * n_ib, dtype=np.int64)
-        lin[pos_phi] = base_ib
-        lin[pos_typ] = base_ib + foff_rows[ib_all]
-        w = np.empty((2 * n_ib, 8))
-        w[pos_typ] = pw
-        w[pos_phi] = pw * ch_rows[ib_all][:, None]
-        corners = flat[lin[:, None] + s0._corner_offs[None, :]]
+    if fi.size:
+        values, w, bounds, base_fi = _level_rows(
+            maps,
+            flat,
+            frac if fi.size == fine.size else frac[fi],
+            fi,
+            item_of,
+            k,
+            foff_rows,
+            ch_rows,
+        )
+        levels.append((values, w, bounds))
         # Batched near-field candidate expansion (same CSR arithmetic
         # as score(), across all flagged atoms of all poses at once).
-        near = s0._near_flat[base_ib]
-        nz = np.flatnonzero(near)
+        nz = np.flatnonzero(s0._near_flat[base_fi])
         if nz.size:
-            vox = base_ib[nz]
+            vox = base_fi[nz]
             counts = maps.cand_count[vox].astype(np.int64)
             total = int(counts.sum())
             if total:
@@ -1027,7 +1195,7 @@ def _fused_scores(scorers, pts, sizes):
                 rank -= np.repeat(cum, counts)
                 rank += np.repeat(maps.cand_start[vox], counts)
                 cand = maps.cand_atoms.take(rank).astype(np.int64)
-                lig_rows = np.repeat(ib_all[nz], counts)
+                lig_rows = np.repeat(fi[nz], counts)
                 diff = maps.receptor.coords.take(cand, axis=0)
                 diff -= pts.take(lig_rows, axis=0)
                 d2 = np.einsum("ij,ij->i", diff, diff)
@@ -1035,11 +1203,8 @@ def _fused_scores(scorers, pts, sizes):
                 if keep.any():
                     pair_rec = np.compress(keep, cand)
                     pair_row = np.compress(keep, lig_rows)
-                    pair_itm = np.compress(
-                        keep, np.repeat(item_ib[nz], counts)
-                    )
                     pair_bounds = np.searchsorted(
-                        pair_itm, np.arange(k + 1)
+                        item_of[pair_row], np.arange(k + 1)
                     )
                     pair_e = _pair_energies(
                         scorers, maps, pts, pair_rec, pair_row, ch_rows
@@ -1056,25 +1221,29 @@ def _fused_scores(scorers, pts, sizes):
                         pair_row.size + 1, dtype=np.int64
                     )
                     np.cumsum(firsts, out=uniq_cum[1:])
+    if shell.size:
+        levels.append(
+            _level_rows(
+                maps.outer, flat, frac_o[in_outer], shell,
+                item_of, k, foff_rows, ch_rows,
+            )[:3]
+        )
     scores = np.empty(k)
-    fracs = np.empty(k)
+    near_fracs = np.empty(k)
     for i in range(k):
-        m_i = int(sizes[i])
-        b = int(b_counts[i])
         energy = 0.0
-        if b:
-            o = 2 * int(ib_bounds[i])
-            energy += float(
-                np.einsum(
-                    "pc,pc->", corners[o : o + 2 * b], w[o : o + 2 * b]
+        for values, w, bounds in levels:
+            lo, hi = 2 * int(bounds[i]), 2 * int(bounds[i + 1])
+            if hi > lo:
+                energy += float(
+                    np.einsum("pc,pc->", values[lo:hi], w[lo:hi])
                 )
-            )
-        n_ex = 0
-        if b < m_i:
+        n_ex = int(n_beyond[i])
+        if n_ex:
             lo, hi = int(starts[i]), int(starts[i + 1])
-            oob = np.flatnonzero(~in_box[lo:hi])
-            energy += scorers[i]._exact_energy(pts[lo:hi], oob)
-            n_ex += oob.size
+            energy += scorers[i]._exact_energy(
+                pts[lo:hi], np.flatnonzero(beyond[lo:hi])
+            )
         if pair_bounds is not None:
             p0, p1 = int(pair_bounds[i]), int(pair_bounds[i + 1])
             if p1 > p0:
@@ -1083,8 +1252,9 @@ def _fused_scores(scorers, pts, sizes):
                 energy += float(pair_e[p0:p1].sum())
                 n_ex += int(uniq_cum[p1] - uniq_cum[p0])
         scores[i] = -energy
-        fracs[i] = n_ex / m_i
-    return scores, fracs
+        near_fracs[i] = n_ex / int(sizes[i])
+    outer_fracs = np.bincount(item_of[shell], minlength=k) / sizes
+    return scores, near_fracs, outer_fracs
 
 
 def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
@@ -1163,8 +1333,9 @@ def score_field_group(entries) -> np.ndarray:
     instance; each group evaluates through one fused kernel over the
     maps' combined stack, so a screening shard's ligands against one
     receptor batch into a single gather.  Per-entry results (score,
-    ``near_fraction``, the near-field histogram observation) are
-    bitwise-equal to calling ``scorer.score(coords)`` sequentially.
+    ``near_fraction`` / ``outer_fraction`` and their histogram
+    observations) are bitwise-equal to calling ``scorer.score(coords)``
+    sequentially.
     """
     n = len(entries)
     out = np.empty(n)
@@ -1190,13 +1361,8 @@ def score_field_group(entries) -> np.ndarray:
         scorers = [prepared[i][0] for i in idxs]
         sizes = [prepared[i][2] for i in idxs]
         pts = np.concatenate([prepared[i][1] for i in idxs], axis=0)
-        scores, fracs = _fused_scores(scorers, pts, sizes)
+        scores, near, outer = _fused_scores(scorers, pts, sizes)
         for j, i in enumerate(idxs):
-            sc = scorers[j]
             out[i] = scores[j]
-            sc.near_fraction = float(fracs[j])
-            if sc._metrics is not None:
-                sc._metrics.observe(
-                    NEAR_FRACTION_METRIC, sc.near_fraction
-                )
+            scorers[j]._record(float(near[j]), float(outer[j]))
     return out

@@ -185,27 +185,34 @@ def _metrics_section(record: RunRecord) -> str:
 
 def _field_section(record: RunRecord) -> str:
     """Render field-scorer telemetry when a run used ``--scoring-method
-    field``: total precomputed-map storage and the fraction of ligand
-    atoms that fell in the exact near-field regime (see
+    field``: total precomputed-map storage (both lattice levels) and
+    the fractions of ligand atoms that fell in the exact near-field
+    regime and in the coarse outer level (see
     :mod:`repro.scoring.field`)."""
     by_name = {m.get("name"): m for m in record.metrics}
     size = by_name.get("scoring/field_bytes")
-    near = by_name.get("scoring/near_field_fraction")
-    if size is None and near is None:
+    fractions = [
+        (label, by_name.get(name))
+        for label, name in (
+            ("near-field (exact-path)", "scoring/near_field_fraction"),
+            ("outer-level (shell)", "scoring/outer_field_fraction"),
+        )
+    ]
+    if size is None and all(h is None for _, h in fractions):
         return ""
     lines = ["Field scorer"]
     if size is not None and size.get("value") is not None:
         lines.append(
             f"  precomputed maps: {size['value'] / (1024 * 1024):.1f} MiB"
         )
-    if near is not None:
-        mean = near.get("mean")
-        mx = near.get("max")
-        lines.append(
-            "  near-field (exact-path) atom fraction: "
-            f"mean {_fmt(mean, '.3f')}  max {_fmt(mx, '.3f')} "
-            f"over {int(near.get('count') or 0)} score calls"
-        )
+    for label, hist in fractions:
+        if hist is not None:
+            lines.append(
+                f"  {label} atom fraction: "
+                f"mean {_fmt(hist.get('mean'), '.3f')}  "
+                f"max {_fmt(hist.get('max'), '.3f')} "
+                f"over {int(hist.get('count') or 0)} score calls"
+            )
     return "\n".join(lines)
 
 

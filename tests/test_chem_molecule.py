@@ -98,6 +98,29 @@ class TestEditing:
         assert w2.charges is w.charges  # shared by design
         assert not np.shares_memory(w2.coords, w.coords)
 
+    def test_masses_looked_up_once_and_shared(self, monkeypatch):
+        from repro.chem import elements
+
+        calls = []
+        real = elements.element
+        monkeypatch.setattr(
+            elements,
+            "element",
+            lambda s: calls.append(s) or real(s),
+        )
+        w = water()
+        calls.clear()
+        m = w.masses
+        assert len(calls) == w.n_atoms
+        assert w.masses is m and not m.flags.writeable
+        moved = w.with_coords(w.coords + 1.0)
+        assert moved.masses is m
+        assert moved.translated([0.0, 1.0, 0.0]).masses is m
+        np.testing.assert_allclose(
+            moved.center_of_mass(), w.center_of_mass() + 1.0
+        )
+        assert len(calls) == w.n_atoms  # no further look-ups
+
     def test_with_coords_shape_checked(self):
         with pytest.raises(ValueError):
             water().with_coords(np.zeros((5, 3)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chem.builders import POCKET_AXIS
+from repro.config import ci_scale_config
 from repro.env.comm import FileComm, RamComm
 from repro.env.docking_env import DockingEnv, make_env
 from repro.env.flexible_env import FlexibleDockingEnv
@@ -77,6 +78,41 @@ class TestProtocol:
         assert reward in (-1.0, 0.0, 1.0)
         assert isinstance(done, bool)
         assert "score" in info and "com_distance" in info
+
+    @pytest.mark.parametrize(
+        "mode,method",
+        [("raw", "exact"), ("compact", "incremental"), ("descriptor", "field")],
+    )
+    def test_step_makes_no_element_lookups(
+        self, small_complex, monkeypatch, mode, method
+    ):
+        # Static receptor/ligand data (masses, COM, LJ tables) is
+        # derived once; a step costs O(ligand atoms), never a Python
+        # per-atom element-table walk.
+        from repro.chem import elements
+        from repro.env.factory import make_env as make_cfg_env
+
+        cfg = ci_scale_config(
+            observation_mode=mode,
+            scoring_method=method,
+            scoring_kwargs=(
+                {"spacing": 1.0, "padding": 6.0} if method == "field" else {}
+            ),
+        )
+        e = make_cfg_env(cfg, small_complex)
+        e.reset()
+        calls = []
+        real = elements.element
+        monkeypatch.setattr(
+            elements, "element", lambda s: calls.append(s) or real(s)
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            _, _, done, _ = e.step(int(rng.integers(e.n_actions)))
+            if done:
+                break
+        e.close()
+        assert calls == []
 
     def test_reset_restores_initial_state(self, env):
         s0 = env.reset()

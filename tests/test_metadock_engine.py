@@ -149,6 +149,26 @@ class TestGeometryHelpers:
             small_complex.initial_com_distance, rel=1e-6
         )
 
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_com_distance_bit_equal_to_molecule_formula(
+        self, engine, flex_engine, flexible
+    ):
+        # The cached-geometry fast path must reproduce the original
+        # per-call Molecule.center_of_mass computation bit for bit:
+        # termination decisions and seeded trajectories hang on it.
+        eng = flex_engine if flexible else engine
+        rng = np.random.default_rng(41)
+        eng.reset()
+        for _ in range(200):
+            eng.apply_action(int(rng.integers(eng.n_actions)))
+            lig = eng.template.with_coords(eng.ligand_coords())
+            want = float(
+                np.linalg.norm(
+                    lig.center_of_mass() - eng.receptor.center_of_mass()
+                )
+            )
+            assert eng.com_distance() == want  # bitwise
+
     def test_com_distance_tracks_shift(self, engine):
         engine.reset()
         d0 = engine.com_distance()

@@ -10,7 +10,10 @@ exercise each scorer across the regimes that take different code paths:
   (``MIN_DISTANCE`` clamps, field near-field pair corrections);
 - *out-of-box* poses far outside any grid/field box (exact-column
   fallbacks, grid boundary clamps);
-- a *mixed* batch concatenating all three.
+- a *mixed* batch concatenating all three;
+- for the field scorer, *shell* poses (every atom between the fine and
+  the outer box) and *straddling* poses (fine, shell and beyond-outer
+  atoms in one pose).
 
 Also pinned: empty-batch fast paths (no lazy structure built), batch
 shape validation, eager ``GridScorer`` dtype validation, per-pose
@@ -26,6 +29,7 @@ import pytest
 from repro.metadock.library import generate_library
 from repro.scoring.field import (
     NEAR_FRACTION_METRIC,
+    OUTER_FRACTION_METRIC,
     FieldMaps,
     FieldScorer,
     score_field_group,
@@ -131,6 +135,65 @@ def test_field_batch_near_fraction_and_histogram(small_complex, rng):
     assert h_batch.max > 0.0
 
 
+def _shell_batches(built, rng):
+    """(shell, straddling) pose batches for the default field geometry:
+    +40 A along an axis lands between the fine box (16 A padding) and
+    the outer box (48 A); +300 A is beyond both."""
+    base = built.ligand_crystal.coords
+    m = base.shape[0]
+    shifts = np.array(
+        [[40.0, 0.0, 0.0], [0.0, -40.0, 0.0], [0.0, 0.0, 40.0]]
+    ).reshape(3, 1, 3)
+    shell = base[None] + shifts + rng.normal(scale=0.3, size=(3,) + base.shape)
+    straddle = base[None] + rng.normal(scale=0.3, size=(3,) + base.shape)
+    straddle[:, m // 3 : 2 * m // 3] += shifts
+    straddle[:, 2 * m // 3 :] += 300.0
+    return shell, straddle
+
+
+def test_field_shell_and_straddling_batches_bitwise(small_complex, rng):
+    """Both lattice levels and the exact columns in one fused batch:
+    ``score_batch`` and ``score_field_group`` reproduce ``score``'s
+    floats and per-pose fractions."""
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    m = lig.n_atoms
+    calm, clash, oob, _ = _pose_batches(small_complex, rng)
+    shell, straddle = _shell_batches(small_complex, rng)
+    mixed = np.concatenate([shell, calm[:2], straddle, clash[:1], oob[:1]])
+
+    single = FieldScorer(rec, lig)
+    single.metrics = MetricsRegistry()
+    ref, near, outer = [], [], []
+    for p in mixed:
+        ref.append(single.score(p))
+        near.append(single.near_fraction)
+        outer.append(single.outer_fraction)
+    # The batch really covers the three regimes.
+    assert outer[:3] == [1.0] * 3 and near[:3] == [0.0] * 3
+    n_shell = 2 * m // 3 - m // 3
+    assert outer[5:8] == [n_shell / m] * 3
+    assert all(f >= (m - 2 * m // 3) / m for f in near[5:8])
+
+    batch = FieldScorer(rec, lig)
+    batch.metrics = MetricsRegistry()
+    for cb in (shell, straddle, mixed):
+        want = np.array([single.score(p) for p in cb])
+        assert np.array_equal(batch.score_batch(cb), want)
+    assert batch.near_fraction == near[-1]
+    assert batch.outer_fraction == outer[-1]
+    h = batch.metrics.get(OUTER_FRACTION_METRIC)
+    assert h.count == len(shell) + len(straddle) + len(mixed)
+    assert h.max == 1.0
+
+    maps = FieldMaps(rec)
+    group = [FieldScorer(rec, lig, cells=maps) for _ in mixed]
+    got = score_field_group(list(zip(group, mixed)))
+    assert np.array_equal(got, np.array(ref))
+    assert [sc.near_fraction for sc in group] == near
+    assert [sc.outer_fraction for sc in group] == outer
+
+
 def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
     """Different ligands sharing one FieldMaps fuse into one kernel and
     still reproduce each scorer's single-pose floats."""
@@ -141,12 +204,15 @@ def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
         FieldScorer(rec, e.ligand, cells=maps) for e in library
     ] + [FieldScorer(rec, small_complex.ligand_crystal, cells=maps)]
     entries = []
-    for sc in scorers:
+    for j, sc in enumerate(scorers):
         pose = sc.ligand.coords + rng.normal(
             scale=0.3, size=sc.ligand.coords.shape
         )
+        if j % 2:
+            pose[: sc.ligand.n_atoms // 2, 0] += 40.0  # into the shell
         entries.append((sc, pose))
     got = score_field_group(entries)
+    assert scorers[1].outer_fraction > 0.0
     ref = np.array(
         [
             FieldScorer(rec, sc.ligand, cells=maps).score(pose)

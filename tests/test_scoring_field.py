@@ -12,6 +12,9 @@ The load-bearing properties (see ``repro/scoring/field.py``):
 - maps are derived state -- shared (warm) and private (cold) builds
   agree bitwise in any ensure() order, so checkpoint resume under
   ``--scoring-method field`` cannot perturb a float;
+- the coarse outer level covers the env's whole escape ball, so shell
+  atoms (outside the fine box) are interpolated too and a random walk
+  from the start pose stays inside the documented drift budget;
 - end-to-end wiring: factory, config, envs, CLI, telemetry, and
   interrupt/resume through the figure4 trainer stack.
 """
@@ -23,11 +26,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ci_scale_config
+from repro.chem.builders import build_complex
+from repro.config import ComplexConfig, DQNDockingConfig, ci_scale_config
 from repro.env.factory import make_env
 from repro.scoring.field import (
     FIELD_BYTES_METRIC,
+    FIELD_CALM_STEP_BOUND,
     NEAR_FRACTION_METRIC,
+    OUTER_FRACTION_METRIC,
     FieldMaps,
     FieldScorer,
 )
@@ -191,14 +197,14 @@ class TestClassification:
             pose = coords + rng.normal(
                 scale=1.5, size=coords.shape
             ) + rng.normal(scale=3.0, size=(1, 3))
-            frac = (pose - fld.maps.origin) * fld._inv_spacing
+            frac = (pose - fld.maps.origin) * fld.maps.inv_spacing
             in_box = (frac >= 0.0).all(axis=1) & (
-                frac <= fld._upper
+                frac <= fld.maps.upper
             ).all(axis=1)
             idx = np.clip(
-                np.floor(frac).astype(np.int64), 0, fld._max_idx
+                np.floor(frac).astype(np.int64), 0, fld.maps.max_idx
             )
-            flagged = fld._near_flat[idx @ fld._strides]
+            flagged = fld._near_flat[idx @ fld.maps.strides]
             dmin = np.sqrt(
                 ((pose[:, None, :] - rec.coords[None, :, :]) ** 2)
                 .sum(axis=-1)
@@ -220,11 +226,11 @@ class TestClassification:
         cells = CellList(rec.coords, cell_size=maps.clash_radius)
         for _ in range(10):
             pose = coords + rng.normal(scale=1.0, size=coords.shape)
-            frac = (pose - maps.origin) * fld._inv_spacing
+            frac = (pose - maps.origin) * fld.maps.inv_spacing
             idx = np.clip(
-                np.floor(frac).astype(np.int64), 0, fld._max_idx
+                np.floor(frac).astype(np.int64), 0, fld.maps.max_idx
             )
-            vox = idx @ fld._strides
+            vox = idx @ fld.maps.strides
             want_r, want_p = query_pairs(
                 cells, pose, maps.clash_radius
             )
@@ -380,6 +386,264 @@ class TestMapSharing:
 
 
 # ---------------------------------------------------------------------------
+# the coarse outer level
+
+
+def _shell_pose(fld, coords):
+    """``coords`` translated so every atom sits between the two boxes."""
+    maps = fld.maps
+    fine_top = maps.origin[2] + maps.upper[2] * maps.spacing
+    pose = coords - coords.min(axis=0)
+    pose[:, :2] += fld.receptor.coords.mean(axis=0)[:2]
+    pose[:, 2] += fine_top + 1.0
+    return pose
+
+
+class TestOuterLevel:
+    def test_shell_pose_is_interpolated(self, scorers, pair):
+        fld, exact = scorers
+        _, _, coords = pair
+        pose = _shell_pose(fld, coords)
+        _, in_fine = fld.maps.locate(pose)
+        _, in_outer = fld.maps.outer.locate(pose)
+        assert not in_fine.any() and in_outer.all()
+        assert _drift_ok(exact.score(pose), fld.score(pose))
+        assert fld.near_fraction == 0.0  # no exact-path atoms
+        assert fld.outer_fraction == 1.0
+
+    def test_straddling_three_regimes(self, scorers, pair):
+        # Fine, shell and beyond-outer atoms in one pose.
+        fld, exact = scorers
+        _, _, coords = pair
+        m = coords.shape[0]
+        pose = coords.copy()
+        pose[m // 3 : 2 * m // 3] = _shell_pose(fld, coords)[
+            m // 3 : 2 * m // 3
+        ]
+        pose[2 * m // 3 :] += 500.0
+        assert _drift_ok(exact.score(pose), fld.score(pose))
+        assert fld.outer_fraction == (2 * m // 3 - m // 3) / m
+        assert fld.near_fraction >= (m - 2 * m // 3) / m
+
+    def test_outer_geometry_derived_from_fine(self, pair):
+        from repro.scoring.field import (
+            OUTER_PADDING_RATIO,
+            OUTER_SPACING_RATIO,
+        )
+
+        rec, _, _ = pair
+        maps = FieldMaps(rec, spacing=SPACING, padding=PADDING)
+        outer = maps.outer
+        assert outer.outer is None
+        assert outer.spacing == OUTER_SPACING_RATIO * SPACING
+        assert outer.padding == OUTER_PADDING_RATIO * PADDING
+        assert (outer.clash_radius, outer.dtype) == (
+            maps.clash_radius,
+            maps.dtype,
+        )
+        # The fine level reads a cell's 8 corners, the outer level the
+        # 4 x 4 x 4 nodes around it -- so its box stops one node short
+        # of the lattice edge, and still contains the fine box.
+        assert (maps.support, maps.margin) == (2, 0)
+        assert (outer.support, outer.margin) == (4, 1)
+        fine_top = maps.origin + maps.upper * maps.spacing
+        outer_low = outer.origin + outer.margin * outer.spacing
+        outer_top = outer.origin + outer.upper * outer.spacing
+        assert (outer_low < maps.origin).all()
+        assert (outer_top > fine_top).all()
+
+    def test_outer_stencil_reproduces_cubics(self, pair, rng):
+        # The 4-point Lagrange stencil is exact for cubic polynomials;
+        # the fine level's 2-point stencil for (tri)linear ones.
+        rec, _, _ = pair
+        maps = FieldMaps(rec, spacing=1.0, padding=PADDING)
+        for level, degree in ((maps, 1), (maps.outer, 3)):
+            nodes = level.origin + level.spacing * np.stack(
+                np.meshgrid(
+                    *(np.arange(n) for n in level.shape), indexing="ij"
+                ),
+                axis=-1,
+            ).reshape(-1, 3)
+            coef = rng.normal(size=(3, degree + 1))
+
+            def poly(x):
+                return sum(
+                    (coef[a, d] * (x[:, a] / 10.0) ** d)
+                    for a in range(3)
+                    for d in range(degree + 1)
+                ) + (x[:, 0] * x[:, 1] * x[:, 2]) / 1e3
+
+            values = poly(nodes)
+            lo = level.origin + level.margin * level.spacing
+            hi = level.origin + level.upper * level.spacing
+            pts = rng.uniform(lo, hi, size=(50, 3))
+            frac, inside = level.locate(pts)
+            assert inside.all()
+            base, w = level.stencil(frac)
+            got = (
+                values[(base - level.slot_base)[:, None] + level.stencil_offs]
+                * w
+            ).sum(axis=1)
+            np.testing.assert_allclose(got, poly(pts), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", ["paper", "ci"])
+    def test_escape_ball_inside_outer_box(self, scale):
+        # Every pose the env can reach before the escape rule fires has
+        # all its atoms inside the outer box at the default geometry.
+        cfg = (
+            ci_scale_config()
+            if scale == "ci"
+            else DQNDockingConfig(complex=ComplexConfig())
+        )
+        built = build_complex(cfg.complex)
+        lig = built.ligand_initial
+        reach = cfg.escape_factor * built.initial_com_distance + float(
+            np.linalg.norm(
+                lig.coords - lig.center_of_mass(), axis=1
+            ).max()
+        )
+        outer = FieldMaps(built.receptor).outer
+        center = built.receptor.center_of_mass()
+        outer_low = outer.origin + outer.margin * outer.spacing
+        outer_top = outer.origin + outer.upper * outer.spacing
+        assert (center - reach > outer_low).all()
+        assert (center + reach < outer_top).all()
+
+    def test_shared_equals_private_including_outer(self, pair, rng):
+        rec, template, coords = pair
+        maps = FieldMaps(rec, spacing=SPACING, padding=PADDING)
+        # Warm the shared maps with a different ligand type set first.
+        maps.ensure([(3.3, 0.09, True, False)])
+        shared = FieldScorer(
+            rec, template, spacing=SPACING, padding=PADDING, cells=maps
+        )
+        private = FieldScorer(
+            rec, template, spacing=SPACING, padding=PADDING
+        )
+        shell = _shell_pose(shared, coords)
+        for _ in range(10):
+            pose = shell + rng.normal(scale=0.4, size=shell.shape)
+            assert shared.score(pose) == private.score(pose)  # bitwise
+            assert shared.outer_fraction > 0.0
+        o_shared, o_private = maps.outer, private.maps.outer
+        np.testing.assert_array_equal(o_shared.phi, o_private.phi)
+        for key, (rep, disp) in o_private._lj.items():
+            np.testing.assert_array_equal(o_shared._lj[key][0], rep)
+            np.testing.assert_array_equal(o_shared._lj[key][1], disp)
+        for cls, arr in o_private._hb1210.items():
+            np.testing.assert_array_equal(o_shared._hb1210[cls], arr)
+
+    def test_lazy_ensure_extends_both_levels(self, pair):
+        rec, template, coords = pair
+        maps = FieldMaps(rec, spacing=1.0, padding=PADDING)
+        fld = FieldScorer(
+            rec, template, spacing=1.0, padding=PADDING, cells=maps
+        )
+        shell = _shell_pose(fld, coords)
+        before = fld.score(shell)
+        size = maps.nbytes()
+        new_spec = (3.9, 0.31, True, True)
+        assert (new_spec[0], new_spec[1]) not in maps._lj
+        assert maps.ensure([new_spec])
+        for level in (maps, maps.outer):
+            assert (new_spec[0], new_spec[1]) in level._lj
+            assert (True, True) in level._hb1210
+        assert maps.nbytes() > size
+        slot = maps.slot_of(new_spec)
+        stack = maps.flat_stack().reshape(-1, maps.slot_stride)
+        assert stack.shape[0] == 2 + slot  # phi + every slot so far
+        # Existing slots are untouched: same floats after the rebind.
+        assert fld.score(shell) == before
+        assert fld._flat is maps.flat_stack()
+
+    def test_outer_level_has_no_pair_table(self, pair):
+        rec, template, coords = pair
+        fld = FieldScorer(rec, template, spacing=1.0, padding=PADDING)
+        outer = fld.maps.outer
+        assert outer.phi is not None
+        assert outer.near_mask is None and outer.cand_atoms is None
+
+    def test_nbytes_counts_outer_level(self, pair):
+        rec, template, coords = pair
+        fld = FieldScorer(rec, template, spacing=1.0, padding=PADDING)
+        maps = fld.maps
+        outer_maps = maps.outer.nbytes()
+        assert outer_maps > 0
+        fine_only = sum(
+            a.nbytes
+            for a in (
+                maps.phi,
+                maps.near_mask,
+                maps.cand_start,
+                maps.cand_count,
+                maps.cand_atoms,
+            )
+        )
+        fine_only += sum(
+            r.nbytes + d.nbytes for r, d in maps._lj.values()
+        )
+        fine_only += sum(a.nbytes for a in maps._hb1210.values())
+        fine_only += sum(
+            r.nbytes + d.nbytes for r, d in maps._hblj.values()
+        )
+        assert maps.nbytes() == (
+            fine_only + outer_maps + maps.flat_stack().nbytes
+        )
+
+    def test_random_walk_from_start_pose_within_budget(self):
+        # 1,000 env steps of uniform random actions from Figure 3's
+        # pose A on the CI-scale complex.  The fine box is shrunk so
+        # most of the walk happens in the shell (as it does at 2BSM
+        # scale with the default padding); the outer lattice is the
+        # default 4 A.
+        cfg = ci_scale_config(
+            max_steps=1000,
+            scoring_method="field",
+            scoring_kwargs={"spacing": 1.0, "padding": PADDING},
+        )
+        env = make_env(cfg)
+        engine = env.engine
+        from repro.telemetry.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        engine.metrics = reg
+        exact = ExactScorer(engine.receptor, engine.template)
+        rng = np.random.default_rng(2018)
+        env.reset()
+        s_field = [env.current_score()]
+        s_exact = [exact.score(engine.ligand_coords())]
+        keep = []
+        for _ in range(1000):
+            _, _, done, info = env.step(int(rng.integers(env.n_actions)))
+            s_field.append(info["score"])
+            s_exact.append(exact.score(engine.ligand_coords()))
+            keep.append(True)
+            if done:
+                env.reset()
+                s_field.append(env.current_score())
+                s_exact.append(exact.score(engine.ligand_coords()))
+                keep.append(False)  # the pair straddling the reset
+        env.close()
+        keep = np.array(keep)
+        s_field, s_exact = np.array(s_field), np.array(s_exact)
+        d_field = np.diff(s_field)[keep]
+        d_exact = np.diff(s_exact)[keep]
+        calm = ((np.abs(s_exact[:-1]) < 1e4) & (np.abs(s_exact[1:]) < 1e4))[
+            keep
+        ]
+        assert calm.sum() > 500
+        assert np.abs(d_field - d_exact)[calm].max() <= FIELD_CALM_STEP_BOUND
+        agreement = (np.sign(d_field) == np.sign(d_exact)).mean()
+        assert agreement >= 0.95, agreement
+        # The walk really exercised the outer level, and never needed
+        # an exact column.
+        outer = reg.get(OUTER_FRACTION_METRIC)
+        assert outer.count == reg.get(NEAR_FRACTION_METRIC).count
+        assert outer.mean > 0.5
+
+
+# ---------------------------------------------------------------------------
 # factory / config / env / CLI plumbing
 
 
@@ -458,6 +722,10 @@ class TestTelemetry:
             scorer.maps.nbytes()
         )
         assert reg.get(NEAR_FRACTION_METRIC).count >= 1
+        assert (
+            reg.get(OUTER_FRACTION_METRIC).count
+            == reg.get(NEAR_FRACTION_METRIC).count
+        )
         assert "field-build" in str(tr.report())
 
     def test_metrics_attached_after_build(self, pair):
