@@ -76,6 +76,7 @@ def load_network_arrays(
             )
     for p, arr in zip(params, loaded):
         p[...] = arr
+    net.weights_changed()
     return net
 
 

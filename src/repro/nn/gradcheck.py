@@ -58,6 +58,8 @@ def check_gradients(
     analytic = [g.copy() for g in net.grads()]
 
     def scalar_loss() -> float:
+        # The finite differences poke parameters in place.
+        net.weights_changed()
         p = net.forward(x, train=False)
         value, _g = loss_fn(p, target)
         return value

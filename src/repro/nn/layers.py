@@ -51,6 +51,14 @@ class Layer(ABC):
         for g in self.grads():
             g[...] = 0.0
 
+    def weights_changed(self) -> None:
+        """Drop anything derived from the parameter values.
+
+        Whoever writes a layer's parameters in place (an optimizer
+        step, a target sync, a checkpoint load, a weight fetch) calls
+        this afterwards; layers that cache nothing ignore it.
+        """
+
     def _cast(self, x) -> np.ndarray:
         """View ``x`` in this layer's dtype (copies only on mismatch)."""
         return np.asarray(x, dtype=self.dtype)
@@ -59,13 +67,36 @@ class Layer(ABC):
     def _workspace(cache: dict, rows: int, cols: int, dtype) -> np.ndarray:
         """Reusable (rows, cols) buffer from ``cache``, keyed by rows."""
         buf = cache.get(rows)
-        if buf is None:
+        if buf is None or buf.shape[1] != cols:
             buf = cache[rows] = np.empty((rows, cols), dtype=dtype)
         return buf
 
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W + b``."""
+    """Fully connected layer ``y = x @ W + b``.
+
+    **Constant-prefix mode** (:meth:`bind_static_prefix`).  When the
+    leading ``p`` inputs are the same vector ``x_static`` in every
+    state -- the docking receptor block, 9,792 of the paper's 10,059
+    inputs -- the layer also accepts bare tails of ``in_features - p``
+    floats and computes ``tails @ W[p:] + c`` with
+    ``c = x_static @ W[:p] + b``.  ``c`` is a pure function of the
+    weights: it is recomputed from scratch by one GEMV on the first
+    forward after :meth:`weights_changed` and reused until the next
+    (never patched incrementally, so a resumed run rebuilds the same
+    bits).  Backward fills the static rows of ``dw`` with the rank-1
+    ``x_static * sum_b delta_b`` and only for units whose delta column
+    has a non-zero entry; :meth:`zero_grad` clears just the rows
+    written since the last reset, so ``dw`` is always the true dense
+    gradient without a full-array pass.  Full-width inputs still take
+    the plain path.
+
+    Binding also switches ``w``/``dw`` to **unit-major** storage: still
+    one logical ``(in, out)`` array each (same shape in ``params()``,
+    checkpoints and weight broadcasts), but Fortran-ordered, so one
+    unit's ``in`` weights are contiguous and ``w.T`` is a C-contiguous
+    ``(out, in)`` view of the same memory.
+    """
 
     def __init__(
         self,
@@ -93,8 +124,11 @@ class Dense(Layer):
         self._x: np.ndarray | None = None
         self._out: dict[int, np.ndarray] = {}
         self._gin: dict[int, np.ndarray] = {}
-        self._dw_ws = np.empty_like(self.w)
+        #: Full-width ``x.T @ g`` scratch (allocated on first use).
+        self._dw_ws: np.ndarray | None = None
         self._db_ws = np.empty_like(self.b)
+        self._static: np.ndarray | None = None
+        self._bias_fresh = False
 
     @property
     def in_features(self) -> int:
@@ -106,17 +140,89 @@ class Dense(Layer):
         """Output width."""
         return self.w.shape[1]
 
+    # -- constant-prefix mode ---------------------------------------------
+    def bind_static_prefix(self, static: np.ndarray) -> None:
+        """Enter constant-prefix mode (see the class docstring).
+
+        Re-homes ``w`` and ``dw`` in unit-major arrays: call it before
+        anything (optimizer, weight block) takes references from
+        ``params()`` / ``grads()``.
+        """
+        static = np.ascontiguousarray(static, dtype=self.dtype)
+        if static.ndim != 1 or not 0 < static.shape[0] < self.in_features:
+            raise ValueError(
+                "static prefix must be 1-D and shorter than in_features "
+                f"({static.shape} vs {self.in_features})"
+            )
+        self._static = static
+        self.w = np.asfortranarray(self.w)
+        self.dw = np.zeros_like(self.w)
+        #: c = x_static @ W[:p] + b, valid while ``_bias_fresh``.
+        self._static_bias = np.empty_like(self.b)
+        #: Units whose ``dw`` row has been written since zero_grad.
+        self._dirty = np.zeros(self.out_features, dtype=bool)
+
+    def _takes_tails(self, x: np.ndarray) -> bool:
+        return (
+            self._static is not None
+            and x.shape[-1] == self.in_features - self._static.shape[0]
+        )
+
+    def weights_changed(self) -> None:
+        self._bias_fresh = False
+
+    def _prefix_bias(self) -> np.ndarray:
+        """``x_static @ W[:p] + b`` for the current weights (cached)."""
+        if not self._bias_fresh:
+            p = self._static.shape[0]
+            np.matmul(self._static, self.w[:p], out=self._static_bias)
+            self._static_bias += self.b
+            self._bias_fresh = True
+        return self._static_bias
+
+    def _prefix_backward(self, tails: np.ndarray, g: np.ndarray) -> None:
+        """``dw += [x_static | tails].T @ g`` without the static GEMM."""
+        p = self._static.shape[0]
+        dw_units = self.dw.T  # (out, in), C-contiguous
+        if self._dirty.any():
+            dw_units[:, p:] += g.T @ tails
+        else:
+            np.matmul(g.T, tails, out=dw_units[:, p:])
+        delta_sum = self._db_ws
+        for u in np.flatnonzero(g.any(axis=0)):
+            row = dw_units[u, :p]
+            if self._dirty[u]:
+                row += self._static * delta_sum[u]
+            else:
+                np.multiply(self._static, delta_sum[u], out=row)
+                self._dirty[u] = True
+
+    def zero_grad(self) -> None:
+        if self._static is None:
+            super().zero_grad()
+            return
+        # Rows never written hold zeros already (the tail columns of a
+        # dead unit are the products of its all-zero delta column).
+        self.dw.T[self._dirty] = 0.0
+        self._dirty[:] = False
+        self.db[...] = 0.0
+
+    # -- forward / backward -----------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = self._cast(x)
         if train:
             self._x = x
+        if self._takes_tails(x):
+            w, b = self.w[self._static.shape[0] :], self._prefix_bias()
+        else:
+            w, b = self.w, self.b
         if x.ndim != 2:
-            return x @ self.w + self.b
+            return x @ w + b
         out = self._workspace(
             self._out, x.shape[0], self.out_features, self.dtype
         )
-        np.matmul(x, self.w, out=out)
-        out += self.b
+        np.matmul(x, w, out=out)
+        out += b
         return out
 
     def backward(
@@ -127,21 +233,30 @@ class Dense(Layer):
         ``need_input_grad=False`` skips the input-gradient matmul and
         returns ``None`` — for the *first* layer of a network that
         matmul is pure waste, and at DQN-Docking shape (in_features
-        16,599) it costs as much as the whole forward pass.
+        10,059) it costs as much as the whole forward pass.  After a
+        forward on bare tails the input gradient is the tails'.
         """
         if self._x is None:
             raise RuntimeError("backward before forward(train=True)")
         g = self._cast(grad_out)
-        np.matmul(self._x.T, g, out=self._dw_ws)
-        self.dw += self._dw_ws
+        x = self._x
         np.sum(g, axis=0, out=self._db_ws)
         self.db += self._db_ws
+        if self._takes_tails(x):
+            self._prefix_backward(x, g)
+            w = self.w[self._static.shape[0] :]
+        else:
+            if self._dw_ws is None:
+                self._dw_ws = np.empty_like(self.w)
+            np.matmul(x.T, g, out=self._dw_ws)
+            self.dw += self._dw_ws
+            if self._static is not None:
+                self._dirty[:] = True
+            w = self.w
         if not need_input_grad:
             return None
-        gin = self._workspace(
-            self._gin, g.shape[0], self.in_features, self.dtype
-        )
-        np.matmul(g, self.w.T, out=gin)
+        gin = self._workspace(self._gin, g.shape[0], w.shape[0], self.dtype)
+        np.matmul(g, w.T, out=gin)
         return gin
 
     def params(self) -> list[np.ndarray]:

@@ -76,6 +76,18 @@ class MLP:
         for layer in self.layers:
             layer.zero_grad()
 
+    def weights_changed(self) -> None:
+        """Tell every layer its parameters were rewritten in place.
+
+        Call after any write through ``params()`` that bypasses
+        :meth:`copy_weights_from` / ``load_network_arrays`` (an
+        optimizer step, a Polyak update, a shared-memory fetch); a
+        constant-prefix :class:`Dense` layer caches a bias derived from
+        its weights.
+        """
+        for layer in self.layers:
+            layer.weights_changed()
+
     def n_parameters(self) -> int:
         """Total trainable scalar count."""
         return sum(p.size for p in self.params())
@@ -91,6 +103,7 @@ class MLP:
                     f"parameter shape mismatch {dst.shape} vs {src.shape}"
                 )
             dst[...] = src
+        self.weights_changed()
 
     def clone(self) -> "MLP":
         """Structural copy with identical weights (fresh arrays)."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.config import DQNDockingConfig
 from repro.nn.dueling import DuelingMLP
+from repro.nn.layers import Dense
 from repro.nn.losses import make_loss
 from repro.nn.network import MLP, build_mlp
 from repro.nn.optimizers import make_optimizer
@@ -67,7 +68,7 @@ class AgentConfig:
     target_update_tau: float | None = None
     max_grad_norm: float | None = 10.0
     #: Network compute precision.  float32 halves matmul bandwidth on
-    #: the paper's 16,599-wide input layer with no measurable effect on
+    #: the paper's 10,059-wide input layer with no measurable effect on
     #: docking behaviour (see docs/PERFORMANCE.md for the drift bound);
     #: NoisyNet layers always run in float64.
     dtype: str = "float32"
@@ -137,6 +138,11 @@ class DQNAgent:
     ``act`` / ``predict_q`` / ``remember`` accept either full states or
     bare tails of ``state_dim - len(static_state)`` floats, which is
     what a compact :class:`~repro.env.docking_env.DockingEnv` emits.
+    When the network's first layer is :class:`~repro.nn.layers.Dense`
+    (every MLP and dueling variant) it is bound to the prefix
+    (:meth:`~repro.nn.layers.Dense.bind_static_prefix`) and both
+    networks consume tails directly; any other first layer (the CNN)
+    gets full states reconstructed against the prefix.
     """
 
     def __init__(
@@ -186,15 +192,6 @@ class DQNAgent:
                 rng=net_rng,
                 dtype=self.dtype,
             )
-        self.target_net = self.q_net.clone()
-        self.optimizer = make_optimizer(
-            config.update_rule,
-            self.q_net.params(),
-            self.q_net.grads(),
-            config.learning_rate,
-            max_grad_norm=config.max_grad_norm,
-        )
-        self.loss_fn = make_loss(config.loss)
         if static_state is not None:
             self._static = np.ascontiguousarray(
                 static_state, dtype=self.dtype
@@ -205,14 +202,34 @@ class DQNAgent:
                     "static_state must be shorter than state_dim"
                 )
             self._tail_dim = config.state_dim - self._static.shape[0]
-            # Full-state reconstruction buffer for single-state acting;
-            # batched buffers (vector trainer) allocate lazily per size.
-            self._act_full = np.empty(config.state_dim, dtype=self.dtype)
-            self._act_full[: self._static.shape[0]] = self._static
-            self._full_bufs: dict[int, np.ndarray] = {}
+            first = self.q_net.layers[0]
+            self._prefix_bound = (
+                isinstance(first, Dense) and self._static.shape[0] > 0
+            )
+            if self._prefix_bound:
+                # Before the clone and the optimizer: binding re-homes
+                # the layer's weight and gradient arrays.
+                first.bind_static_prefix(self._static)
+            else:
+                # Full-state reconstruction buffer for single-state
+                # acting; batched buffers allocate lazily per size.
+                self._act_full = np.empty(
+                    config.state_dim, dtype=self.dtype
+                )
+                self._act_full[: self._static.shape[0]] = self._static
+                self._full_bufs: dict[int, np.ndarray] = {}
         else:
             self._static = None
             self._tail_dim = config.state_dim
+        self.target_net = self.q_net.clone()
+        self.optimizer = make_optimizer(
+            config.update_rule,
+            self.q_net.params(),
+            self.q_net.grads(),
+            config.learning_rate,
+            max_grad_norm=config.max_grad_norm,
+        )
+        self.loss_fn = make_loss(config.loss)
         if config.prioritized:
             self.replay: ReplayMemory = PrioritizedReplayMemory(
                 config.replay_capacity,
@@ -277,10 +294,31 @@ class DQNAgent:
         """Constant state prefix in compact mode (None otherwise)."""
         return self._static
 
-    def _expand_states(self, x: np.ndarray) -> np.ndarray:
-        """Reconstruct full states from dynamic tails (compact mode).
+    @property
+    def consumes_tails(self) -> bool:
+        """True when the networks take bare tails (prefix-bound layer)."""
+        return self._static is not None and self._prefix_bound
 
-        Returns a reused buffer whose static prefix is pre-filled; it is
+    def _net_input(self, x: np.ndarray) -> np.ndarray:
+        """What the networks consume for ``x`` in compact mode.
+
+        ``x`` holds full states or bare tails; a prefix-bound first
+        layer gets tails (full states are sliced -- their prefix is the
+        static block by contract), anything else full states.
+        """
+        is_tail = (
+            x.shape[-1] == self._tail_dim
+            and self._tail_dim != self.config.state_dim
+        )
+        if self._prefix_bound:
+            return x if is_tail else x[..., self._static.shape[0] :]
+        return self._expand_states(x) if is_tail else x
+
+    def _expand_states(self, x: np.ndarray) -> np.ndarray:
+        """Reconstruct full states from dynamic tails.
+
+        Only for networks whose first layer is not ``Dense``.  Returns
+        a reused buffer whose static prefix is pre-filled; it is
         overwritten by the next call with the same leading shape.
         """
         p = self._static.shape[0]
@@ -301,16 +339,11 @@ class DQNAgent:
         """Q-values from the online network.
 
         Accepts a single state or a (n, dim) batch; in compact mode,
-        bare dynamic tails are reconstructed against the static prefix
-        before the forward pass.
+        full states and bare dynamic tails are both accepted.
         """
         x = np.asarray(state)
-        if (
-            self._static is not None
-            and x.shape[-1] == self._tail_dim
-            and self._tail_dim != self.config.state_dim
-        ):
-            x = self._expand_states(x)
+        if self._static is not None:
+            x = self._net_input(x)
         return self.q_net.predict(x)
 
     def act(self, state: np.ndarray, global_step: int) -> tuple[int, np.ndarray]:
@@ -399,10 +432,16 @@ class DQNAgent:
             batch = self.replay.sample(cfg.minibatch_size)
         b = len(batch)
         rows = self._arange if b == self._arange.shape[0] else np.arange(b)
+        states, next_states = batch.states, batch.next_states
+        if self._static is not None:
+            # The replay hands back full states; a prefix-bound first
+            # layer wants their tails (strided views, no copy).
+            states = self._net_input(states)
+            next_states = self._net_input(next_states)
 
-        q_next_target = self.target_net.predict(batch.next_states)  # (b, k)
+        q_next_target = self.target_net.predict(next_states)  # (b, k)
         if cfg.double:
-            q_next_online = self.q_net.predict(batch.next_states)
+            q_next_online = self.q_net.predict(next_states)
             best_actions = np.argmax(q_next_online, axis=1)
             next_values = q_next_target[rows, best_actions]
         else:
@@ -415,7 +454,7 @@ class DQNAgent:
 
         with sp("grad-step"):
             self.q_net.zero_grad()
-            preds = self.q_net.forward(batch.states, train=True)  # (b, k)
+            preds = self.q_net.forward(states, train=True)  # (b, k)
             pred_chosen = preds[rows, batch.actions]
             td_errors = pred_chosen - targets
             loss_value, grad_chosen = self.loss_fn(
@@ -428,10 +467,11 @@ class DQNAgent:
                 grad_out = np.zeros((b, preds.shape[1]), dtype=self.dtype)
             grad_out[rows, batch.actions] = grad_chosen
             # Nothing sits below the network: skip the first layer's
-            # input-grad matmul (at state_dim 16,599 it matches the
+            # input-grad matmul (at state_dim 10,059 it matches the
             # cost of the whole forward pass).
             self.q_net.backward(grad_out, need_input_grad=False)
             self.optimizer.step()
+            self.q_net.weights_changed()
         self.learn_steps += 1
 
         if isinstance(self.replay, PrioritizedReplayMemory):
@@ -521,6 +561,7 @@ class DQNAgent:
         for dst, src in zip(self.target_net.params(), self.q_net.params()):
             dst *= 1.0 - tau
             dst += tau * src
+        self.target_net.weights_changed()
 
     def sync_target(self) -> None:
         """Copy online weights into the frozen target network (hard sync).

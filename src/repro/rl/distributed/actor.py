@@ -42,25 +42,41 @@ def policy_stream_name(index: int) -> str:
     return f"actor-{index}-policy"
 
 
-def _make_predict(q_net, static_state, full_dim: int) -> Callable:
-    """Forward function for the sidecar, expanding compact tails.
+class Sidecar:
+    """The actor's private copy of the online Q-network.
 
-    In compact mode the env emits bare dynamic tails; the sidecar
-    reconstructs full states against the constant receptor prefix
-    (mirroring ``DQNAgent._expand_states``) before the forward pass.
+    ``q_net`` is cloned from the learner's network before the fork, so
+    in compact mode its first layer is already bound to the receptor
+    prefix and takes the env's bare tails as they are.  :meth:`refresh`
+    is the only way weights enter it: the fetch writes the parameter
+    arrays in place, so every applied version must also drop what the
+    network derived from the previous one (the prefix-bound layer's
+    cached bias) -- otherwise the actor would keep acting on stale
+    weights for 9,792 of its 10,059 inputs.
     """
-    if static_state is None:
-        return lambda s: q_net.predict(np.asarray(s))
-    prefix = np.asarray(static_state)
-    p = prefix.shape[0]
-    buf = np.empty(full_dim, dtype=prefix.dtype)
-    buf[:p] = prefix
 
-    def predict(s):
-        buf[p:] = s
-        return q_net.predict(buf)
+    def __init__(self, q_net, weights, actor_index: int):
+        self.q_net = q_net
+        self.version = -1
+        self._params = q_net.params()
+        self._weights = weights
+        self._actor_index = actor_index
 
-    return predict
+    def refresh(self, version: int) -> bool:
+        """Blocking-fetch exactly ``version``; False means shutdown."""
+        if version == self.version:
+            return True
+        if not self._weights.fetch(
+            version, self._params, actor_index=self._actor_index
+        ):
+            return False
+        self.q_net.weights_changed()
+        self.version = version
+        return True
+
+    def predict(self, state) -> np.ndarray:
+        """Q-values for one emitted state (a bare tail in compact mode)."""
+        return self.q_net.predict(np.asarray(state))
 
 
 def actor_worker(
@@ -78,8 +94,6 @@ def actor_worker(
     sync_every: int,
     max_steps_per_episode: int,
     seed: int,
-    static_state=None,
-    full_dim: int = 0,
 ) -> None:
     """Worker main: answer ``segment``/``close`` commands from the pipe.
 
@@ -98,10 +112,8 @@ def actor_worker(
             exploration_steps=exploration_steps,
             rng=RngFactory(seed).get(policy_stream_name(index)),
         )
-        predict = _make_predict(q_net, static_state, full_dim)
-        params = q_net.params()
+        sidecar = Sidecar(q_net, weights, index)
         conn.send(("ready", None))
-        fetched_version = -1
         while True:
             cmd, data = conn.recv()
             if cmd == "close":
@@ -118,15 +130,11 @@ def actor_worker(
             ep_steps = 0
             pushed = 0
             while pushed < quota:
-                if t % sync_every == 0:
-                    k = t // sync_every
-                    if k != fetched_version:
-                        if not weights.fetch(
-                            k, params, actor_index=index
-                        ):
-                            return  # stop flag: shutdown
-                        fetched_version = k
-                q = predict(state)
+                if t % sync_every == 0 and not sidecar.refresh(
+                    t // sync_every
+                ):
+                    return  # stop flag: shutdown
+                q = sidecar.predict(state)
                 action = policy.select(q, t * n_actors + index)
                 next_state, reward, done, info = env.step(int(action))
                 ep_steps += 1

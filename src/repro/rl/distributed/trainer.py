@@ -146,6 +146,11 @@ class ActorLearnerTrainer:
                 "actor-learner training does not support NoisyNet "
                 "exploration (sidecar noise state cannot be replicated)"
             )
+        if agent.static_state is not None and not agent.consumes_tails:
+            raise ValueError(
+                "compact actor-learner training needs a Dense first "
+                "layer (the sidecar feeds it the env's bare tails)"
+            )
         self.env_fns = list(env_fns)
         self.num_actors = len(self.env_fns)
         self.agent = agent
@@ -217,7 +222,6 @@ class ActorLearnerTrainer:
             for _ in range(self.num_actors)
         ]
         policy = self.agent.policy
-        static = self.agent.static_state
         self._procs = []
         self._conns = []
         for i in range(self.num_actors):
@@ -242,8 +246,6 @@ class ActorLearnerTrainer:
                     sync_every=self.sync_every,
                     max_steps_per_episode=self.max_steps,
                     seed=self.seed,
-                    static_state=static,
-                    full_dim=self.agent.config.state_dim,
                 ),
                 daemon=True,
                 name=f"repro-actor-{i}",
@@ -392,6 +394,18 @@ class ActorLearnerTrainer:
         idle_seconds = 0.0
         t0 = time.perf_counter()
         seg_pushed = [0] * n
+        # Ring depth as the learner meets it: transitions found per
+        # non-empty drain().  (By the end of the segment every ring is
+        # empty, so a gauge read then would always say 0.)
+        drained = [0] * n
+        drain_calls = [0] * n
+
+        def drain(j: int) -> list:
+            batch = self._rings[j].drain()
+            if batch:
+                drained[j] += len(batch)
+                drain_calls[j] += 1
+            return batch
 
         with tracer.span("actor-learner-segment"):
             while consumed < total_steps:
@@ -401,14 +415,14 @@ class ActorLearnerTrainer:
                     # slots free up even for actors we are not blocked
                     # on.
                     with tracer.span("drain"):
-                        for j, ring in enumerate(self._rings):
-                            batch = ring.drain()
+                        for j in range(n):
+                            batch = drain(j)
                             if batch:
                                 pending[j].extend(batch)
                     if not pending[a]:
                         wait_start = time.perf_counter()
                         while not pending[a]:
-                            batch = self._rings[a].drain()
+                            batch = drain(a)
                             if batch:
                                 pending[a].extend(batch)
                                 break
@@ -469,7 +483,10 @@ class ActorLearnerTrainer:
         self.history.total_steps = consumed
         self.history.wall_seconds += wall
         self.history.timer_report = tracer.report()
-        self._record_metrics(seg_pushed, wall, idle_seconds, consumed)
+        ring_depth = [d / max(c, 1) for d, c in zip(drained, drain_calls)]
+        self._record_metrics(
+            seg_pushed, ring_depth, wall, idle_seconds, consumed
+        )
         return VectorRunStats(
             total_steps=consumed,
             episodes_completed=episodes,
@@ -537,6 +554,7 @@ class ActorLearnerTrainer:
     def _record_metrics(
         self,
         seg_pushed: list[int],
+        ring_depth: list[float],
         wall: float,
         idle_seconds: float,
         consumed: int,
@@ -545,7 +563,7 @@ class ActorLearnerTrainer:
             return
         m = self.metrics
         for i, ring in enumerate(self._rings):
-            m.set(f"{METRIC_PREFIX}/ring-depth-actor{i}", len(ring))
+            m.set(f"{METRIC_PREFIX}/ring-depth-actor{i}", ring_depth[i])
             m.set(
                 f"{METRIC_PREFIX}/transitions-per-second-actor{i}",
                 seg_pushed[i] / max(wall, 1e-9),

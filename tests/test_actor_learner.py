@@ -147,7 +147,9 @@ class TestRuntimeSemantics:
         assert g("num-actors") == 2
         assert g("consumed-transitions") == 40
         assert g("weight-version") == 4
-        assert g("ring-depth-actor0") == 0  # drained-empty invariant
+        # Mean transitions per non-empty drain, not the (always empty)
+        # end-of-segment ring.
+        assert 1.0 <= g("ring-depth-actor0") <= 16
         assert g("transitions-per-second-actor1") > 0
         assert 0.0 <= g("learner-idle-fraction") <= 1.0
         assert (
@@ -162,6 +164,32 @@ class TestRuntimeSemantics:
         staleness = rows["actor_learner/weight-staleness-steps"]
         assert staleness["count"] == 40
         assert staleness["max"] <= 2 * trainer.publish_every
+
+    def test_ring_depth_gauge_sees_a_slow_learner(self):
+        # Actors run ahead of a learner that takes 2 ms per update, up
+        # to the weight-sync window (sync_every=5 local steps); the
+        # gauge reports what the learner found waiting, which used to
+        # be read after the final drain and was always 0.
+        registry = MetricsRegistry()
+        agent = tiny_agent()
+        learn = agent.learn
+
+        def slow_learn():
+            time.sleep(0.002)
+            return learn()
+
+        agent.learn = slow_learn
+        trainer = counting_trainer(agent, metrics=registry)
+        try:
+            trainer.run(80)
+        finally:
+            trainer.close()
+        for i in range(2):
+            depth = registry.gauge(
+                f"actor_learner/ring-depth-actor{i}"
+            ).value
+            assert 1.0 < depth <= 5.0
+        assert len(trainer._rings[0]) == 0  # drained-empty invariant
 
     def test_state_dict_roundtrip_and_mismatch(self):
         agent = tiny_agent()
@@ -222,6 +250,77 @@ class TestRuntimeSemantics:
         assert [key(e) for e in hist_one.episodes] == [
             key(e) for e in hist_two.episodes
         ]
+
+
+class TestSidecar:
+    """The actor's Q-network copy (no process needed to exercise it)."""
+
+    def test_compact_sidecar_tracks_published_weights(self):
+        from repro.rl.agent import AgentConfig, DQNAgent
+        from repro.rl.distributed.actor import Sidecar
+        from repro.rl.distributed.weights import SharedWeightBlock
+
+        rng = np.random.default_rng(0)
+        static = (20.0 * rng.standard_normal(24)).astype(np.float32)
+        agent = DQNAgent(
+            AgentConfig(
+                state_dim=30, n_actions=3, hidden_sizes=(8,),
+                minibatch_size=4, replay_capacity=64,
+                learning_rate=0.01, seed=0,
+            ),
+            static_state=static,
+        )
+        params = agent.q_net.params()
+        block = SharedWeightBlock(
+            [p.shape for p in params], 1, dtype=params[0].dtype
+        )
+        sidecar = Sidecar(agent.q_net.clone(), block, 0)
+        tails = rng.standard_normal((5, 6)).astype(np.float32)
+
+        def q_values():
+            return np.stack([sidecar.predict(t).copy() for t in tails])
+
+        block.publish(0, params)
+        assert sidecar.refresh(0)
+        q0 = q_values()
+        for tail, q in zip(tails, q0):
+            np.testing.assert_array_equal(q, agent.predict_q(tail))
+
+        # The learner moves on; the sidecar must not until it fetches.
+        state = tails[0]
+        for t in range(12):
+            nxt = rng.standard_normal(6).astype(np.float32)
+            agent.remember(state, t % 3, 1.0, nxt, False)
+            state = nxt
+            if agent.can_learn():
+                agent.learn()
+        np.testing.assert_array_equal(q_values(), q0)
+        block.publish(1, params)
+        assert sidecar.refresh(1)
+        assert sidecar.version == 1
+        q1 = q_values()
+        # 24 of the 30 inputs reach Q only through the cached prefix
+        # bias: a fetch that left it stale would not move like this.
+        assert not np.array_equal(q1, q0)
+        for tail, q in zip(tails, q1):
+            np.testing.assert_array_equal(q, agent.predict_q(tail))
+        assert block.applied_versions()[0] == 1
+
+    def test_trainer_rejects_compact_agent_without_dense_first_layer(self):
+        from repro.nn.layers import Dense, Identity
+        from repro.nn.network import MLP
+        from repro.rl.agent import AgentConfig, DQNAgent
+
+        net = MLP([Identity(dtype=np.float32),
+                   Dense(6, 2, rng=0, dtype=np.float32)])
+        agent = DQNAgent(
+            AgentConfig(state_dim=6, n_actions=2, minibatch_size=4,
+                        replay_capacity=32),
+            network=net,
+            static_state=np.zeros(4, dtype=np.float32),
+        )
+        with pytest.raises(ValueError, match="Dense first layer"):
+            counting_trainer(agent)
 
 
 @fork_required

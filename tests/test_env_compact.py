@@ -25,6 +25,7 @@ from repro.experiments.figure4 import (
     run_figure4_experiment,
 )
 from repro.metadock.engine import MetadockEngine
+from tests.test_nn_float32 import DRIFT_BOUND, relative_drift
 
 
 @pytest.fixture()
@@ -244,8 +245,13 @@ class TestVectorBackends:
 class TestEndToEnd:
     def test_figure4_compact_equals_dense(self):
         # The tentpole invariant: compact emission + compact replay +
-        # float32 nets produce the *identical* training run (both modes
-        # feed the nets the same float32 bits under the same seeds).
+        # float32 nets produce the *same* training run.  Both modes
+        # feed the nets the same float32 bits under the same seeds, so
+        # the trajectory (steps, terminations, rewards, scores) is
+        # identical; the predicted Q-values agree only to the float32
+        # drift bound of docs/PERFORMANCE.md (measured ~1e-7 relative),
+        # because a compact agent's first layer is bound to the constant
+        # receptor prefix and sums the same products in another order.
         dense_cfg = ci_scale_config(episodes=4, seed=3, max_steps=20)
         compact_cfg = dense_cfg.replace(compact_states=True)
         dense = run_figure4_experiment(dense_cfg)
@@ -255,8 +261,15 @@ class TestEndToEnd:
         assert (
             dense.history.total_steps == compact.history.total_steps
         )
-        np.testing.assert_array_equal(dense.series, compact.series)
+        assert dense.agent.learn_steps == compact.agent.learn_steps
+        for ed, ec in zip(dense.history.episodes, compact.history.episodes):
+            assert (ed.steps, ed.termination) == (ec.steps, ec.termination)
+            assert ed.total_reward == ec.total_reward
+            assert ed.best_score == ec.best_score
+            assert ed.final_score == ec.final_score
         assert dense.history.best_score == compact.history.best_score
+        assert dense.series.shape == compact.series.shape
+        assert relative_drift(compact.series, dense.series) < DRIFT_BOUND
 
     def test_build_agent_for_env_compact(self, compact_env):
         cfg = ci_scale_config(episodes=2, compact_states=True)

@@ -31,6 +31,14 @@ N_ACTIONS = 4
 DRIFT_BOUND = 5e-3
 
 
+def relative_drift(actual, expected) -> float:
+    """max |actual - expected| / max(1, max |expected|), in float64."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    return float(np.abs(actual - expected).max(initial=0.0)) / scale
+
+
 def _nets(dtype):
     return build_mlp(
         STATE_DIM, (16, 16), N_ACTIONS,
@@ -195,10 +203,7 @@ class TestF32VsF64Drift:
         probe = np.random.default_rng(123).standard_normal(
             (64, STATE_DIM)
         )
-        q32 = a32.predict_q(probe).astype(np.float64)
-        q64 = a64.predict_q(probe)
-        scale = max(1.0, float(np.abs(q64).max()))
-        drift = float(np.abs(q32 - q64).max()) / scale
+        drift = relative_drift(a32.predict_q(probe), a64.predict_q(probe))
         assert drift < DRIFT_BOUND, f"relative Q drift {drift:.2e}"
 
     def test_losses_track_closely(self):

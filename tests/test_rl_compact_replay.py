@@ -17,6 +17,7 @@ import pytest
 from repro.rl.agent import AgentConfig, DQNAgent
 from repro.rl.prioritized_replay import PrioritizedReplayMemory
 from repro.rl.replay import ReplayMemory
+from tests.test_nn_float32 import DRIFT_BOUND, relative_drift
 
 STATE_DIM = 40
 PREFIX_LEN = 28
@@ -276,29 +277,41 @@ class TestAgentLevel:
                 losses.append((ld.loss, lc.loss))
         return dense, compact, losses
 
-    def test_learn_identical_one_step(self):
-        dense, compact, losses = self._run_pair()
+    # Compact and dense agents see bit-identical batches (the replay
+    # pins above), but they no longer do bit-identical arithmetic: a
+    # compact agent's first layer is bound to the constant prefix and
+    # computes tails @ W[p:] + (x_static @ W[:p] + b) and the rank-1
+    # x_static * sum_b(delta_b) instead of the full-width GEMMs, which
+    # sums the same products in a different order.  So the same
+    # trajectory must give the same number of learn steps and losses /
+    # weights within the float32 drift bound of docs/PERFORMANCE.md
+    # (measured ~1e-7 relative).
+
+    def _assert_same_learning(self, dense, compact, losses, weights=True):
         assert losses
-        for ld, lc in losses:
-            assert ld == lc
-        for pd, pc in zip(dense.q_net.params(), compact.q_net.params()):
-            np.testing.assert_array_equal(pd, pc)
+        assert dense.learn_steps == compact.learn_steps == len(losses)
+        dense_losses, compact_losses = zip(*losses)
+        assert relative_drift(compact_losses, dense_losses) < DRIFT_BOUND
+        if weights:
+            for pd, pc in zip(dense.q_net.params(), compact.q_net.params()):
+                assert pd.shape == pc.shape and pd.dtype == pc.dtype
+                assert relative_drift(pc, pd) < DRIFT_BOUND
+
+    def test_learn_identical_one_step(self):
+        self._assert_same_learning(*self._run_pair())
 
     def test_learn_identical_n_step(self):
         # The n-step window snapshots compact tails; targets and
-        # resulting weights must still match dense exactly.
-        dense, compact, losses = self._run_pair(n_step=3)
-        assert losses
-        for ld, lc in losses:
-            assert ld == lc
-        for pd, pc in zip(dense.q_net.params(), compact.q_net.params()):
-            np.testing.assert_array_equal(pd, pc)
+        # resulting weights must still match dense.
+        self._assert_same_learning(*self._run_pair(n_step=3))
 
     def test_learn_identical_prioritized(self):
         dense, compact, losses = self._run_pair(prioritized=True)
-        assert losses
-        for ld, lc in losses:
-            assert ld == lc
+        self._assert_same_learning(dense, compact, losses, weights=False)
+        # Same priorities (to drift) drew the same transitions.
+        np.testing.assert_array_equal(
+            dense.replay.sample(8).indices, compact.replay.sample(8).indices
+        )
 
     def test_act_accepts_bare_tails(self):
         static = _static()
