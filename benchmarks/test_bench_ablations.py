@@ -145,7 +145,7 @@ def test_bench_action_repeat_ablation(benchmark):
     """Step-granularity ablation: repeat k actions per decision."""
     import numpy as np
 
-    from repro.env.docking_env import make_env
+    from repro.env.factory import make_env
     from repro.env.wrappers import ActionRepeat
 
     cfg = ABLATION_CFG

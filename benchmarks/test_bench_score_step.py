@@ -208,9 +208,10 @@ def test_bench_score_step(paper_complex):
         nf.append(fld.near_fraction)
     s_field32 = np.array([fld32.score(p) for p in poses])
 
-    # Batched pose-major rows: the same trajectory scored in BATCH_K
-    # batches through the fused score_batch kernels.  Every batch path
-    # is bitwise-equal to the single-pose scores measured above.
+    # Batched rows: the same trajectory scored in BATCH_K batches
+    # through score_batch (field: the fused pose-major kernel; cutoff /
+    # incremental: a sequential loop, so ~1.0x and unasserted).  Every
+    # batch path is bitwise-equal to the single-pose scores above.
     rate_field_batch, sb_field = _measure_batch(fld, poses)
     rate_cutoff_batch, sb_cutoff = _measure_batch(cutoff, poses)
     inc_batch = IncrementalScorer(

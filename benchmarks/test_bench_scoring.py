@@ -6,8 +6,7 @@ orders of magnitude.  Rows produced:
 
 - vectorized full Eq. 1 at bench scale and at 2BSM scale;
 - the sequential Algorithm 1 baseline (pure Python, paper pseudocode);
-- batched multi-pose scoring (the METADOCK many-positions pattern);
-- grid and cell-list accelerations.
+- batched multi-pose scoring (the METADOCK many-positions pattern).
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ from repro.scoring.composite import (
     interaction_score,
     score_pose_batch,
 )
-from repro.scoring.grid import PotentialGrid
-from repro.scoring.neighborlist import CellList, cutoff_pairs
 from repro.scoring.reference import sequential_score_algorithm1
 
 
@@ -99,36 +96,3 @@ def test_batched_amortizes_versus_singles(bench_complex):
     t_single = time.perf_counter() - t0
     print(f"\nbatch amortization: {t_single / t_batch:.1f}x")
     assert t_batch < t_single
-
-
-def test_bench_grid_construction(benchmark, bench_complex):
-    grid = benchmark.pedantic(
-        PotentialGrid,
-        args=(bench_complex.receptor,),
-        kwargs={"spacing": 1.0},
-        rounds=2,
-        iterations=1,
-    )
-    assert grid.nbytes() > 0
-
-
-def test_bench_grid_score(benchmark, bench_complex):
-    """Grid lookup scoring: O(ligand) per pose after precomputation."""
-    grid = PotentialGrid(bench_complex.receptor, spacing=1.0)
-    s = benchmark(grid.score, bench_complex.ligand_crystal)
-    exact = interaction_score(
-        bench_complex.receptor, bench_complex.ligand_crystal
-    )
-    # Documented model error bound (geometric LJ, no H-bond term).
-    assert s == pytest.approx(exact, rel=0.5)
-
-
-def test_bench_cell_list_query(benchmark, bench_complex):
-    cl = CellList(bench_complex.receptor.coords, cell_size=12.0)
-    lig = bench_complex.ligand_crystal.coords
-
-    def run():
-        return cutoff_pairs(cl, lig, 12.0)
-
-    stored, probes = benchmark(run)
-    assert stored.size > 0

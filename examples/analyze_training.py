@@ -20,7 +20,7 @@ import numpy as np
 from repro.analysis.trajectories import analyze_recorder
 from repro.chem.builders import build_complex
 from repro.config import ci_scale_config
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.env.wrappers import EpisodeRecorder
 from repro.experiments.figure4 import build_agent
 from repro.rl.evaluation import PeriodicEvaluator

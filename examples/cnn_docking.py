@@ -19,7 +19,7 @@ import argparse
 
 from repro.chem.builders import build_complex
 from repro.config import ci_scale_config
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.env.image_state import ImageStateEnv
 from repro.env.wrappers import TimeLimit
 from repro.metadock.engine import MetadockEngine

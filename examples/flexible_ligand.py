@@ -19,7 +19,7 @@ import math
 from repro.chem.builders import build_complex
 from repro.config import ci_scale_config
 from repro.env.flexible_env import FlexibleDockingEnv
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.env.wrappers import TimeLimit
 from repro.experiments.figure4 import build_agent
 from repro.metadock.engine import MetadockEngine

@@ -18,7 +18,7 @@ import time
 
 from repro.chem.builders import build_complex
 from repro.config import PAPER_CONFIG
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.experiments.figure4 import build_agent
 from repro.experiments.table1 import render_table1
 from repro.rl.trainer import Trainer

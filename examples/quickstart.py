@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro.config import ci_scale_config
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.experiments.figure4 import build_agent, run_figure4_experiment
 from repro.rl.trainer import greedy_rollout
 

@@ -10,7 +10,7 @@ The package is organized bottom-up:
   synthetic complex builders (the 2BSM stand-in).
 - :mod:`repro.scoring` -- the METADOCK scoring function (paper Eq. 1):
   electrostatics + Lennard-Jones + hydrogen bonds, plus the sequential
-  Algorithm-1 reference, neighbor lists and potential grids.
+  Algorithm-1 reference, neighbor lists and precomputed field maps.
 - :mod:`repro.metadock` -- the docking engine (poses, metaheuristic schema,
   Monte Carlo baseline, parallel evaluation, virtual screening).
 - :mod:`repro.nn` -- from-scratch NumPy neural-network stack (MLP, backprop,

@@ -78,7 +78,7 @@ def _add_scoring_method(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scoring-method",
         default="exact",
-        choices=["exact", "cutoff", "grid", "incremental", "field"],
+        choices=["exact", "cutoff", "incremental", "field"],
         help="pose-scoring kernel (incremental = Verlet-list scorer, "
         "field = hybrid precomputed-field scorer; see "
         "docs/PERFORMANCE.md, 'Scoring kernels')",

@@ -143,11 +143,11 @@ class DQNDockingConfig:
     #: docs/OBSERVATIONS.md).
     observation_mode: str = "raw"
     #: Pose-scoring kernel: "exact" (full Eq. 1, the correctness
-    #: reference), "cutoff" (cell-list truncation), "grid" (precomputed
-    #: fields), "incremental" (Verlet-list scorer, see
-    #: :mod:`repro.scoring.incremental`) or "field" (hybrid
-    #: precomputed-field scorer with an exact near-field path, see
-    #: :mod:`repro.scoring.field` and docs/PERFORMANCE.md).
+    #: reference), "cutoff" (cell-list truncation), "incremental"
+    #: (Verlet-list scorer, see :mod:`repro.scoring.incremental`) or
+    #: "field" (hybrid precomputed-field scorer with an exact
+    #: near-field path, see :mod:`repro.scoring.field` and
+    #: docs/PERFORMANCE.md).
     scoring_method: str = "exact"
     #: Extra keyword arguments forwarded to the scorer constructor
     #: (e.g. ``{"cutoff": 12.0, "skin": 3.0}`` for "incremental").
@@ -221,17 +221,9 @@ class DQNDockingConfig:
                 "compact_states is not supported with the distributional "
                 "variant (C51 keeps the dense float64 replay)"
             )
-        # Literal set (not repro.scoring.SCORING_METHODS) to avoid a
-        # config -> scoring import cycle; a scoring test asserts the two
-        # stay in sync.
-        if self.scoring_method not in {
-            "exact", "cutoff", "grid", "incremental", "field"
-        }:
-            raise ValueError(
-                f"unknown scoring_method {self.scoring_method!r}"
-            )
-        # Validate scoring_kwargs against the scorer registry so typos
-        # fail here rather than deep inside a worker.  Deferred import:
+        # Validate scoring_method / scoring_kwargs against the scorer
+        # registry so an unknown method or a typo fails here rather
+        # than deep inside a worker.  Deferred import:
         # DQNDockingConfig is bound before module-level PAPER_CONFIG
         # instantiates, so the cycle resolves; guard anyway.
         try:

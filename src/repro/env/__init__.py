@@ -18,7 +18,7 @@ limitation #1) and the RAM-based replacement they propose.
 from repro.env.spaces import Box, Discrete
 from repro.env.comm import RamComm, FileComm, SharedSlotComm, make_comm
 from repro.env.docking_env import DockingEnv
-from repro.env.flexible_env import FlexibleDockingEnv, make_flexible_env
+from repro.env.flexible_env import FlexibleDockingEnv
 from repro.env.observation import (
     OBSERVATION_MODES,
     ObservationSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "DockingEnv",
     "make_env",
     "FlexibleDockingEnv",
-    "make_flexible_env",
     "OBSERVATION_MODES",
     "ObservationSpec",
     "StateCodec",

@@ -24,8 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.chem.builders import BuiltComplex
-from repro.config import DQNDockingConfig
 from repro.env.comm import CommChannel, RamComm
 from repro.env.observation import ObservationSpec, make_codec
 from repro.env.spaces import Box, Discrete
@@ -228,23 +226,3 @@ class DockingEnv:
     def close(self) -> None:
         """Release the comm channel."""
         self.comm.close()
-
-
-def make_env(
-    cfg: DQNDockingConfig,
-    built: BuiltComplex | None = None,
-    *,
-    comm: CommChannel | None = None,
-) -> DockingEnv:
-    """Deprecated alias of :func:`repro.env.factory.make_env`."""
-    import warnings
-
-    warnings.warn(
-        "repro.env.docking_env.make_env is deprecated; use "
-        "repro.env.factory.make_env (or repro.env.make_env)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.env.factory import make_env as _make_env
-
-    return _make_env(cfg, built, comm=comm)

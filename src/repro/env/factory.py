@@ -2,10 +2,7 @@
 
 :func:`make_env` is the one way to build a single docking environment
 from a run config -- rigid or flexible via ``kind=``, observation codec
-via ``cfg.observation_mode``.  The old per-flavour factories
-(``repro.env.docking_env.make_env``, ``make_flexible_env``) remain as
-deprecation-warning shims over this one, so pre-PR-7 run dirs resume
-unchanged.
+via ``cfg.observation_mode``.
 
 :func:`make_vector_env` is the one way to build a vector environment.
 Experiments, the CLI, and the benches used to construct

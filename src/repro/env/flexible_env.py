@@ -14,7 +14,6 @@ supported via ``signed_torsions``.
 from __future__ import annotations
 
 from repro.chem.builders import BuiltComplex
-from repro.config import DQNDockingConfig
 from repro.env.comm import CommChannel
 from repro.env.docking_env import DockingEnv
 from repro.metadock.engine import MetadockEngine
@@ -59,20 +58,3 @@ class FlexibleDockingEnv(DockingEnv):
             observation_mode=observation_mode,
         )
         self.n_torsions = int(n_torsions)
-
-
-def make_flexible_env(
-    cfg: DQNDockingConfig, built: BuiltComplex | None = None
-) -> FlexibleDockingEnv:
-    """Deprecated alias of ``repro.env.factory.make_env(kind="flexible")``."""
-    import warnings
-
-    warnings.warn(
-        "make_flexible_env is deprecated; use "
-        'repro.env.factory.make_env(cfg, built, kind="flexible")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.env.factory import make_env
-
-    return make_env(cfg, built, kind="flexible")

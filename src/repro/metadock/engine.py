@@ -65,8 +65,9 @@ class MetadockEngine:
         in the paper.  Disabling it shrinks the NN input without changing
         the MDP (the block is constant).
     scoring_method / scoring_kwargs:
-        Pose-scorer selection ("exact" default, "cutoff", "grid",
-        "incremental"; see :mod:`repro.scoring.scorers`) -- the engine's
+        Pose-scorer selection ("exact" default and oracle, "field" the
+        production kernel, "incremental" / "cutoff" the neighbour-list
+        family; see :mod:`repro.scoring.scorers`) -- the engine's
         speed/accuracy dial.
     """
 

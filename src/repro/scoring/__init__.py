@@ -12,9 +12,14 @@ separately:
 (*negated* total energy, so clashes are huge negatives and good poses
 approach the paper's "+500 at most").  :mod:`repro.scoring.reference` is
 the paper's sequential Algorithm 1, kept as the parity oracle and the
-baseline for the vectorization speedup bench.  :mod:`repro.scoring.
-neighborlist` and :mod:`repro.scoring.grid` are the cutoff and
-precomputed-grid accelerations (BINDSURF-style).
+baseline for the vectorization speedup bench.
+
+:mod:`repro.scoring.scorers` registers the pose scorers built on them:
+the Eq. 1 oracle ("exact"), the production precomputed-field scorer
+("field", :mod:`repro.scoring.field`) and one neighbour-list family
+over :mod:`repro.scoring.neighborlist` -- the Verlet-list scorer
+("incremental", :mod:`repro.scoring.incremental`) with the stateless
+"cutoff" scorer as its test reference.
 """
 
 from repro.scoring.composite import (
@@ -27,7 +32,6 @@ from repro.scoring.electrostatics import electrostatic_energy
 from repro.scoring.lennard_jones import lennard_jones_energy
 from repro.scoring.hbond import hbond_energy
 from repro.scoring.neighborlist import CellList
-from repro.scoring.grid import PotentialGrid
 from repro.scoring.field import FieldMaps, FieldScorer, score_field_group
 from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.reference import sequential_score_algorithm1
@@ -36,10 +40,11 @@ from repro.scoring.scorers import (
     SCORING_METHODS,
     CutoffScorer,
     ExactScorer,
-    GridScorer,
     ScorerEntry,
+    as_pose,
     as_pose_batch,
     make_scorer,
+    receptor_cache,
     score_pose_group,
     validate_scoring_kwargs,
 )
@@ -53,20 +58,20 @@ __all__ = [
     "lennard_jones_energy",
     "hbond_energy",
     "CellList",
-    "PotentialGrid",
     "FieldMaps",
     "FieldScorer",
     "score_field_group",
     "score_pose_group",
+    "as_pose",
     "as_pose_batch",
     "sequential_score_algorithm1",
     "ExactScorer",
     "CutoffScorer",
-    "GridScorer",
     "IncrementalScorer",
     "ScorerEntry",
     "SCORER_REGISTRY",
     "SCORING_METHODS",
     "make_scorer",
+    "receptor_cache",
     "validate_scoring_kwargs",
 ]

@@ -26,6 +26,34 @@ from repro.scoring import lennard_jones as lj
 from repro.scoring.pairwise import direction_vectors, pairwise_distances
 
 
+def as_pose(coords: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Validate one pose into float64 ``(n_atoms, 3)``.
+
+    The shared front door of every scorer's ``score``: a wrong-size
+    pose raises the same ``ValueError`` whichever scorer receives it.
+    """
+    lig = np.asarray(coords, dtype=float)
+    if lig.shape != (n_atoms, 3):
+        raise ValueError(f"coords must have shape ({n_atoms}, 3)")
+    return lig
+
+
+def as_pose_batch(coords_batch: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Validate a many-pose array into float64 ``(k, n_atoms, 3)``.
+
+    The shared front door of every scorer's ``score_batch``: one
+    place for the shape/dtype contract, so empty batches (``k == 0``)
+    can short-circuit *before* any lazy structure (field maps, scoring
+    tables) is built.
+    """
+    cb = np.asarray(coords_batch, dtype=float)
+    if cb.ndim != 3 or cb.shape[1:] != (n_atoms, 3):
+        raise ValueError(
+            f"coords_batch must have shape (k, {n_atoms}, 3)"
+        )
+    return cb
+
+
 @dataclass(frozen=True)
 class ScoreBreakdown:
     """Per-term energies (kcal/mol, physics sign) and the final score."""
@@ -193,11 +221,7 @@ def score_pose_batch(
     compatibility; evaluation is per pose.
     """
     del chunk  # bitwise-per-pose evaluation needs no chunked temporaries
-    cb = np.asarray(coords_batch, dtype=float)
-    if cb.ndim != 3 or cb.shape[1:] != (ligand.n_atoms, 3):
-        raise ValueError(
-            f"coords_batch must have shape (k, {ligand.n_atoms}, 3)"
-        )
+    cb = as_pose_batch(coords_batch, ligand.n_atoms)
     k = cb.shape[0]
     out = np.empty(k)
     if k == 0:

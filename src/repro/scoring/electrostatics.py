@@ -57,22 +57,6 @@ def electrostatic_energy_matrix(
     return COULOMB_CONSTANT / dielectric * qa * qb / distances
 
 
-def electrostatic_energy_batch(
-    charges_a: np.ndarray,
-    charges_b: np.ndarray,
-    distances_batch: np.ndarray,
-    *,
-    dielectric: float = DIELECTRIC,
-) -> np.ndarray:
-    """Batched total Coulomb energy over (k, n, m) distances -> (k,)."""
-    qa = np.asarray(charges_a, dtype=float)
-    qb = np.asarray(charges_b, dtype=float)
-    inv = 1.0 / distances_batch
-    return COULOMB_CONSTANT / dielectric * np.einsum(
-        "n,knm,m->k", qa, inv, qb
-    )
-
-
 def coulomb_pair(q1: float, q2: float, r: float) -> float:
     """Single-pair Coulomb energy (reference/tests)."""
     return COULOMB_CONSTANT * q1 * q2 / max(r, MIN_DISTANCE)

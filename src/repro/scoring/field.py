@@ -18,18 +18,15 @@ given *type* is a pure scalar field of position and can be tabulated:
 - per distinct ligand ``(sigma, epsilon)`` type one repulsion /
   dispersion map pair ``rep_t(x) = sum_j 4 sqrt(eps_j eps_t)
   ((sigma_j+sigma_t)/2)^12 / r_j^12`` and the ``^6`` analogue -- the
-  *exact* Lorentz-Berthelot arithmetic-sigma combination, removing the
-  geometric-mean model error of :class:`~repro.scoring.grid
-  .PotentialGrid`;
+  *exact* Lorentz-Berthelot arithmetic-sigma combination (no
+  geometric-mean approximation to make the weights separable);
 - per H-bond eligibility class (ligand donor/acceptor flags) an
   angular-weighted 12-10 map ``sum_j cos(theta_j(x)) (C/r^12 -
   D/r^10)`` over the class-eligible receptor atoms, plus per (type x
   class) the ``(1 - sin(theta_j(x)))``-weighted repulsion/dispersion
   pair carrying the ``- (1 - sin) e_lj`` part of the Eq. 1 correction.
   ``theta_j(x)`` depends only on the receptor donor direction and the
-  grid position, so the full angular term tabulates exactly -- the
-  second documented ``PotentialGrid`` model error (no H-bond term)
-  disappears.
+  grid position, so the full angular term tabulates exactly.
 
 Near field (exact pairwise)
 ---------------------------
@@ -77,9 +74,8 @@ nodes, exact for cubics; no prefilter, so each slot stays a pure
 function of its own maps), which makes the shell's error negligible
 next to the fine level's.  Both levels live in one flattened stack
 and share one stencil kernel (2 or 4 nodes per axis).  Only atoms
-outside *both* boxes take the exact full-column path -- no silent
-boundary clamp (the documented ``PotentialGrid._trilinear`` behavior,
-counted by ``scoring/grid_oob_points`` there).
+outside *both* boxes take the exact full-column path -- there is no
+silent boundary clamp.
 
 Error budget (PR 5 truncation-policy style)
 -------------------------------------------
@@ -120,9 +116,8 @@ from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
 from repro.scoring import electrostatics as elec
 from repro.scoring import hbond as hb
 from repro.scoring import lennard_jones as lj
-from repro.scoring.composite import ScoringTables
+from repro.scoring.composite import ScoringTables, as_pose, as_pose_batch
 from repro.scoring.pairwise import direction_vectors, pairwise_distances
-from repro.scoring.scorers import as_pose_batch
 
 #: Default lattice spacing, angstrom.  The error-vs-spacing table in
 #: docs/PERFORMANCE.md motivates the default: with the clipped kernels
@@ -250,8 +245,8 @@ class FieldMaps:
 
     One instance serves every ligand scored against its receptor:
     screening workers build it once per worker and pass it to each
-    :class:`FieldScorer` via ``cells=`` (mirroring the cell-list /
-    potential-grid sharing of the other scorers).  ``ensure`` builds
+    :class:`FieldScorer` via ``cells=`` (mirroring the cell-list
+    sharing of the neighbour-list scorers).  ``ensure`` builds
     only the maps missing for a ligand's type set; each map's content
     is independent of which other types share a build pass, so shared
     and private builds are bitwise identical.
@@ -399,18 +394,6 @@ class FieldMaps:
         return np.flatnonzero(elig)
 
     # -- accessors ---------------------------------------------------------
-    def lj_maps(self, key: tuple[float, float]):
-        """(repulsion, dispersion) maps for ligand type ``key``."""
-        return self._lj[key]
-
-    def hb1210_map(self, cls: tuple[bool, bool]) -> np.ndarray:
-        """cos-weighted 12-10 map for eligibility class ``cls``."""
-        return self._hb1210[cls]
-
-    def hb_lj_maps(self, key: tuple[float, float], cls: tuple[bool, bool]):
-        """(1-sin)-weighted (repulsion, dispersion) maps for type x class."""
-        return self._hblj[(key, cls)]
-
     def nbytes(self) -> int:
         """Total map storage in bytes: both levels' maps, the
         clash-voxel table and the shared combined interpolation stack."""
@@ -757,12 +740,8 @@ class FieldScorer:
                 )
             self._maps = cells
         else:
-            self._maps = FieldMaps(
-                receptor,
-                spacing=spacing,
-                padding=padding,
-                clash_radius=clash_radius,
-                dtype=dtype,
+            self._maps = self.receptor_cache(
+                receptor, spacing, padding, clash_radius, dtype
             )
         self.receptor = receptor
         self.ligand = ligand
@@ -790,6 +769,30 @@ class FieldScorer:
         #: Outer-level (shell) atom fraction of the most recent
         #: evaluation.
         self.outer_fraction = 0.0
+
+    @classmethod
+    def receptor_cache(
+        cls,
+        receptor: Molecule,
+        spacing: float = DEFAULT_SPACING,
+        padding: float = DEFAULT_PADDING,
+        clash_radius: float = DEFAULT_CLASH_RADIUS,
+        dtype: str = DEFAULT_DTYPE,
+    ) -> FieldMaps:
+        """The (unbuilt) field maps every ligand's scorer can share.
+
+        Takes the scorer's config kwargs and returns what ``__init__``
+        creates for itself when ``cells`` is None -- screening workers
+        hold one per receptor and pass it to every ligand's scorer;
+        maps grow lazily per distinct ligand atom type.
+        """
+        return FieldMaps(
+            receptor,
+            spacing=spacing,
+            padding=padding,
+            clash_radius=clash_radius,
+            dtype=dtype,
+        )
 
     # -- telemetry ---------------------------------------------------------
     @property
@@ -994,10 +997,8 @@ class FieldScorer:
         return e
 
     def score(self, coords: np.ndarray) -> float:
-        lig = np.asarray(coords, dtype=float)
         m = self.ligand.n_atoms
-        if lig.shape != (m, 3):
-            raise ValueError(f"coords must have shape ({m}, 3)")
+        lig = as_pose(coords, m)
         self._ensure_built()
         maps = self._maps
         energy = 0.0
@@ -1348,10 +1349,8 @@ def score_field_group(entries) -> np.ndarray:
                 "score_field_group entries must pair FieldScorer "
                 f"instances with coords, got {type(sc).__name__}"
             )
-        lig = np.asarray(coords, dtype=float)
         m = sc.ligand.n_atoms
-        if lig.shape != (m, 3):
-            raise ValueError(f"coords must have shape ({m}, 3)")
+        lig = as_pose(coords, m)
         sc._ensure_built()
         prepared.append((sc, lig, m))
     groups: dict[int, list[int]] = {}

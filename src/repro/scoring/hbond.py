@@ -76,38 +76,6 @@ def hbond_angle_factors(
     return cos, sin
 
 
-def hbond_angle_factors_batch(
-    coords_a: np.ndarray,
-    coords_b_batch: np.ndarray,
-    dir_a: np.ndarray,
-    *,
-    min_distance: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`hbond_angle_factors` over (k, m, 3) B-coordinates.
-
-    Returns (cos, sin) of shape (k, n, m).  Must agree with the
-    single-pose function per slice (asserted by the parity tests).
-    """
-    pa = np.asarray(coords_a, dtype=float)
-    bb = np.asarray(coords_b_batch, dtype=float)
-    da = np.asarray(dir_a, dtype=float)
-    # cos = dir_a . (b - a) / |b - a|, expanded so everything is (k, n, m)
-    # GEMMs instead of a (k, n, m, 3) temporary.
-    a2 = (pa * pa).sum(axis=1)[None, :, None]
-    b2 = (bb * bb).sum(axis=2)[:, None, :]
-    cross = np.einsum("nd,kmd->knm", pa, bb)
-    d2 = a2 + b2 - 2.0 * cross
-    norm = np.sqrt(np.maximum(d2, min_distance * min_distance))
-    dot_b = np.einsum("nd,kmd->knm", da, bb)
-    dot_a = (da * pa).sum(axis=1)[None, :, None]
-    cos = (dot_b - dot_a) / norm
-    isotropic = (np.abs(da) < 1e-12).all(axis=1)
-    cos[:, isotropic, :] = 1.0
-    np.clip(cos, 0.0, 1.0, out=cos)
-    sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-    return cos, sin
-
-
 def hbond_energy_matrix(
     distances: np.ndarray,
     mask: np.ndarray,

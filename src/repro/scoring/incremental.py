@@ -58,9 +58,9 @@ import numpy as np
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
 from repro.scoring import hbond as hb
+from repro.scoring.composite import as_pose, as_pose_batch
 from repro.scoring.neighborlist import CellList, query_pairs
 from repro.scoring.pairwise import direction_vectors
-from repro.scoring.scorers import as_pose_batch
 
 #: Default Verlet skin, angstrom.  With the paper's 1 A shift actions a
 #: 3 A skin re-lists every 2-4 shift steps in the worst case and far
@@ -144,15 +144,13 @@ class IncrementalScorer:
         self._half_skin_sq = (0.5 * self.skin) ** 2
         self._cutoff_sq = self.cutoff * self.cutoff
         self._inv_cutoff = 1.0 / self.cutoff
-        # A prebuilt ``cells`` (same receptor coords, list-radius bins)
-        # skips the binning -- screening workers share one receptor cell
-        # list across every ligand they score.
-        if cells is not None:
-            self._cells = cells
-        else:
-            if cell_size is None:
-                cell_size = self._list_radius / 2.0
-            self._cells = CellList(receptor.coords, cell_size=cell_size)
+        self._cells = (
+            cells
+            if cells is not None
+            else self.receptor_cache(
+                receptor, cutoff, skin, cell_size=cell_size
+            )
+        )
         self._dirs_full = direction_vectors(receptor.coords, receptor.bonds)
         self._iso_full = (np.abs(self._dirs_full) < 1e-12).all(axis=1)
         self._mask_full = hb.eligible_pairs_mask(
@@ -169,6 +167,27 @@ class IncrementalScorer:
         self._n_pairs = 0
         self._any_elig = False
         self._cap = 0
+
+    @classmethod
+    def receptor_cache(
+        cls,
+        receptor: Molecule,
+        cutoff: float = DEFAULT_CUTOFF,
+        skin: float = DEFAULT_SKIN,
+        *,
+        cell_size: float | None = None,
+        **_pair_kwargs,
+    ) -> CellList:
+        """The receptor cell list every ligand's scorer can share.
+
+        Takes the scorer's config kwargs (those that only shape the
+        per-pair arithmetic are ignored) and returns what ``__init__``
+        builds for itself when ``cells`` is None -- screening workers
+        bin the receptor once and pass it to every ligand's scorer.
+        """
+        if cell_size is None:
+            cell_size = (float(cutoff) + float(skin)) / 2.0
+        return CellList(receptor.coords, cell_size=cell_size)
 
     # -- capacity / buffers -------------------------------------------------
     def _ensure_capacity(self, n: int) -> None:
@@ -253,12 +272,12 @@ class IncrementalScorer:
         return bool(self._disp_row.max() > self._half_skin_sq)
 
     # -- scoring -------------------------------------------------------------
-    def score(self, coords: np.ndarray) -> float:
-        lig = np.asarray(coords, dtype=float)
-        if lig.shape != (self.ligand.n_atoms, 3):
-            raise ValueError(
-                f"coords must have shape ({self.ligand.n_atoms}, 3)"
-            )
+    def _score_pose(self, lig: np.ndarray) -> float:
+        if not np.isfinite(lig).all():
+            # No pair is "in range" of a NaN: without this the pose
+            # would score 0.0 and outrank every clash.  The list is
+            # left as it was.
+            return float("nan")
         if self._needs_rebuild(lig):
             if self.tracer is not None:
                 with self.tracer.span("neighborlist-rebuild"):
@@ -267,141 +286,27 @@ class IncrementalScorer:
                 self._rebuild(lig)
         return self._score_cached(lig)
 
+    def score(self, coords: np.ndarray) -> float:
+        return self._score_pose(as_pose(coords, self.ligand.n_atoms))
+
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
         """Scores for (k, m, 3) poses; reuses the Verlet cache across poses.
 
-        Poses within skin/2 of the current reference are scored off the
-        cached list; a pose farther away triggers a rebuild centered on
-        it (exactly as :meth:`score` would).  Batches of *nearby*
-        candidate poses — vector-env steps, local pose refinement —
+        A sequential loop over the single-pose body, so each entry --
+        and every rebuild decision, ``rebuild_count`` increment and
+        ``active_pairs`` gauge update -- is bitwise what :meth:`score`
+        calls in batch order would produce.  Poses within skin/2 of the
+        current reference are scored off the cached list; a pose farther
+        away triggers a rebuild centered on it.  Batches of *nearby*
+        candidate poses -- vector-env steps, local pose refinement --
         therefore share one pair list; scattered batches degrade
         gracefully to one list build per pose.
-
-        Pose-major vectorized: poses are scanned into maximal segments
-        covered by one pair list (the same per-pose displacement test
-        :meth:`score` applies, in the same order, so rebuild decisions
-        match the sequential loop exactly), and each segment's per-pair
-        terms are computed in one vectorized pass over the shared gather
-        tables with only the per-pose reductions running per pose —
-        each entry bitwise-equal to a sequential :meth:`score` call.
         """
         cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
-        k = cb.shape[0]
-        out = np.empty(k)
-        if k == 0:
-            return out
-        i = 0
-        while i < k:
-            if self._needs_rebuild(cb[i]):
-                if self.tracer is not None:
-                    with self.tracer.span("neighborlist-rebuild"):
-                        self._rebuild(cb[i])
-                else:
-                    self._rebuild(cb[i])
-            # Maximal run of poses the current list covers: the first
-            # pose whose max displacement from the build reference
-            # exceeds skin/2 ends the segment (it would trigger a
-            # rebuild in the sequential loop too).
-            j = i + 1
-            if j < k:
-                disp = cb[j:] - self._ref
-                d2 = np.einsum("kij,kij->ki", disp, disp).max(axis=1)
-                bad = np.flatnonzero(d2 > self._half_skin_sq)
-                j = k if bad.size == 0 else j + int(bad[0])
-            self._score_cached_batch(cb[i:j], out[i:j])
-            i = j
+        out = np.empty(cb.shape[0])
+        for i, lig in enumerate(cb):
+            out[i] = self._score_pose(lig)
         return out
-
-    def _score_cached_batch(self, seg: np.ndarray, out: np.ndarray) -> None:
-        """Vectorized :meth:`_score_cached` over list-covered poses.
-
-        Every per-pair term is elementwise, so one pass over the
-        ``(g, n)`` candidate block produces exactly the values the
-        single-pose path would; the compressed arrays are laid out
-        pose-major so every floating-point *reduction* runs per pose
-        over a contiguous slice of the same length, in the same op
-        order — bitwise-identical to ``g`` sequential calls (including
-        the per-pose ``active_pairs`` gauge updates).
-        """
-        n = self._n_pairs
-        g = seg.shape[0]
-        if n == 0:
-            out[:] = 0.0
-            self.active_pairs = 0
-            if self.metrics is not None:
-                for _ in range(g):
-                    self.metrics.set(ACTIVE_PAIRS_METRIC, 0)
-            return
-        if self._any_elig:
-            c_hb, d_hb = hb.hbond_coefficients()
-        elig_n = self._elig[:n]
-        # Chunk poses so the (chunk, n) temporaries stay bounded.
-        chunk = max(1, 2_000_000 // max(1, n))
-        for s0 in range(0, g, chunk):
-            s1 = min(s0 + chunk, g)
-            poses = seg[s0:s1]
-            gg = s1 - s0
-            ligx = poses[:, self._lig_idx[:n], :]
-            diff = ligx - self._rec_xyz[:n][None, :, :]
-            r2 = np.einsum("gij,gij->gi", diff, diff)
-            act = r2 <= self._cutoff_sq
-            na = act.sum(axis=1).astype(np.int64)
-            bounds = np.zeros(gg + 1, dtype=np.int64)
-            np.cumsum(na, out=bounds[1:])
-            # Pose-major compression: pose p owns rows
-            # bounds[p]:bounds[p+1] of every compressed array below —
-            # the same subset, content and order, score() compresses.
-            flat_act = act.reshape(-1)
-            c_r = r2.reshape(-1)[flat_act]
-            np.sqrt(c_r, out=c_r)
-            np.maximum(c_r, MIN_DISTANCE, out=c_r)
-            cols = np.nonzero(act)[1]
-            c_static = self._static[:, :n][:, cols]
-            c_inv = 1.0 / c_r
-            if self.shifted:
-                c_inv -= self._inv_cutoff
-            e = c_static[0] * c_inv
-            # Lennard-Jones, cube-then-square exactly as _score_cached.
-            x = c_static[1] / c_r
-            x6 = x * x
-            x6 *= x
-            x6 *= x6
-            e_lj = x6 * x6
-            e_lj -= x6
-            e_lj *= c_static[2]
-            for p in range(gg):
-                na_p = int(na[p])
-                self.active_pairs = na_p
-                if self.metrics is not None:
-                    self.metrics.set(ACTIVE_PAIRS_METRIC, na_p)
-                if na_p == 0:
-                    out[s0 + p] = 0.0
-                    continue
-                lo, hi = int(bounds[p]), int(bounds[p + 1])
-                energy = float(e[lo:hi].sum())
-                energy += float(e_lj[lo:hi].sum())
-                if self._any_elig:
-                    act_p = act[p]
-                    c_elig = np.compress(act_p, elig_n)
-                    if c_elig.any():
-                        both = np.logical_and(act_p, elig_n)
-                        d_el = np.compress(c_elig, c_r[lo:hi])
-                        u = np.compress(both, diff[p], axis=0)
-                        dirs = np.compress(both, self._dirs[:n], axis=0)
-                        iso = np.compress(both, self._iso[:n])
-                        e_lj_sub = np.compress(c_elig, e_lj[lo:hi])
-                        norm = np.maximum(
-                            np.linalg.norm(u, axis=1), 1e-9
-                        )
-                        cos = (dirs * u).sum(axis=1) / norm
-                        cos[iso] = 1.0
-                        np.clip(cos, 0.0, 1.0, out=cos)
-                        sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-                        e_1210 = c_hb / d_el**12 - d_hb / d_el**10
-                        energy += float(
-                            (cos * e_1210 - (1.0 - sin) * e_lj_sub).sum()
-                        )
-                out[s0 + p] = -energy
 
     def _score_cached(self, lig: np.ndarray) -> float:
         n = self._n_pairs

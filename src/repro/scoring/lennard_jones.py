@@ -58,22 +58,6 @@ def lennard_jones_energy_pre(
     return float((4.0 * eps_pair * (x6 * x6 - x6)).sum())
 
 
-def lennard_jones_energy_batch_pre(
-    sigma_pair: np.ndarray,
-    eps_pair: np.ndarray,
-    distances_batch: np.ndarray,
-) -> np.ndarray:
-    """Batched totals from pre-combined pair parameters -> (k,).
-
-    Bit-identical to :func:`lennard_jones_energy_batch` (same ops on the
-    same floats, minus the redundant ``combine_lj``).
-    """
-    x = sigma_pair[None, :, :] / distances_batch
-    x6 = x * x * x
-    x6 *= x6
-    return (4.0 * eps_pair[None, :, :] * (x6 * x6 - x6)).sum(axis=(1, 2))
-
-
 def lennard_jones_energy_matrix(
     sigma_a: np.ndarray,
     eps_a: np.ndarray,
@@ -91,21 +75,6 @@ def lennard_jones_energy_matrix(
     x6 = x * x * x
     x6 *= x6  # (sigma/r)^6
     return 4.0 * eps * (x6 * x6 - x6)
-
-
-def lennard_jones_energy_batch(
-    sigma_a: np.ndarray,
-    eps_a: np.ndarray,
-    sigma_b: np.ndarray,
-    eps_b: np.ndarray,
-    distances_batch: np.ndarray,
-) -> np.ndarray:
-    """Batched totals over (k, n, m) distances -> (k,)."""
-    sig, eps = combine_lj(sigma_a, eps_a, sigma_b, eps_b)
-    x = sig[None, :, :] / distances_batch
-    x6 = x * x * x
-    x6 *= x6
-    return (4.0 * eps[None, :, :] * (x6 * x6 - x6)).sum(axis=(1, 2))
 
 
 def lj_pair(sigma: float, eps: float, r: float) -> float:

@@ -56,29 +56,6 @@ class CellList:
         d = self.dims
         return (idx3[..., 0] * d[1] + idx3[..., 1]) * d[2] + idx3[..., 2]
 
-    def _cell_members(self, flat_id: int) -> np.ndarray:
-        pos = np.searchsorted(self._unique_flat, flat_id)
-        if pos >= len(self._unique_flat) or self._unique_flat[pos] != flat_id:
-            return np.empty(0, dtype=np.int64)
-        return self._sorted_indices[self._starts[pos] : self._ends[pos]]
-
-    def query(self, center, radius: float | None = None) -> np.ndarray:
-        """Indices of stored points within ``radius`` of ``center``.
-
-        ``radius`` defaults to ``cell_size``; larger radii widen the cell
-        scan accordingly (still exact).
-        """
-        c = np.asarray(center, dtype=float)
-        stored, _ = query_pairs(self, c.reshape(1, 3), radius)
-        return stored
-
-    def query_many(self, centers: np.ndarray, radius: float | None = None) -> np.ndarray:
-        """Union of :meth:`query` results over several centers (sorted)."""
-        parts = [self.query(c, radius) for c in np.asarray(centers, float)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -153,15 +130,3 @@ def query_pairs(
     d2 = np.einsum("ij,ij->i", diff, diff)
     keep = d2 <= r * r
     return np.compress(keep, cand), np.compress(keep, probe_of)
-
-
-def cutoff_pairs(
-    cell_list: CellList, probe_points: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (stored_index, probe_index) pairs within ``radius``.
-
-    Returned as two parallel index arrays usable for masked scoring.
-    Delegates to the vectorized :func:`query_pairs` (pair order preserved
-    from the historical per-probe implementation).
-    """
-    return query_pairs(cell_list, probe_points, radius)

@@ -33,26 +33,6 @@ def pairwise_distances(
     return np.sqrt(d2, out=d2)
 
 
-def pairwise_distances_batch(
-    a: np.ndarray, b_batch: np.ndarray, min_distance: float = MIN_DISTANCE
-) -> np.ndarray:
-    """Distances from ``a`` (n,3) to a batch ``b_batch`` (k,m,3) -> (k,n,m).
-
-    Used by multi-pose scoring: one receptor against ``k`` ligand poses.
-    The receptor norms are computed once and broadcast across the batch.
-    """
-    a = np.ascontiguousarray(a, dtype=float)
-    bb = np.ascontiguousarray(b_batch, dtype=float)
-    if bb.ndim != 3 or bb.shape[-1] != 3:
-        raise ValueError("b_batch must have shape (k, m, 3)")
-    a2 = (a * a).sum(axis=1)[None, :, None]  # (1, n, 1)
-    b2 = (bb * bb).sum(axis=2)[:, None, :]  # (k, 1, m)
-    cross = np.einsum("nd,kmd->knm", a, bb)  # (k, n, m)
-    d2 = a2 + b2 - 2.0 * cross
-    np.maximum(d2, min_distance * min_distance, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 def direction_vectors(mol_coords: np.ndarray, bonds: np.ndarray) -> np.ndarray:
     """Per-atom outward direction used by the H-bond angular term.
 

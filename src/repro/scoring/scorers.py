@@ -1,20 +1,25 @@
-"""Pluggable pose scorers: exact, cutoff-truncated, grid-interpolated.
+"""Pluggable pose scorers: the Eq. 1 oracle, production, one neighbour list.
 
 The engine needs "coordinates -> score" with different speed/accuracy
 trades (the GPU METADOCK plays the same game with spot-local windows):
 
-- :class:`ExactScorer` -- full Eq. 1 over all pairs (the default and the
-  correctness reference);
-- :class:`CutoffScorer` -- only pairs within ``cutoff`` angstrom via the
-  receptor cell list; truncation error vanishes as the cutoff grows;
-- :class:`GridScorer` -- trilinear lookup in precomputed receptor fields
-  (fast; documented model error, see :mod:`repro.scoring.grid`);
+- :class:`ExactScorer` ("exact") -- full Eq. 1 over all pairs (the
+  default and the correctness oracle);
 - ``FieldScorer`` ("field") -- hybrid per-ligand-type field maps with an
-  exact near-field/out-of-box path (near-exact and the fastest
-  production kernel; see :mod:`repro.scoring.field`).
+  exact near-field/out-of-box path (near-exact and the production
+  kernel; see :mod:`repro.scoring.field`);
+- ``IncrementalScorer`` ("incremental") -- Eq. 1 truncated at ``cutoff``
+  over a cached Verlet pair list (fast but truncating; see
+  :mod:`repro.scoring.incremental`), with the stateless
+  :class:`CutoffScorer` ("cutoff") kept as the reference its drift
+  bound is pinned against.
 
 All scorers share the one-pose ``score(coords)`` and many-pose
-``score_batch(coords_batch)`` interface.
+``score_batch(coords_batch)`` interface; every ``score_batch`` entry is
+bitwise-equal to the single-pose call.  Scorers that keep a
+receptor-side structure (a cell list, field maps) build it through
+their ``receptor_cache`` classmethod -- :func:`receptor_cache` is the
+by-name front door -- and accept a prebuilt one through ``cells=``.
 """
 
 from __future__ import annotations
@@ -29,28 +34,15 @@ from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
 from repro.scoring import hbond as hb
 from repro.scoring.composite import (
     ScoringTables,
+    as_pose,
+    as_pose_batch,
     interaction_breakdown,
     score_pose_batch,
 )
-from repro.scoring.grid import PotentialGrid
+from repro.scoring.field import FieldScorer, score_field_group
+from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.neighborlist import CellList, query_pairs
 from repro.scoring.pairwise import direction_vectors
-
-
-def as_pose_batch(coords_batch: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Validate a many-pose array into float64 ``(k, n_atoms, 3)``.
-
-    The shared front door of every scorer's ``score_batch``: one
-    place for the shape/dtype contract, so empty batches (``k == 0``)
-    can short-circuit *before* any lazy structure (potential grid,
-    field maps, scoring tables) is built.
-    """
-    cb = np.asarray(coords_batch, dtype=float)
-    if cb.ndim != 3 or cb.shape[1:] != (n_atoms, 3):
-        raise ValueError(
-            f"coords_batch must have shape (k, {n_atoms}, 3)"
-        )
-    return cb
 
 
 class PoseScorer(Protocol):
@@ -79,7 +71,7 @@ class ExactScorer:
     def score(self, coords: np.ndarray) -> float:
         return interaction_breakdown(
             self.receptor,
-            self.ligand.with_coords(coords),
+            self.ligand.with_coords(as_pose(coords, self.ligand.n_atoms)),
             tables=self._tables,
         ).score
 
@@ -119,19 +111,10 @@ class CutoffScorer:
         self.ligand = ligand
         self.cutoff = float(cutoff)
         self.shifted = bool(shifted)
-        # Bins of cutoff/2 measured fastest for cutoff-radius queries;
-        # bins equal to the radius degenerate to scanning most of the
-        # receptor (pair membership is identical either way).  A
-        # prebuilt ``cells`` (same receptor coords) skips the binning --
-        # screening workers share one receptor cell list across every
-        # ligand they score.
         self._cells = (
             cells
             if cells is not None
-            else CellList(
-                receptor.coords,
-                cell_size=cutoff / 2.0 if cell_size is None else cell_size,
-            )
+            else self.receptor_cache(receptor, cutoff, cell_size=cell_size)
         )
         self._dirs = direction_vectors(receptor.coords, receptor.bonds)
         self._mask_full = hb.eligible_pairs_mask(
@@ -141,243 +124,84 @@ class CutoffScorer:
             ligand.hbond_acceptor,
         )
 
-    def _pair_terms(
-        self, lig_flat: np.ndarray, rec_idx: np.ndarray, lig_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pair (diff, r, e_el, e_lj) for arbitrary pair index arrays.
+    @classmethod
+    def receptor_cache(
+        cls,
+        receptor: Molecule,
+        cutoff: float = DEFAULT_CUTOFF,
+        *,
+        cell_size: float | None = None,
+        **_pair_kwargs,
+    ) -> CellList:
+        """The receptor cell list every ligand's scorer can share.
 
-        ``lig_flat`` holds the ligand-atom coordinates the pairs index
-        into (one pose's (m, 3), or several poses stacked (k*m, 3)) —
-        all terms are elementwise per pair, so batching poses through
-        one call is exact.
+        Takes the scorer's config kwargs (those that only shape the
+        per-pair arithmetic are ignored) and returns what ``__init__``
+        builds for itself when ``cells`` is None -- screening workers
+        bin the receptor once and pass it to every ligand's scorer.
+        Bins of cutoff/2 measured fastest for cutoff-radius queries;
+        bins equal to the radius degenerate to scanning most of the
+        receptor (pair membership is identical either way).
         """
+        return CellList(
+            receptor.coords,
+            cell_size=cutoff / 2.0 if cell_size is None else cell_size,
+        )
+
+    def _score_pose(self, lig: np.ndarray) -> float:
+        if not np.isfinite(lig).all():
+            # No pair is "in range" of a NaN: without this the pose
+            # would score 0.0 and outrank every clash.
+            return float("nan")
         rec = self.receptor
         lig_mol = self.ligand
-        atom = lig_idx % lig_mol.n_atoms  # probe index -> ligand atom
-        diff = lig_flat[lig_idx] - rec.coords[rec_idx]
+        rec_idx, lig_idx = query_pairs(self._cells, lig, self.cutoff)
+        if rec_idx.size == 0:
+            return 0.0
+        diff = lig[lig_idx] - rec.coords[rec_idx]
         r = np.sqrt((diff**2).sum(axis=1))
         np.maximum(r, MIN_DISTANCE, out=r)
         # Electrostatics (optionally energy-shifted at the cutoff).
-        qq = rec.charges[rec_idx] * lig_mol.charges[atom]
+        qq = rec.charges[rec_idx] * lig_mol.charges[lig_idx]
         inv = 1.0 / r
         if self.shifted:
             inv = inv - 1.0 / self.cutoff
         e_el = COULOMB_CONSTANT * qq * inv
         # Lennard-Jones.
-        sigma = 0.5 * (rec.sigma[rec_idx] + lig_mol.sigma[atom])
-        eps = np.sqrt(rec.epsilon[rec_idx] * lig_mol.epsilon[atom])
+        sigma = 0.5 * (rec.sigma[rec_idx] + lig_mol.sigma[lig_idx])
+        eps = np.sqrt(rec.epsilon[rec_idx] * lig_mol.epsilon[lig_idx])
         x6 = (sigma / r) ** 6
         e_lj = 4.0 * eps * (x6 * x6 - x6)
-        return diff, r, e_el, e_lj
-
-    def _hbond_correction(
-        self,
-        r_el: np.ndarray,
-        u_el: np.ndarray,
-        dirs_el: np.ndarray,
-        e_lj_el: np.ndarray,
-    ) -> float:
-        """Eq. 1 H-bond correction for pre-selected eligible pairs."""
-        norm = np.maximum(np.linalg.norm(u_el, axis=1), 1e-9)
-        cos = (dirs_el * u_el).sum(axis=1) / norm
-        iso = (np.abs(dirs_el) < 1e-12).all(axis=1)
-        cos[iso] = 1.0
-        np.clip(cos, 0.0, 1.0, out=cos)
-        sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-        c_hb, d_hb = hb.hbond_coefficients()
-        e_1210 = c_hb / r_el**12 - d_hb / r_el**10
-        return float((cos * e_1210 - (1.0 - sin) * e_lj_el).sum())
-
-    def score(self, coords: np.ndarray) -> float:
-        lig = np.asarray(coords, dtype=float)
-        rec_idx, lig_idx = query_pairs(self._cells, lig, self.cutoff)
-        if rec_idx.size == 0:
-            return 0.0
-        diff, r, e_el, e_lj = self._pair_terms(lig, rec_idx, lig_idx)
         energy = float(e_el.sum()) + float(e_lj.sum())
         # Hydrogen-bond correction on eligible pairs.
         eligible = self._mask_full[rec_idx, lig_idx]
         if eligible.any():
-            energy += self._hbond_correction(
-                r[eligible],
-                diff[eligible],
-                self._dirs[rec_idx[eligible]],
-                e_lj[eligible],
+            r_el = r[eligible]
+            u_el = diff[eligible]
+            dirs_el = self._dirs[rec_idx[eligible]]
+            norm = np.maximum(np.linalg.norm(u_el, axis=1), 1e-9)
+            cos = (dirs_el * u_el).sum(axis=1) / norm
+            iso = (np.abs(dirs_el) < 1e-12).all(axis=1)
+            cos[iso] = 1.0
+            np.clip(cos, 0.0, 1.0, out=cos)
+            sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+            c_hb, d_hb = hb.hbond_coefficients()
+            e_1210 = c_hb / r_el**12 - d_hb / r_el**10
+            energy += float(
+                (cos * e_1210 - (1.0 - sin) * e_lj[eligible]).sum()
             )
         return -energy
 
-    def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
-        """Vectorized many-pose scoring.
-
-        All poses are stacked into one (k*m, 3) probe set and resolved
-        by a single :func:`query_pairs` call; every per-pair term is
-        then computed in one vectorized pass over the concatenated pair
-        list, with only the per-pose reductions running per pose.
-        Pair order within a pose matches :meth:`score` exactly, so each
-        entry is bit-identical to the single-pose result.
-        """
-        cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
-        k, m, _ = cb.shape
-        out = np.zeros(k)
-        if k == 0:
-            return out
-        flat = cb.reshape(-1, 3)
-        rec_idx, probe_idx = query_pairs(self._cells, flat, self.cutoff)
-        if rec_idx.size == 0:
-            return out
-        diff, r, e_el, e_lj = self._pair_terms(flat, rec_idx, probe_idx)
-        lig_atom = probe_idx % m
-        eligible = self._mask_full[rec_idx, lig_atom]
-        # probe_idx is non-decreasing (probe-major query order), so each
-        # pose owns one contiguous slice of the pair arrays.
-        bounds = np.searchsorted(probe_idx, np.arange(0, k * m + 1, m))
-        for i in range(k):
-            s, t = bounds[i], bounds[i + 1]
-            if s == t:
-                continue  # no pairs in range: score 0.0, as in score()
-            energy = float(e_el[s:t].sum()) + float(e_lj[s:t].sum())
-            el = eligible[s:t]
-            if el.any():
-                sl_rec = rec_idx[s:t]
-                energy += self._hbond_correction(
-                    r[s:t][el],
-                    diff[s:t][el],
-                    self._dirs[sl_rec[el]],
-                    e_lj[s:t][el],
-                )
-            out[i] = -energy
-        return out
-
-
-#: Gauge reporting the built potential grid's memory footprint.
-GRID_BYTES_METRIC = "scoring/grid_bytes"
-#: Gauge reporting the cumulative count of interpolation points the
-#: grid clamped to its boundary (out-of-box poses; see
-#: :mod:`repro.scoring.grid` for the documented clamp behavior).
-GRID_OOB_METRIC = "scoring/grid_oob_points"
-
-
-class GridScorer:
-    """Precomputed-field scorer (see :class:`repro.scoring.grid.PotentialGrid`).
-
-    The grid is built lazily on first use (under a "grid-build" tracer
-    span when a tracer is attached; its size lands in the
-    ``scoring/grid_bytes`` gauge when a metrics registry is, and the
-    cumulative out-of-box clamp count in ``scoring/grid_oob_points``).
-    Pass a prebuilt ``cells`` grid over the same receptor to skip the
-    build -- screening workers share one grid across every ligand they
-    score, mirroring the cell-list sharing of the cutoff/incremental
-    scorers.
-
-    The per-ligand LJ weight vectors ``w12 = 4 sqrt(eps) sigma^6`` and
-    ``w6 = 4 sqrt(eps) sigma^3`` depend only on topology, so they are
-    computed once here and passed into every grid evaluation
-    (bit-identical to the recompute-per-call path, same floats).
-    """
-
-    def __init__(
-        self,
-        receptor: Molecule,
-        ligand: Molecule,
-        spacing: float = 1.0,
-        padding: float = 6.0,
-        dtype: str = "float64",
-        *,
-        cells: PotentialGrid | None = None,
-    ):
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        # Validate eagerly (PotentialGrid would only catch this at the
-        # lazy first build, deep inside a worker).
-        if dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"dtype must be 'float32' or 'float64', got {dtype!r}"
-            )
-        if cells is not None and not isinstance(cells, PotentialGrid):
-            raise TypeError(
-                "cells must be a prebuilt PotentialGrid, got "
-                f"{type(cells).__name__}"
-            )
-        self.receptor = receptor
-        self.ligand = ligand
-        self.spacing = float(spacing)
-        self.padding = float(padding)
-        self.dtype = str(dtype)
-        self._weights = (
-            4.0 * np.sqrt(ligand.epsilon) * ligand.sigma**6,
-            4.0 * np.sqrt(ligand.epsilon) * ligand.sigma**3,
-        )
-        self._grid = cells
-        self._tracer = None
-        self._metrics = None
-
-    @property
-    def grid(self) -> PotentialGrid:
-        """The potential grid, built on first access."""
-        if self._grid is None:
-            tr = self._tracer
-            if tr is None:
-                self._grid = PotentialGrid(
-                    self.receptor,
-                    spacing=self.spacing,
-                    padding=self.padding,
-                    dtype=self.dtype,
-                )
-            else:
-                with tr.span("grid-build"):
-                    self._grid = PotentialGrid(
-                        self.receptor,
-                        spacing=self.spacing,
-                        padding=self.padding,
-                        dtype=self.dtype,
-                    )
-            self._publish_size()
-        return self._grid
-
-    @property
-    def tracer(self):
-        """Optional :class:`~repro.telemetry.spans.SpanTracer`."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-
-    @property
-    def metrics(self):
-        """Optional :class:`~repro.telemetry.metrics.MetricsRegistry`."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value) -> None:
-        self._metrics = value
-        self._publish_size()
-
-    def _publish_size(self) -> None:
-        if self._metrics is not None and self._grid is not None:
-            self._metrics.set(GRID_BYTES_METRIC, float(self._grid.nbytes()))
-
-    def _publish_oob(self) -> None:
-        if self._metrics is not None:
-            self._metrics.set(
-                GRID_OOB_METRIC, float(self.grid.oob_points)
-            )
-
     def score(self, coords: np.ndarray) -> float:
-        out = self.grid.score(self.ligand, coords, weights=self._weights)
-        self._publish_oob()
-        return out
+        return self._score_pose(as_pose(coords, self.ligand.n_atoms))
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
+        """Sequential loop over the single-pose body: bitwise-equal to
+        :meth:`score` per entry by construction."""
         cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
-        if cb.shape[0] == 0:
-            # Empty batch: nothing to interpolate -- return before the
-            # lazy grid build is triggered.
-            return np.empty(0)
-        out = self.grid.score_batch(
-            self.ligand, cb, weights=self._weights
-        )
-        self._publish_oob()
+        out = np.empty(cb.shape[0])
+        for i, lig in enumerate(cb):
+            out[i] = self._score_pose(lig)
         return out
 
 
@@ -396,13 +220,8 @@ def score_pose_group(entries) -> np.ndarray:
     entries = list(entries)
     out = np.empty(len(entries))
     field_idx = []
-    try:
-        from repro.scoring.field import FieldScorer, score_field_group
-    except ImportError:  # pragma: no cover - field always importable
-        FieldScorer = None
-        score_field_group = None
     for i, (scorer, coords) in enumerate(entries):
-        if FieldScorer is not None and isinstance(scorer, FieldScorer):
+        if isinstance(scorer, FieldScorer):
             field_idx.append(i)
         else:
             out[i] = scorer.score(coords)
@@ -411,18 +230,6 @@ def score_pose_group(entries) -> np.ndarray:
         for j, i in enumerate(field_idx):
             out[i] = fused[j]
     return out
-
-
-def _make_incremental(receptor: Molecule, ligand: Molecule, **kwargs):
-    from repro.scoring.incremental import IncrementalScorer
-
-    return IncrementalScorer(receptor, ligand, **kwargs)
-
-
-def _make_field(receptor: Molecule, ligand: Molecule, **kwargs):
-    from repro.scoring.field import FieldScorer
-
-    return FieldScorer(receptor, ligand, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -457,18 +264,8 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
         },
         runtime_only=frozenset({"cells"}),
     ),
-    "grid": ScorerEntry(
-        factory=GridScorer,
-        kwargs={
-            "spacing": _NUMBER,
-            "padding": _NUMBER,
-            "dtype": (str,),
-            "cells": (object,),
-        },
-        runtime_only=frozenset({"cells"}),
-    ),
     "incremental": ScorerEntry(
-        factory=_make_incremental,
+        factory=IncrementalScorer,
         kwargs={
             "cutoff": _NUMBER,
             "skin": _NUMBER,
@@ -479,7 +276,7 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
         runtime_only=frozenset({"cells"}),
     ),
     "field": ScorerEntry(
-        factory=_make_field,
+        factory=FieldScorer,
         kwargs={
             "spacing": _NUMBER,
             "padding": _NUMBER,
@@ -510,9 +307,15 @@ def validate_scoring_kwargs(
     """
     entry = SCORER_REGISTRY.get(method)
     if entry is None:
+        hint = (
+            '; "grid" was removed -- use "field", which supersedes it '
+            "on speed and accuracy"
+            if method == "grid"
+            else ""
+        )
         raise ValueError(
             f"unknown scoring method {method!r}; "
-            f"choose from {SCORING_METHODS}"
+            f"choose from {SCORING_METHODS}{hint}"
         )
     for name, value in kwargs.items():
         allowed = entry.kwargs.get(name)
@@ -549,3 +352,17 @@ def make_scorer(
     """Scorer factory keyed by config string (thin registry shim)."""
     validate_scoring_kwargs(method, kwargs, allow_runtime=True)
     return SCORER_REGISTRY[method].factory(receptor, ligand, **kwargs)
+
+
+def receptor_cache(method: str, receptor: Molecule, **kwargs):
+    """The receptor-side cache the scorers of ``method`` can share.
+
+    Built by the scorer class itself from the same config ``kwargs``
+    :func:`make_scorer` takes -- exactly what each scorer would build
+    privately -- so passing it back as ``cells=`` for every ligand
+    scored against ``receptor`` changes no float.  None for a method
+    that keeps no receptor-side structure.
+    """
+    validate_scoring_kwargs(method, kwargs)
+    build = getattr(SCORER_REGISTRY[method].factory, "receptor_cache", None)
+    return None if build is None else build(receptor, **kwargs)

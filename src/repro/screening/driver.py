@@ -14,14 +14,13 @@ into the run directory as they land:
   ``screening/ligands_per_min`` gauge.
 
 Receptor-side scorer state is built once per worker and shared across
-every ligand that worker screens: the receptor
-:class:`~repro.scoring.neighborlist.CellList` feeds all cutoff /
-incremental scorers through their ``cells=`` parameter, so a
-3k-atom-receptor screen bins the receptor ``workers`` times, not
-``n_ligands`` times.  "grid" shares one
-:class:`~repro.scoring.grid.PotentialGrid` and "field" one
-:class:`~repro.scoring.field.FieldMaps` bundle the same way (field
-maps additionally grow lazily across ligands with new atom types).
+every ligand that worker screens: each scoring method names its own
+shared structure (:func:`repro.scoring.scorers.receptor_cache` -- a
+:class:`~repro.scoring.neighborlist.CellList` for cutoff / incremental,
+a :class:`~repro.scoring.field.FieldMaps` bundle for field, which
+additionally grows lazily across ligands with new atom types) and takes
+it back through its ``cells=`` parameter, so a 3k-atom-receptor screen
+bins the receptor ``workers`` times, not ``n_ligands`` times.
 
 Resumability: with a :class:`~repro.runtime.loop.RuntimeContext`
 attached, every completed shard is memoized in ``results.json`` under a
@@ -51,14 +50,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.chem.builders import BuiltComplex
-from repro.constants import DEFAULT_CUTOFF
 from repro.metadock.library import LibraryEntry
 from repro.metadock.screening import ScreeningHit, _engine_for, screen_ligand
 from repro.metadock.strategies import STRATEGY_PRESETS
 from repro.runtime.loop import RunInterrupted, RuntimeContext
 from repro.screening.plan import ShardPlan, plan_shards, ranking_key
 from repro.screening.policy import PolicyBundle, greedy_rollout, load_policy
-from repro.scoring.neighborlist import CellList
+from repro.scoring.scorers import receptor_cache, validate_scoring_kwargs
 from repro.telemetry.sinks import JsonlEventSink
 from repro.utils.serialization import atomic_write
 from repro.utils.tables import render_table
@@ -118,8 +116,6 @@ class ScreeningConfig:
                 "strategy 'policy' requires policy_path "
                 "(a trained checkpoint; see docs/SCREENING.md)"
             )
-        from repro.scoring.scorers import validate_scoring_kwargs
-
         validate_scoring_kwargs(self.scoring_method, self.scoring_kwargs)
 
     def fingerprint(self, n_ligands: int) -> str:
@@ -212,67 +208,19 @@ def _init_worker(
     }
 
 
-def _receptor_cells(config: ScreeningConfig, receptor):
-    """The shared receptor-side cache for cell/grid scoring methods.
-
-    A :class:`CellList` for "cutoff"/"incremental" (bin sizes match
-    what each scorer would build for itself, so sharing changes nothing
-    about pair membership or ordering), a prebuilt
-    :class:`~repro.scoring.grid.PotentialGrid` for "grid" (the grid
-    depends only on the receptor, so one build serves every ligand the
-    worker screens), or a :class:`~repro.scoring.field.FieldMaps` bundle
-    for "field" (maps grow lazily per distinct ligand atom type; library
-    ligands share the element palette, so most builds are no-ops after
-    the first ligand) -- results stay bit-identical to per-ligand
-    construction either way.
-    """
-    kwargs = config.scoring_kwargs or {}
-    if config.scoring_method == "cutoff":
-        cutoff = float(kwargs.get("cutoff", DEFAULT_CUTOFF))
-        size = kwargs.get("cell_size") or cutoff / 2.0
-    elif config.scoring_method == "incremental":
-        from repro.scoring.incremental import DEFAULT_SKIN
-
-        cutoff = float(kwargs.get("cutoff", DEFAULT_CUTOFF))
-        skin = float(kwargs.get("skin", DEFAULT_SKIN))
-        size = kwargs.get("cell_size") or (cutoff + skin) / 2.0
-    elif config.scoring_method == "grid":
-        from repro.scoring.grid import PotentialGrid
-
-        return PotentialGrid(
-            receptor,
-            spacing=float(kwargs.get("spacing", 1.0)),
-            padding=float(kwargs.get("padding", 6.0)),
-        )
-    elif config.scoring_method == "field":
-        from repro.scoring.field import (
-            DEFAULT_CLASH_RADIUS,
-            DEFAULT_DTYPE,
-            DEFAULT_PADDING,
-            DEFAULT_SPACING,
-            FieldMaps,
-        )
-
-        return FieldMaps(
-            receptor,
-            spacing=float(kwargs.get("spacing", DEFAULT_SPACING)),
-            padding=float(kwargs.get("padding", DEFAULT_PADDING)),
-            clash_radius=float(
-                kwargs.get("clash_radius", DEFAULT_CLASH_RADIUS)
-            ),
-            dtype=str(kwargs.get("dtype", DEFAULT_DTYPE)),
-        )
-    else:
-        return None
-    return CellList(receptor.coords, cell_size=float(size))
-
-
 def _worker_scoring_kwargs(worker: dict) -> dict:
-    """Per-engine scoring kwargs with the worker's shared cell list."""
+    """Per-engine scoring kwargs with the worker's shared receptor cache.
+
+    Each scorer builds the cache exactly as it would for itself, so
+    sharing it leaves every result bit-identical to per-ligand
+    construction.
+    """
     config: ScreeningConfig = worker["config"]
     if not worker["cells_built"]:
-        worker["cells"] = _receptor_cells(
-            config, worker["built"].receptor
+        worker["cells"] = receptor_cache(
+            config.scoring_method,
+            worker["built"].receptor,
+            **config.scoring_kwargs,
         )
         worker["cells_built"] = True
     kwargs = dict(config.scoring_kwargs)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.chem.builders import BuiltComplex, build_complex
 from repro.config import ComplexConfig, ci_scale_config
-from repro.env.docking_env import DockingEnv, make_env
+from repro.env.docking_env import DockingEnv
 from repro.metadock.engine import MetadockEngine
 
 

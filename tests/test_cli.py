@@ -14,6 +14,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["teleport"])
 
+    def test_removed_grid_scoring_method_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["figure4", "--scoring-method", "grid"]
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'grid'" in capsys.readouterr().err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])

@@ -165,3 +165,16 @@ class TestConfigFromDict:
         data["from_the_future"] = True
         data["complex"]["also_new"] = 9
         assert config_from_dict(data) == ci_scale_config(episodes=5, seed=1)
+
+    def test_removed_grid_scoring_method_names_its_replacement(self):
+        # A manifest / checkpoint meta written before PR 18 may still
+        # name the retired grid scorer; loading it must say what to use.
+        import dataclasses
+
+        from repro.config import config_from_dict
+
+        data = dataclasses.asdict(ci_scale_config(episodes=5, seed=1))
+        data["scoring_method"] = "grid"
+        data["scoring_kwargs"] = {"spacing": 1.5}
+        with pytest.raises(ValueError, match='"grid" was removed.*"field"'):
+            config_from_dict(data)

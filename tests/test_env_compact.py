@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.config import DQNDockingConfig, ci_scale_config
-from repro.env.docking_env import DockingEnv, make_env
+from repro.env.docking_env import DockingEnv
+from repro.env.factory import make_env
 from repro.env.factory import make_vector_env
 from repro.env.flexible_env import FlexibleDockingEnv
 from repro.experiments.figure4 import (

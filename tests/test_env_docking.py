@@ -6,7 +6,8 @@ import pytest
 from repro.chem.builders import POCKET_AXIS
 from repro.config import ci_scale_config
 from repro.env.comm import FileComm, RamComm
-from repro.env.docking_env import DockingEnv, make_env
+from repro.env.docking_env import DockingEnv
+from repro.env.factory import make_env
 from repro.env.flexible_env import FlexibleDockingEnv
 from repro.env.spaces import Box, Discrete
 from repro.metadock.engine import MetadockEngine
@@ -90,7 +91,6 @@ class TestProtocol:
         # derived once; a step costs O(ligand atoms), never a Python
         # per-atom element-table walk.
         from repro.chem import elements
-        from repro.env.factory import make_env as make_cfg_env
 
         cfg = ci_scale_config(
             observation_mode=mode,
@@ -99,7 +99,7 @@ class TestProtocol:
                 {"spacing": 1.0, "padding": 6.0} if method == "field" else {}
             ),
         )
-        e = make_cfg_env(cfg, small_complex)
+        e = make_env(cfg, small_complex)
         e.reset()
         calls = []
         real = elements.element

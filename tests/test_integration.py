@@ -5,7 +5,7 @@ import pytest
 
 from repro import ci_scale_config, quick_training_run
 from repro.chem.builders import build_complex
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.env.wrappers import EpisodeRecorder, StateNormalizer, TimeLimit
 from repro.experiments.figure4 import build_agent
 from repro.metadock.metaheuristic import MetaheuristicSchema

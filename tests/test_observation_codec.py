@@ -281,17 +281,6 @@ class TestFactory:
         flex = make_env(cfg, small_complex, kind="flexible")
         assert flex.observation_mode == "descriptor"
 
-    def test_legacy_shims_warn_and_delegate(self, small_complex):
-        from repro.env import docking_env, flexible_env
-
-        cfg = ci_scale_config(4)
-        with pytest.warns(DeprecationWarning):
-            env = docking_env.make_env(cfg, small_complex)
-        assert isinstance(env, DockingEnv)
-        with pytest.warns(DeprecationWarning):
-            flex = flexible_env.make_flexible_env(cfg, small_complex)
-        assert isinstance(flex, FlexibleDockingEnv)
-
     def test_sync_vector_env_exposes_spec(self, small_complex):
         cfg = ci_scale_config(4, observation_mode="descriptor")
         venv = make_vector_env(

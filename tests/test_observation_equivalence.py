@@ -15,13 +15,11 @@ Three load-bearing guarantees of PR 7:
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.config import ci_scale_config
-from repro.env import docking_env
 from repro.env.factory import make_env, make_vector_env
 from repro.experiments.figure4 import build_agent, build_agent_for_env
 from repro.nn.checkpoints import CheckpointMismatchError
@@ -126,11 +124,8 @@ class TestRawEquivalence:
         cfg = ci_scale_config(episodes=4, seed=11, max_steps=12)
         assert cfg.observation_mode == "raw"
 
-        # Legacy entry point (pre-PR-7 call sites).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_env = docking_env.make_env(cfg)
-        hist_a, agent_a = _train(cfg, legacy_env)
+        # Default config (pre-PR-7 call sites never named a mode).
+        hist_a, agent_a = _train(cfg, make_env(cfg))
 
         # New factory, explicit raw codec.
         hist_b, agent_b = _train(

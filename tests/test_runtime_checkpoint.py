@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.config import ci_scale_config
-from repro.env.docking_env import make_env
+from repro.env.factory import make_env
 from repro.env.factory import make_vector_env
 from repro.experiments.figure4 import build_agent, build_agent_for_env
 from repro.nn.checkpoints import CheckpointMismatchError

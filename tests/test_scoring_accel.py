@@ -1,12 +1,14 @@
-"""Accelerators: cell-list neighbor search and potential grids."""
+"""Accelerators: cell-list neighbor search."""
 
 import numpy as np
 import pytest
 
-from repro.chem.molecule import Molecule
-from repro.scoring.composite import interaction_score
-from repro.scoring.grid import PotentialGrid
-from repro.scoring.neighborlist import CellList, cutoff_pairs
+from repro.scoring.neighborlist import CellList, query_pairs
+
+
+def _within(cl, center, radius):
+    """Stored indices within ``radius`` of one ``center``."""
+    return query_pairs(cl, np.asarray(center, dtype=float), radius)[0]
 
 
 class TestCellList:
@@ -16,7 +18,7 @@ class TestCellList:
         for _ in range(10):
             center = rng.normal(size=3) * 8.0
             r = float(rng.uniform(1.0, 4.0))
-            got = set(cl.query(center, r))
+            got = set(_within(cl, center, r))
             want = set(
                 np.nonzero(np.linalg.norm(pts - center, axis=1) <= r)[0]
             )
@@ -26,24 +28,14 @@ class TestCellList:
         pts = rng.normal(size=(100, 3)) * 10.0
         cl = CellList(pts, cell_size=3.0)
         center = np.zeros(3)
-        got = set(cl.query(center, 12.0))
+        got = set(_within(cl, center, 12.0))
         want = set(np.nonzero(np.linalg.norm(pts, axis=1) <= 12.0)[0])
         assert got == want
 
     def test_empty_region(self, rng):
         pts = rng.normal(size=(50, 3))
         cl = CellList(pts, cell_size=2.0)
-        assert cl.query([100.0, 100.0, 100.0], 1.0).size == 0
-
-    def test_query_many_union(self, rng):
-        pts = rng.normal(size=(80, 3)) * 5
-        cl = CellList(pts, cell_size=3.0)
-        centers = rng.normal(size=(3, 3)) * 5
-        union = set(cl.query_many(centers, 2.5))
-        manual = set()
-        for c in centers:
-            manual |= set(cl.query(c, 2.5))
-        assert union == manual
+        assert _within(cl, [100.0, 100.0, 100.0], 1.0).size == 0
 
     def test_len(self, rng):
         assert len(CellList(rng.normal(size=(7, 3)))) == 7
@@ -53,83 +45,3 @@ class TestCellList:
             CellList(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             CellList(np.zeros((3, 3)), cell_size=0.0)
-
-    def test_cutoff_pairs(self, rng):
-        pts = rng.normal(size=(60, 3)) * 6
-        probes = rng.normal(size=(5, 3)) * 6
-        cl = CellList(pts, cell_size=3.0)
-        si, pi = cutoff_pairs(cl, probes, 3.0)
-        assert si.shape == pi.shape
-        d = np.linalg.norm(pts[si] - probes[pi], axis=1)
-        assert (d <= 3.0).all()
-        # Completeness: count matches brute force.
-        brute = (
-            np.linalg.norm(
-                pts[:, None, :] - probes[None, :, :], axis=-1
-            )
-            <= 3.0
-        ).sum()
-        assert si.size == brute
-
-    def test_cutoff_pairs_empty(self, rng):
-        cl = CellList(rng.normal(size=(10, 3)))
-        si, pi = cutoff_pairs(cl, np.full((2, 3), 99.0), 1.0)
-        assert si.size == 0 and pi.size == 0
-
-
-class TestPotentialGrid:
-    def test_approximates_exact_score(self, small_complex):
-        grid = PotentialGrid(small_complex.receptor, spacing=0.75)
-        lig = small_complex.ligand_crystal
-        exact = interaction_score(small_complex.receptor, lig)
-        approx = grid.score(lig)
-        # Grid drops the H-bond term and uses geometric-sigma LJ: expect
-        # agreement within ~25% at a well-separated pose.
-        assert approx == pytest.approx(exact, rel=0.35)
-
-    def test_finer_grid_converges_on_coulomb_only_system(self, rng):
-        # On a charges-only receptor (epsilon = 0, no donors/acceptors)
-        # the grid model is exact up to interpolation, so refinement must
-        # converge to the true score.
-        rec = Molecule.from_symbols(
-            ["C"] * 30, rng.normal(size=(30, 3)) * 5.0
-        )
-        rec.epsilon = np.zeros(30)
-        rec.charges = rng.normal(size=30)
-        rec.hbond_donor = np.zeros(30, dtype=bool)
-        rec.hbond_acceptor = np.zeros(30, dtype=bool)
-        lig = Molecule.from_symbols(["C"], [[9.0, 0.0, 0.0]])
-        lig.epsilon = np.zeros(1)
-        lig.charges = np.array([0.7])
-        lig.hbond_donor = np.zeros(1, dtype=bool)
-        lig.hbond_acceptor = np.zeros(1, dtype=bool)
-        exact = interaction_score(rec, lig)
-        coarse = PotentialGrid(rec, spacing=2.5).score(lig)
-        fine = PotentialGrid(rec, spacing=0.5).score(lig)
-        assert abs(fine - exact) < abs(coarse - exact)
-        assert fine == pytest.approx(exact, rel=0.05)
-
-    def test_coords_override(self, small_complex):
-        grid = PotentialGrid(small_complex.receptor, spacing=1.5)
-        lig = small_complex.ligand_crystal
-        s1 = grid.score(lig)
-        s2 = grid.score(lig, coords=lig.coords + [0.5, 0, 0])
-        assert s1 != pytest.approx(s2)
-
-    def test_invalid_spacing(self, small_complex):
-        with pytest.raises(ValueError):
-            PotentialGrid(small_complex.receptor, spacing=0.0)
-
-    def test_nbytes_positive(self, small_complex):
-        grid = PotentialGrid(small_complex.receptor, spacing=2.0)
-        assert grid.nbytes() > 0
-
-    def test_electrostatic_sign(self):
-        # Single positive charge: potential positive everywhere nearby.
-        rec = Molecule.from_symbols(["N"], [[0.0, 0.0, 0.0]])
-        rec.charges = np.array([1.0])
-        grid = PotentialGrid(rec, spacing=0.5, padding=3.0)
-        probe = Molecule.from_symbols(["N"], [[2.0, 0.0, 0.0]])
-        probe.charges = np.array([1.0])
-        # like charges repel -> energy positive -> score negative
-        assert grid.score(probe) < 0

@@ -1,27 +1,34 @@
-"""Bitwise batch-vs-singles pins for every registered pose scorer.
+"""The pose-scorer contract, asserted once per ``SCORER_REGISTRY`` entry.
 
-The pose-major ``score_batch`` paths promise entries *bitwise equal* to
-sequential single-pose ``score`` calls — not merely close.  These pins
-exercise each scorer across the regimes that take different code paths:
+Every registered scorer promises:
 
-- *calm* poses near the crystal pose (pure interpolation / cached-list
-  fast paths);
-- *clash* poses with a ligand atom placed exactly on a receptor atom
-  (``MIN_DISTANCE`` clamps, field near-field pair corrections);
-- *out-of-box* poses far outside any grid/field box (exact-column
-  fallbacks, grid boundary clamps);
-- a *mixed* batch concatenating all three;
-- for the field scorer, *shell* poses (every atom between the fine and
-  the outer box) and *straddling* poses (fine, shell and beyond-outer
-  atoms in one pose).
+- ``score_batch(cb)[i]`` *bitwise equal* to ``score(cb[i])`` -- not
+  merely close -- for empty, single-pose and many-pose batches across
+  the regimes that take different code paths: *calm* poses near the
+  crystal pose (pure interpolation / cached-list fast paths), *clash*
+  poses with a ligand atom placed exactly on a receptor atom
+  (``MIN_DISTANCE`` clamps, field near-field pair corrections),
+  *out-of-box* poses far outside any field box or cutoff (exact-column
+  fallbacks, zero-pair lists) and a *mixed* batch of all three;
+- warm == cold == shared-``receptor_cache`` bitwise: the score is a
+  pure function of the pose, whatever the scorer scored before and
+  whoever built its receptor-side cache;
+- one ``ValueError`` for a wrong-size pose (``as_pose``) or batch
+  (``as_pose_batch``), before any lazy structure is built;
+- ``nan`` for a non-finite pose, never a rankable number.
 
-Also pinned: empty-batch fast paths (no lazy structure built), batch
-shape validation, eager ``GridScorer`` dtype validation, per-pose
-``near_fraction`` / histogram telemetry in field batch mode, and the
-cross-ligand ``score_field_group`` / ``score_pose_group`` front doors.
+For the field scorer additionally: *shell* poses (every atom between
+the fine and the outer box) and *straddling* poses (fine, shell and
+beyond-outer atoms in one pose), per-pose ``near_fraction`` / histogram
+telemetry in batch mode, and the cross-ligand ``score_field_group`` /
+``score_pose_group`` front doors.  For the incremental scorer: the
+batch loop's rebuild decisions and gauge updates equal sequential
+calls'.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -34,33 +41,54 @@ from repro.scoring.field import (
     FieldScorer,
     score_field_group,
 )
+from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.scorers import (
+    SCORER_REGISTRY,
     ExactScorer,
-    GridScorer,
-    SCORING_METHODS,
     make_scorer,
+    receptor_cache,
     score_pose_group,
 )
 from repro.telemetry.metrics import MetricsRegistry
 
+METHODS = list(SCORER_REGISTRY)
+
+#: A non-default config per method that has one, so the shared-cache pin
+#: also covers ``receptor_cache`` reading the same kwargs the scorer does.
+TUNED_KWARGS = {
+    "cutoff": {"cutoff": 9.0, "shifted": False},
+    "incremental": {"cutoff": 9.0, "skin": 2.0, "cell_size": 4.0},
+    "field": {"spacing": 1.5, "padding": 8.0, "clash_radius": 2.5},
+}
+
 
 def _pose_batches(built, rng):
-    """(calm, clash, oob, mixed) pose batches around the crystal pose."""
+    """(calm, clash, oob, mixed) 7-pose batches around the crystal pose."""
     base = built.ligand_crystal.coords
-    calm = base[None] + rng.normal(scale=0.3, size=(6,) + base.shape)
-    clash = np.repeat(base[None], 3, axis=0)
-    for j in range(3):
+    calm = base[None] + rng.normal(scale=0.3, size=(7,) + base.shape)
+    clash = np.repeat(base[None], 7, axis=0)
+    for j in range(7):
         # Ligand atom 0 exactly on a receptor atom: r == 0 before the
         # MIN_DISTANCE clamp, and inside the field clash radius.
         clash[j, 0] = built.receptor.coords[j * 7]
     oob = base[None] + np.array(
-        [[200.0, 0.0, 0.0], [0.0, -250.0, 0.0], [0.0, 0.0, 300.0]]
-    ).reshape(3, 1, 3)
-    mixed = np.concatenate([calm, clash, oob], axis=0)
+        [
+            [200.0, 0.0, 0.0],
+            [0.0, -250.0, 0.0],
+            [0.0, 0.0, 300.0],
+            [-200.0, 0.0, 0.0],
+            [0.0, 250.0, 0.0],
+            [0.0, 0.0, -300.0],
+            [150.0, 150.0, 150.0],
+        ]
+    ).reshape(7, 1, 3)
+    mixed = np.stack(
+        [calm[0], clash[0], oob[0], calm[1], calm[2], clash[1], oob[1]]
+    )
     return calm, clash, oob, mixed
 
 
-@pytest.mark.parametrize("method", SCORING_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_batch_bitwise_matches_singles(small_complex, rng, method):
     rec = small_complex.receptor
     lig = small_complex.ligand_crystal
@@ -68,28 +96,62 @@ def test_batch_bitwise_matches_singles(small_complex, rng, method):
     batch_scorer = make_scorer(method, rec, lig)
     single_scorer = make_scorer(method, rec, lig)
     for cb in batches:
-        got = batch_scorer.score_batch(cb)
-        ref = np.array([single_scorer.score(p) for p in cb])
-        assert np.array_equal(got, ref), method
+        for k in (0, 1, 7):
+            got = batch_scorer.score_batch(cb[:k])
+            ref = np.array([single_scorer.score(p) for p in cb[:k]])
+            assert got.shape == (k,)
+            assert np.array_equal(got, ref), (method, k)
     # Re-scoring the mixed batch on the now-warm scorer (Verlet cache,
-    # built grid/maps) must reproduce the same floats.
+    # built maps) must reproduce the same floats.
     mixed = batches[-1]
     first = batch_scorer.score_batch(mixed)
     assert np.array_equal(batch_scorer.score_batch(mixed), first)
 
 
-@pytest.mark.parametrize("method", SCORING_METHODS)
+@pytest.mark.parametrize(
+    "method, kw",
+    [pytest.param(m, {}, id=f"{m}-default") for m in METHODS]
+    + [pytest.param(m, kw, id=f"{m}-tuned") for m, kw in TUNED_KWARGS.items()],
+)
+def test_warm_cold_shared_cache_bitwise(small_complex, rng, method, kw):
+    """A fresh scorer per pose, one long-lived scorer, and scorers fed
+    the registry-built ``receptor_cache`` agree to the last bit."""
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    *_, mixed = _pose_batches(small_complex, rng)
+    poses = mixed[:3]  # one calm, one clash, one out-of-box
+    cold = np.array(
+        [make_scorer(method, rec, lig, **kw).score(p) for p in poses]
+    )
+    warm_scorer = make_scorer(method, rec, lig, **kw)
+    warm_scorer.score_batch(mixed[::-1])
+    warm = np.array([warm_scorer.score(p) for p in poses])
+    assert np.array_equal(warm, cold)
+
+    cache = receptor_cache(method, rec, **kw)
+    has_cache = "cells" in SCORER_REGISTRY[method].kwargs
+    assert (cache is not None) == has_cache
+    if has_cache:
+        # One cache serves every scorer built against this receptor.
+        shared = [
+            make_scorer(method, rec, lig, cells=cache, **kw).score(p)
+            for p in poses
+        ]
+        assert np.array_equal(np.array(shared), cold)
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_empty_batch_short_circuits(small_complex, method):
     lig = small_complex.ligand_crystal
     scorer = make_scorer(method, small_complex.receptor, lig)
     out = scorer.score_batch(np.empty((0, lig.n_atoms, 3)))
     assert out.shape == (0,)
-    if method == "grid":
-        # k == 0 must return before triggering the lazy grid build.
-        assert scorer._grid is None
+    if method == "field":
+        # k == 0 must return before triggering the lazy map build.
+        assert scorer._maps.build_count == 0
 
 
-@pytest.mark.parametrize("method", SCORING_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_batch_shape_validated(small_complex, method):
     lig = small_complex.ligand_crystal
     scorer = make_scorer(method, small_complex.receptor, lig)
@@ -99,13 +161,93 @@ def test_batch_shape_validated(small_complex, method):
         scorer.score_batch(np.zeros((lig.n_atoms, 3)))
 
 
-def test_grid_dtype_validated_eagerly(small_complex):
-    with pytest.raises(ValueError, match="dtype"):
-        GridScorer(
-            small_complex.receptor,
-            small_complex.ligand_crystal,
-            dtype="float16",
-        )
+@pytest.mark.parametrize("method", METHODS)
+def test_pose_shape_validated(small_complex, method):
+    """Every scorer's ``score`` goes through ``as_pose``: a pose one
+    atom short is an error, not a number."""
+    lig = small_complex.ligand_crystal
+    m = lig.n_atoms
+    scorer = make_scorer(method, small_complex.receptor, lig)
+    for bad in (lig.coords[:-1], lig.coords[None], np.zeros((m, 2))):
+        with pytest.raises(ValueError, match=rf"coords must have shape \({m}, 3\)"):
+            scorer.score(bad)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_pose_scores_nan(small_complex, rng, method, bad_value):
+    """A non-finite pose scores ``nan`` -- never 0.0, which would
+    outrank every clash -- without a warning, alone or inside a batch
+    whose other entries are untouched."""
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    calm, *_ = _pose_batches(small_complex, rng)
+    broken = calm[1].copy()
+    broken[2, 1] = bad_value
+    cb = np.stack([calm[0], broken, calm[2]])
+    scorer = make_scorer(method, rec, lig)
+    reference = make_scorer(method, rec, lig)
+    with warnings.catch_warnings():
+        if "cutoff" in SCORER_REGISTRY[method].kwargs:
+            # The oracle's own arithmetic may warn on inf; the rule is
+            # that a neighbour-list scorer never reaches its query.
+            warnings.simplefilter("error")
+        else:
+            warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.isnan(scorer.score(broken))
+        got = scorer.score_batch(cb)
+    assert np.isnan(got[1])
+    assert got[0] == reference.score(calm[0])
+    assert got[2] == reference.score(calm[2])
+
+
+def test_non_finite_pose_leaves_verlet_list_alone(small_complex, rng):
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    scorer = IncrementalScorer(rec, lig)
+    scorer.score(lig.coords)
+    broken = lig.coords.copy()
+    broken[0, 0] = np.nan
+    assert np.isnan(scorer.score(broken))
+    assert np.isnan(scorer.score_batch(broken[None])[0])
+    assert scorer.rebuild_count == 1
+    # A cold scorer does not build a list for it either.
+    cold = IncrementalScorer(rec, lig)
+    assert np.isnan(cold.score(broken))
+    assert cold.rebuild_count == 0
+
+
+class _RecordingMetrics:
+    """Stands in for a MetricsRegistry: keeps every update in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def inc(self, name, amount=1.0):
+        self.calls.append(("inc", name, amount))
+
+    def set(self, name, value):
+        self.calls.append(("set", name, value))
+
+
+def test_incremental_batch_telemetry_matches_sequential(small_complex, rng):
+    """The batch loop rebuilds exactly when sequential ``score`` calls
+    would and publishes the same gauge updates in the same order."""
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    calm, clash, oob, mixed = _pose_batches(small_complex, rng)
+    # Near poses share a list, jumps force rebuilds, far poses list
+    # nothing: every branch of the rebuild test in one batch.
+    cb = np.concatenate([calm, mixed, oob[:2], calm[:2]])
+    batch, single = (IncrementalScorer(rec, lig) for _ in range(2))
+    batch.metrics, single.metrics = _RecordingMetrics(), _RecordingMetrics()
+    got = batch.score_batch(cb)
+    ref = np.array([single.score(p) for p in cb])
+    assert np.array_equal(got, ref)
+    assert 1 < batch.rebuild_count < len(cb)
+    assert batch.rebuild_count == single.rebuild_count
+    assert batch.active_pairs == single.active_pairs
+    assert batch.metrics.calls == single.metrics.calls
 
 
 def test_field_batch_near_fraction_and_histogram(small_complex, rng):

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from repro.config import ci_scale_config
-from repro.env.docking_env import DockingEnv, make_env
-from repro.env.flexible_env import make_flexible_env
+from repro.env.docking_env import DockingEnv
+from repro.env.factory import make_env
 from repro.metadock.engine import MetadockEngine
 from repro.scoring.incremental import (
     ACTIVE_PAIRS_METRIC,
@@ -36,7 +36,6 @@ from repro.scoring.scorers import (
     SCORING_METHODS,
     CutoffScorer,
     ExactScorer,
-    GridScorer,
     make_scorer,
 )
 
@@ -310,11 +309,10 @@ class TestPlumbing:
         assert "incremental" in SCORING_METHODS
 
     def test_config_validates_against_factory_methods(self):
-        # The config keeps a literal copy of SCORING_METHODS (import
-        # cycle); this pins the two sets together.
+        # The config validates against the scorer registry.
         for method in SCORING_METHODS:
             ci_scale_config(episodes=1, scoring_method=method)
-        with pytest.raises(ValueError, match="scoring_method"):
+        with pytest.raises(ValueError, match="unknown scoring method"):
             ci_scale_config(episodes=1, scoring_method="verlet")
 
     def test_make_env_wires_scorer(self, small_complex):
@@ -330,7 +328,7 @@ class TestPlumbing:
 
     def test_make_flexible_env_wires_scorer(self, small_complex):
         cfg = ci_scale_config(episodes=1, scoring_method="incremental")
-        env = make_flexible_env(cfg, small_complex)
+        env = make_env(cfg, small_complex, kind="flexible")
         assert isinstance(env.engine.scorer, IncrementalScorer)
 
     def test_config_roundtrips_through_manifest_dict(self):
@@ -438,18 +436,11 @@ class TestSatelliteEquality:
         singles = np.array([scorer.score(c) for c in batch])
         assert np.array_equal(scorer.score_batch(batch), singles)
 
-    def test_grid_batch_bitwise(self, pair, rng):
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template)
-        batch = coords[None] + rng.normal(scale=1.0, size=(5, 1, 3))
-        singles = np.array([scorer.score(c) for c in batch])
-        assert np.array_equal(scorer.score_batch(batch), singles)
-
     def test_batch_shape_validation(self, pair):
         rec, template, coords = pair
         for scorer in (
             CutoffScorer(rec, template, cutoff=10.0),
-            GridScorer(rec, template),
+            IncrementalScorer(rec, template, cutoff=10.0),
         ):
             with pytest.raises(ValueError, match="coords_batch"):
                 scorer.score_batch(coords)

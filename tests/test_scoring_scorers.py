@@ -1,19 +1,15 @@
-"""Pluggable scorers: exact/cutoff/grid agreement and engine wiring."""
+"""Pluggable scorers: exact/cutoff agreement, registry and engine wiring."""
 
 import numpy as np
 import pytest
 
 from repro.metadock.engine import MetadockEngine
 from repro.scoring.composite import interaction_score
-from repro.scoring.grid import PotentialGrid
 from repro.scoring.scorers import (
-    GRID_BYTES_METRIC,
-    GRID_OOB_METRIC,
     SCORER_REGISTRY,
     SCORING_METHODS,
     CutoffScorer,
     ExactScorer,
-    GridScorer,
     make_scorer,
     validate_scoring_kwargs,
 )
@@ -93,168 +89,21 @@ class TestCutoffScorer:
         assert scorer.score(clash) < -1e6
 
 
-class TestGridScorer:
-    def test_rough_agreement(self, pair):
-        rec, template, coords = pair
-        exact = ExactScorer(rec, template).score(coords)
-        approx = GridScorer(rec, template, spacing=0.8).score(coords)
-        assert approx == pytest.approx(exact, rel=0.5)
-
-    def test_batch(self, pair):
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template, spacing=1.5)
-        out = scorer.score_batch(np.stack([coords, coords + 1.0]))
-        assert out.shape == (2,)
-
-    def test_lazy_build(self, pair):
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template, spacing=1.5)
-        assert scorer._grid is None
-        scorer.score(coords)
-        assert scorer._grid is not None
-
-    def test_shared_cells_bit_identical(self, pair):
-        rec, template, coords = pair
-        grid = PotentialGrid(rec, spacing=1.5, padding=6.0)
-        own = GridScorer(rec, template, spacing=1.5)
-        shared = GridScorer(rec, template, spacing=1.5, cells=grid)
-        assert shared.grid is grid
-        assert shared.score(coords) == own.score(coords)
-        np.testing.assert_array_equal(
-            shared.score_batch(coords[None]), own.score_batch(coords[None])
-        )
-
-    def test_cells_type_validated(self, pair):
-        rec, template, _ = pair
-        with pytest.raises(TypeError):
-            GridScorer(rec, template, cells=object())
-        with pytest.raises(ValueError):
-            GridScorer(rec, template, spacing=0.0)
-
-    def test_telemetry_parity_with_engine(self, small_complex):
-        # Engine property setters forward to any scorer exposing
-        # tracer/metrics hooks -- GridScorer now has both, like
-        # cutoff/incremental.
-        from repro.telemetry.metrics import MetricsRegistry
-        from repro.telemetry.spans import SpanTracer
-
-        eng = MetadockEngine(
-            small_complex,
-            scoring_method="grid",
-            scoring_kwargs={"spacing": 1.5},
-        )
-        reg, tr = MetricsRegistry(), SpanTracer()
-        eng.metrics = reg
-        eng.tracer = tr
-        assert eng.scorer.metrics is reg and eng.scorer.tracer is tr
-        eng.reset()
-        assert reg.get(GRID_BYTES_METRIC).value == float(
-            eng.scorer.grid.nbytes()
-        )
-        assert "grid-build" in str(tr.report())
-
-    def test_metrics_attached_after_build(self, pair):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template, spacing=1.5)
-        scorer.score(coords)
-        reg = MetricsRegistry()
-        scorer.metrics = reg
-        assert reg.get(GRID_BYTES_METRIC).value == float(
-            scorer.grid.nbytes()
-        )
-
-
-class TestGridSatellites:
-    """dtype option, out-of-box accounting, cached weight vectors."""
-
-    def test_float32_grid_halves_memory(self, pair):
-        rec, template, coords = pair
-        g64 = PotentialGrid(rec, spacing=1.5)
-        g32 = PotentialGrid(rec, spacing=1.5, dtype="float32")
-        assert g32.phi.dtype == np.float32
-        assert g32.nbytes() * 2 == g64.nbytes()
-        # Interpolation arithmetic stays float64; only storage rounds.
-        s64 = g64.score(template, coords)
-        s32 = g32.score(template, coords)
-        assert s32 == pytest.approx(s64, rel=1e-4)
-
-    def test_invalid_dtype(self, pair):
-        rec, template, _ = pair
-        with pytest.raises(ValueError, match="dtype"):
-            PotentialGrid(rec, spacing=1.5, dtype="float16")
-        with pytest.raises(ValueError, match="dtype"):
-            GridScorer(rec, template, dtype="half").grid
-
-    def test_scorer_dtype_threads_to_grid(self, pair):
-        rec, template, _ = pair
-        scorer = make_scorer(
-            "grid", rec, template, spacing=1.5, dtype="float32"
-        )
-        assert scorer.grid.phi.dtype == np.float32
-
-    def test_oob_points_counted(self, pair):
-        rec, template, coords = pair
-        grid = PotentialGrid(rec, spacing=1.5)
-        assert grid.count_out_of_box(coords) == 0
-        grid.score(template, coords)
-        assert grid.oob_points == 0
-        grid.score(template, coords + 500.0)  # every atom out of box
-        assert grid.oob_points == template.n_atoms
-        mixed = coords.copy()
-        mixed[0] += 500.0
-        grid.score(template, mixed)
-        assert grid.oob_points == template.n_atoms + 1
-
-    def test_oob_gauge_published(self, pair):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template, spacing=1.5)
-        scorer.metrics = MetricsRegistry()
-        scorer.score(coords + 500.0)
-        assert scorer.metrics.get(GRID_OOB_METRIC).value == float(
-            template.n_atoms
-        )
-
-    def test_cached_weights_bitwise(self, pair, rng):
-        # GridScorer precomputes (w12, w6) once; passing them must not
-        # change a single float vs recomputing per call.
-        rec, template, coords = pair
-        grid = PotentialGrid(rec, spacing=1.5)
-        scorer = GridScorer(rec, template, spacing=1.5)
-        w12, w6 = scorer._weights
-        np.testing.assert_array_equal(
-            w12, 4.0 * np.sqrt(template.epsilon) * template.sigma**6
-        )
-        np.testing.assert_array_equal(
-            w6, 4.0 * np.sqrt(template.epsilon) * template.sigma**3
-        )
-        for _ in range(3):
-            pose = coords + rng.normal(scale=1.0, size=coords.shape)
-            assert grid.score(template, pose) == grid.score(
-                template, pose, weights=(w12, w6)
-            )
-        batch = coords[None] + rng.normal(scale=1.0, size=(3, 1, 3))
-        np.testing.assert_array_equal(
-            grid.score_batch(template, batch),
-            grid.score_batch(template, batch, weights=(w12, w6)),
-        )
-
-
 class TestScorerRegistry:
     def test_methods_in_sync_with_config_literal(self):
-        # config.py validates scoring_method against a literal set to
-        # avoid an import cycle; this pins the two in sync.
-        assert SCORING_METHODS == (
-            "exact", "cutoff", "grid", "incremental", "field",
-        )
-        assert set(SCORER_REGISTRY) == set(SCORING_METHODS)
+        # Oracle + production + one neighbour-list family; config.py
+        # validates scoring_method against this same registry.
+        from repro.config import ci_scale_config
+
+        assert SCORING_METHODS == ("exact", "cutoff", "incremental", "field")
+        assert tuple(SCORER_REGISTRY) == SCORING_METHODS
+        for method in SCORING_METHODS:
+            assert ci_scale_config(4, scoring_method=method)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown scoring method"):
+        with pytest.raises(ValueError, match="unknown scoring method") as err:
             validate_scoring_kwargs("quantum", {})
+        assert "removed" not in str(err.value)
 
     def test_unknown_kwarg_lists_valid_names(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -281,7 +130,7 @@ class TestScorerRegistry:
             "incremental",
             {"cutoff": 12.0, "skin": 3, "shifted": True, "cell_size": None},
         )
-        validate_scoring_kwargs("grid", {"spacing": 0.8, "padding": 4.0})
+        validate_scoring_kwargs("field", {"spacing": 0.8, "padding": 4.0})
 
     def test_config_rejects_bad_kwargs_at_construction(self):
         from repro.config import ci_scale_config
@@ -308,9 +157,6 @@ class TestFactoryAndEngine:
         assert isinstance(
             make_scorer("cutoff", rec, template, cutoff=9.0), CutoffScorer
         )
-        assert isinstance(
-            make_scorer("grid", rec, template, spacing=2.0), GridScorer
-        )
         with pytest.raises(ValueError):
             make_scorer("quantum", rec, template)
 
@@ -324,15 +170,6 @@ class TestFactoryAndEngine:
         exact_eng.reset()
         cut_eng.reset()
         assert cut_eng.score() == pytest.approx(exact_eng.score(), rel=1e-9)
-
-    def test_engine_grid_mode_runs(self, small_complex):
-        eng = MetadockEngine(
-            small_complex,
-            scoring_method="grid",
-            scoring_kwargs={"spacing": 1.5},
-        )
-        obs = eng.reset()
-        assert np.isfinite(obs.score)
 
     def test_engine_scorer_used_for_batches(self, small_complex):
         eng = MetadockEngine(

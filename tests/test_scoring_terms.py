@@ -9,7 +9,6 @@ from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
 from repro.scoring.electrostatics import (
     coulomb_pair,
     electrostatic_energy,
-    electrostatic_energy_batch,
     electrostatic_energy_matrix,
 )
 from repro.scoring.hbond import (
@@ -24,7 +23,6 @@ from repro.scoring.hbond import (
 from repro.scoring.lennard_jones import (
     combine_lj,
     lennard_jones_energy,
-    lennard_jones_energy_batch,
     lennard_jones_energy_matrix,
     lj_minimum,
     lj_pair,
@@ -32,7 +30,6 @@ from repro.scoring.lennard_jones import (
 from repro.scoring.pairwise import (
     direction_vectors,
     pairwise_distances,
-    pairwise_distances_batch,
 )
 
 
@@ -47,19 +44,6 @@ class TestPairwiseDistances:
     def test_clamped_at_min_distance(self):
         d = pairwise_distances(np.zeros((1, 3)), np.zeros((1, 3)))
         assert d[0, 0] == pytest.approx(MIN_DISTANCE)
-
-    def test_batch_matches_loop(self, rng):
-        a = rng.normal(size=(6, 3))
-        batch = rng.normal(size=(4, 3, 3))
-        db = pairwise_distances_batch(a, batch)
-        for k in range(4):
-            np.testing.assert_allclose(
-                db[k], pairwise_distances(a, batch[k]), atol=1e-10
-            )
-
-    def test_batch_shape_validated(self):
-        with pytest.raises(ValueError):
-            pairwise_distances_batch(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestElectrostatics:
@@ -94,16 +78,6 @@ class TestElectrostatics:
         with pytest.raises(ValueError):
             electrostatic_energy(
                 np.ones(3), np.ones(2), np.ones((2, 2))
-            )
-
-    def test_batch_matches_loop(self, rng):
-        qa = rng.normal(size=5)
-        qb = rng.normal(size=3)
-        d = np.abs(rng.normal(size=(4, 5, 3))) + 1.0
-        batch = electrostatic_energy_batch(qa, qb, d)
-        for k in range(4):
-            assert batch[k] == pytest.approx(
-                electrostatic_energy(qa, qb, d[k])
             )
 
     def test_pair_helper_clamps(self):
@@ -141,16 +115,6 @@ class TestLennardJones:
         assert total == pytest.approx(
             lennard_jones_energy_matrix(sa, ea, sb, eb, d).sum()
         )
-
-    def test_batch_matches_loop(self, rng):
-        sa, ea = np.full(3, 3.4), np.full(3, 0.1)
-        sb, eb = np.full(2, 3.0), np.full(2, 0.2)
-        d = np.abs(rng.normal(size=(5, 3, 2))) + 3.0
-        batch = lennard_jones_energy_batch(sa, ea, sb, eb, d)
-        for k in range(5):
-            assert batch[k] == pytest.approx(
-                lennard_jones_energy(sa, ea, sb, eb, d[k])
-            )
 
 
 class TestHbond:

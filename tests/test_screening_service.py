@@ -518,6 +518,8 @@ def test_config_validation():
         ScreeningConfig(workers=0)
     with pytest.raises(ValueError):
         ScreeningConfig(shard_size=0)
+    with pytest.raises(ValueError, match='"grid" was removed.*"field"'):
+        ScreeningConfig(scoring_method="grid")
     a = ScreeningConfig(seed=1).fingerprint(10)
     b = ScreeningConfig(seed=2).fingerprint(10)
     assert a != b
