@@ -141,6 +141,7 @@ def test_bench_vectorized_collection(benchmark, bench_complex):
         finally:
             venv.close()
 
-    stats = benchmark.pedantic(run, rounds=2, iterations=1)
-    print(f"\nvectorized collection: {stats.steps_per_second:.1f} steps/s")
-    assert stats.total_steps == 200
+    history = benchmark.pedantic(run, rounds=2, iterations=1)
+    rate = history.total_steps / max(history.wall_seconds, 1e-9)
+    print(f"\nvectorized collection: {rate:.1f} steps/s")
+    assert history.total_steps == 200

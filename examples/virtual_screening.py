@@ -14,13 +14,13 @@ Run:
 from __future__ import annotations
 
 import argparse
+import time
 
 from repro.chem.builders import build_complex
 from repro.config import ComplexConfig
 from repro.metadock.library import generate_library
 from repro.metadock.screening import screen_library
 from repro.utils.tables import render_table
-from repro.utils.timers import WallClock
 
 
 def main() -> None:
@@ -49,7 +49,7 @@ def main() -> None:
     print(f"Generating {args.ligands}-compound library ...")
     library = generate_library(cfg, args.ligands, seed=42)
 
-    clock = WallClock()
+    t0 = time.perf_counter()
     print(
         f"Screening with strategy={args.strategy!r}, "
         f"budget={args.budget} evaluations/compound ..."
@@ -57,7 +57,7 @@ def main() -> None:
     hits = screen_library(
         built, library, strategy=args.strategy, budget=args.budget, seed=7
     )
-    elapsed = clock.elapsed()
+    elapsed = time.perf_counter() - t0
 
     rows = [
         (rank + 1, h.compound_id, h.n_atoms, f"{h.best_score:.2f}", h.evaluations)

@@ -5,7 +5,7 @@ Reinforcement Learning: An Early Approach* (ICPP 2018 Companion).
 
 The package is organized bottom-up:
 
-- :mod:`repro.utils` -- RNG plumbing, timers, ASCII plotting, tables.
+- :mod:`repro.utils` -- RNG plumbing, ASCII plotting, tables.
 - :mod:`repro.chem` -- molecules, force-field parameters, transforms, I/O,
   synthetic complex builders (the 2BSM stand-in).
 - :mod:`repro.scoring` -- the METADOCK scoring function (paper Eq. 1):

@@ -34,7 +34,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.config import ci_scale_config
+from repro.config import ci_scale_config, recorded_observation_mode
 from repro.version import __version__
 
 
@@ -203,18 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--learning-rate", type=float, default=0.002)
     p.add_argument(
-        "--compact-states",
-        action="store_true",
-        help="store only the dynamic ligand tail in replay "
-        "(float32 hot loop; see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
         "--observation-mode",
         default="raw",
         choices=["raw", "compact", "descriptor"],
-        help="observation codec the env emits (descriptor = "
-        "pocket-relative ligand features, ~60x smaller Q input; "
-        "see docs/OBSERVATIONS.md)",
+        help="observation codec the env emits (compact = float32 "
+        "ligand tail, receptor block stored once, see "
+        "docs/PERFORMANCE.md; descriptor = pocket-relative ligand "
+        "features, ~60x smaller Q input, see docs/OBSERVATIONS.md)",
     )
     _add_trainer(p)
     _add_scoring_method(p)
@@ -385,7 +380,6 @@ def _cmd_figure4(args) -> int:
             max_steps=args.max_steps,
             learning_rate=args.learning_rate,
             variant=args.variant,
-            compact_states=args.compact_states,
             # getattr: manifests from before the flags existed resume fine.
             scoring_method=getattr(args, "scoring_method", "exact"),
             observation_mode=getattr(args, "observation_mode", "raw"),
@@ -658,6 +652,10 @@ def _cmd_resume(args) -> int:
         except CheckpointReadError as exc:
             print(f"warning: {exc}", file=sys.stderr)
     ns = argparse.Namespace(**cli_args)
+    if "observation_mode" in cli_args:
+        # Runs started with the removed --compact-states flag recorded
+        # it next to observation_mode="raw".
+        ns.observation_mode = recorded_observation_mode(cli_args)
     ns.log_dir = str(run_dir)
     ns._parent_run_id = manifest.get("run_id")
     ns._resume_step = resume_step

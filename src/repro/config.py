@@ -128,18 +128,14 @@ class DQNDockingConfig:
     #: Environment communication layer: "ram" or "file" (the paper used
     #: on-disk files; limitation #1 of Section 5).
     comm_mode: str = "ram"
-    #: Compact-state hot loop: the env emits only the dynamic ligand
-    #: tail (float32), the replay stores the constant receptor block
-    #: once, and the agent reconstructs full states on demand (see
-    #: docs/PERFORMANCE.md).  Off by default to keep the paper-shaped
-    #: float64 pipeline bit-for-bit unchanged; not available with the
-    #: "distributional" variant.
-    compact_states: bool = False
     #: Observation codec emitted by the environment: "raw" (the paper's
     #: flat 16,599-dim float64 state, bit-identical to pre-codec
-    #: behaviour), "compact" (dynamic ligand tail only -- implies
-    #: ``compact_states``), or "descriptor" (pocket-relative ligand
-    #: features, ~270 dims; see :mod:`repro.env.observation` and
+    #: behaviour), "compact" (the env emits only the dynamic ligand
+    #: tail in float32, the replay stores the constant receptor block
+    #: once and the agent reconstructs full states on demand -- see
+    #: docs/PERFORMANCE.md; not available with the "distributional"
+    #: variant), or "descriptor" (pocket-relative ligand features,
+    #: ~270 dims; see :mod:`repro.env.observation` and
     #: docs/OBSERVATIONS.md).
     observation_mode: str = "raw"
     #: Pose-scoring kernel: "exact" (full Eq. 1, the correctness
@@ -204,22 +200,14 @@ class DQNDockingConfig:
             raise ValueError(
                 f"unknown observation_mode {self.observation_mode!r}"
             )
-        # Normalize the legacy compact_states flag against the codec
-        # mode so downstream code can rely on the invariant
-        # ``compact_states == (observation_mode == "compact")``.
-        if self.compact_states and self.observation_mode == "descriptor":
+        if (
+            self.observation_mode == "compact"
+            and self.variant == "distributional"
+        ):
             raise ValueError(
-                "compact_states conflicts with observation_mode="
-                "'descriptor'; pick one observation codec"
-            )
-        if self.compact_states and self.observation_mode == "raw":
-            object.__setattr__(self, "observation_mode", "compact")
-        elif self.observation_mode == "compact" and not self.compact_states:
-            object.__setattr__(self, "compact_states", True)
-        if self.compact_states and self.variant == "distributional":
-            raise ValueError(
-                "compact_states is not supported with the distributional "
-                "variant (C51 keeps the dense float64 replay)"
+                "observation_mode='compact' is not supported with the "
+                "distributional variant (C51 keeps the dense float64 "
+                "replay)"
             )
         # Validate scoring_method / scoring_kwargs against the scorer
         # registry so an unknown method or a typo fails here rather
@@ -312,6 +300,19 @@ class DQNDockingConfig:
         ]
 
 
+def recorded_observation_mode(data: dict) -> str | None:
+    """The observation codec a recorded config dict names, if any.
+
+    The one place legacy input is upgraded: configs archived before
+    ``observation_mode`` was the only spelling carry a
+    ``compact_states`` boolean, which meant "compact".
+    """
+    mode = data.get("observation_mode")
+    if data.get("compact_states") and mode in (None, "raw"):
+        return "compact"
+    return mode
+
+
 def config_from_dict(data: dict) -> DQNDockingConfig:
     """Rebuild a :class:`DQNDockingConfig` from its dict form.
 
@@ -319,10 +320,13 @@ def config_from_dict(data: dict) -> DQNDockingConfig:
     the exact config of any archived run directory loads back with
     ``config_from_dict(json.load(open("manifest.json"))["config"])``.
     Unknown keys are ignored so manifests written by newer versions
-    still load.
+    still load; see :func:`recorded_observation_mode` for older ones.
     """
     names = {f.name for f in dataclasses.fields(DQNDockingConfig)}
     kwargs = {k: v for k, v in data.items() if k in names}
+    mode = recorded_observation_mode(data)
+    if mode is not None:
+        kwargs["observation_mode"] = mode
     if isinstance(kwargs.get("complex"), dict):
         cnames = {f.name for f in dataclasses.fields(ComplexConfig)}
         kwargs["complex"] = ComplexConfig(

@@ -39,9 +39,8 @@ class DockingEnv:
     ``observation_mode`` ("raw", "compact", or "descriptor"; see
     docs/OBSERVATIONS.md).  :attr:`observation_spec` describes the
     emission contract (dims, dtype, Q-input width) to every consumer.
-    The legacy ``compact_states`` flag maps onto ``"compact"`` mode:
-    the constant receptor prefix is available once via
-    :meth:`static_state` and the observation space shrinks to
+    In ``"compact"`` mode the constant receptor prefix is available
+    once via :meth:`static_state` and the observation space shrinks to
     ``engine.dynamic_dim()``.  :meth:`full_state` still produces the
     paper-shaped vector for checkpoints and external tools in every
     mode.  Emitted arrays stay valid for one subsequent step (codecs
@@ -59,8 +58,7 @@ class DockingEnv:
         randomize_reset: bool = False,
         reset_rng=None,
         tracer=None,
-        compact_states: bool = False,
-        observation_mode: str | None = None,
+        observation_mode: str = "raw",
     ):
         if escape_factor <= 1.0:
             raise ValueError("escape_factor must exceed 1.0")
@@ -79,19 +77,10 @@ class DockingEnv:
         self.randomize_reset = bool(randomize_reset)
         self._reset_rng = reset_rng
 
-        if observation_mode is None:
-            observation_mode = "compact" if compact_states else "raw"
-        elif compact_states and observation_mode != "compact":
-            raise ValueError(
-                "compact_states=True conflicts with observation_mode="
-                f"{observation_mode!r}"
-            )
         self._codec = make_codec(observation_mode, engine)
         #: The emission contract of this env's codec.
         self.observation_spec: ObservationSpec = self._codec.spec
         self.observation_mode = observation_mode
-        #: Legacy alias kept for pre-codec consumers.
-        self.compact_states = observation_mode == "compact"
 
         self.action_space = Discrete(engine.n_actions)
         self.observation_space = Box(

@@ -85,9 +85,7 @@ def make_env(
         built = build_complex(cfg.complex)
     if comm is None:
         comm = make_comm(getattr(cfg, "comm_mode", "ram"))
-    mode = getattr(cfg, "observation_mode", None)
-    if mode is None:
-        mode = "compact" if getattr(cfg, "compact_states", False) else "raw"
+    mode = getattr(cfg, "observation_mode", "raw")
 
     if kind == "flexible":
         return FlexibleDockingEnv(
@@ -185,20 +183,17 @@ def make_vector_env(
                 raise ValueError(
                     f"got {len(builts)} built complexes for n_envs={n_envs}"
                 )
-        mode = getattr(cfg, "observation_mode", None)
-        if mode == "compact" or (
-            mode is None and getattr(cfg, "compact_states", False)
-        ):
+        if getattr(cfg, "observation_mode", "raw") == "compact":
             # Compact replay factors out ONE constant receptor prefix;
             # distinct complexes have distinct prefixes, so the
             # multi-complex curriculum must use the dense pipeline
             # (or the receptor-free "descriptor" codec).
             if len({id(b) for b in builts}) > 1:
                 raise ValueError(
-                    "compact_states requires a single shared complex: "
-                    "distinct built complexes have distinct static "
-                    "state prefixes (disable compact_states for "
-                    "multi-complex curricula)"
+                    "observation_mode='compact' requires a single "
+                    "shared complex: distinct built complexes have "
+                    "distinct static state prefixes (use 'raw' or "
+                    "'descriptor' for multi-complex curricula)"
                 )
         env_fns = [(lambda b=b: make_env(cfg, b)) for b in builts]
     else:
@@ -214,6 +209,4 @@ def make_vector_env(
             f"backend options {sorted(backend_options)} are only "
             "meaningful for the async backend"
         )
-    return SyncVectorEnv._from_factory(
-        env_fns, tracer=tracer, metrics=metrics
-    )
+    return SyncVectorEnv(env_fns, tracer=tracer, metrics=metrics)

@@ -34,8 +34,7 @@ class FlexibleDockingEnv(DockingEnv):
         low_score_patience: int = 20,
         low_score_threshold: float = -100000.0,
         comm: CommChannel | None = None,
-        compact_states: bool = False,
-        observation_mode: str | None = None,
+        observation_mode: str = "raw",
         scoring_method: str = "exact",
         scoring_kwargs: dict | None = None,
     ):
@@ -54,7 +53,6 @@ class FlexibleDockingEnv(DockingEnv):
             low_score_patience=low_score_patience,
             low_score_threshold=low_score_threshold,
             comm=comm,
-            compact_states=compact_states,
             observation_mode=observation_mode,
         )
         self.n_torsions = int(n_torsions)

@@ -20,7 +20,7 @@ Three registered modes:
     Only the dynamic ligand tail (float32, double-buffered in the
     engine); the constant receptor prefix is exposed once via
     :meth:`StateCodec.static_state` and factored out of replay
-    storage.  Subsumes the PR 3 ``compact_states`` plumbing.
+    storage.
 ``descriptor``
     Pocket-relative ligand features (float32, ~270 dims at paper
     scale) computed via :mod:`repro.chem.descriptors`: ligand atom

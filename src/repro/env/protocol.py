@@ -23,7 +23,7 @@ The contract
   * ``states`` -- ``(n_envs, state_dim)``; float64 by default, but an
     environment may advertise a ``state_dtype`` attribute (e.g. the
     float32 compact docking states of
-    ``DockingEnv(compact_states=True)``) and every backend then
+    ``DockingEnv(observation_mode="compact")``) and every backend then
     carries that dtype end-to-end, including through the async
     backend's shared-memory block.  For environments that finished
     this step, the row holds the **fresh post-reset state**

@@ -17,7 +17,6 @@ be constructed through :func:`repro.env.factory.make_vector_env`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -35,11 +34,6 @@ class SyncVectorEnv(VectorEnv):
     surfaced in ``infos[i]["terminal_state"]`` so replay stores the
     correct tuple).  See :mod:`repro.env.protocol` for the full
     contract shared with the async backend.
-
-    .. deprecated::
-        Constructing ``SyncVectorEnv`` directly is deprecated; use
-        :func:`repro.env.factory.make_vector_env`, which also selects
-        the process-parallel backend and wires telemetry.
     """
 
     def __init__(
@@ -49,29 +43,6 @@ class SyncVectorEnv(VectorEnv):
         tracer=None,
         metrics=None,
     ):
-        warnings.warn(
-            "constructing SyncVectorEnv directly is deprecated; use "
-            "repro.env.factory.make_vector_env(env_fns=..., "
-            "backend='sync') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(env_fns, tracer=tracer, metrics=metrics)
-
-    @classmethod
-    def _from_factory(
-        cls,
-        env_fns: Sequence[Callable[[], Any]],
-        *,
-        tracer=None,
-        metrics=None,
-    ) -> "SyncVectorEnv":
-        """Construct without the direct-call deprecation warning."""
-        self = object.__new__(cls)
-        self._init(env_fns, tracer=tracer, metrics=metrics)
-        return self
-
-    def _init(self, env_fns, *, tracer=None, metrics=None) -> None:
         if not env_fns:
             raise ValueError("need at least one environment")
         #: Optional :class:`repro.telemetry.spans.SpanTracer` /

@@ -18,13 +18,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.chem.builders import build_complex
 from repro.config import DQNDockingConfig
 from repro.env.factory import make_env
 from repro.env.factory import make_vector_env
-from repro.experiments.figure4 import build_agent
+from repro.experiments.figure4 import (
+    aligned_steps,
+    build_agent,
+    train_actor_learner,
+)
 from repro.rl.evaluation import EvaluationResult, evaluate_policy
 from repro.rl.vector_trainer import VectorTrainer
 from repro.utils.tables import render_table
@@ -74,80 +76,6 @@ def _complex_cfg(cfg: DQNDockingConfig, seed: int):
     return dataclasses.replace(cfg.complex, seed=seed)
 
 
-def _train_curriculum_actor_learner(
-    cfg: DQNDockingConfig,
-    builts,
-    steps: int,
-    *,
-    align: int,
-    tracer=None,
-    registry=None,
-    runtime=None,
-):
-    """Curriculum phase on the actor/learner runtime; returns the agent.
-
-    Each training complex gets its own actor process (the built complex
-    is inherited through fork, so nothing re-builds in the workers);
-    the learner consumes their interleaved transitions round-robin
-    exactly like the lockstep vector path consumes env columns.
-    ``steps`` must already be a multiple of ``align`` (the broadcast
-    cadence ``n_complexes * actor_sync_every``).
-    """
-    from repro.experiments.figure4 import build_agent_for_env
-    from repro.rl.distributed import ActorLearnerTrainer
-    from repro.runtime.loop import RunLoop
-
-    def _env_fn(built):
-        return lambda: make_env(cfg, built)
-
-    probe = make_env(cfg, builts[0])
-    try:
-        spec = getattr(probe, "observation_spec", None)
-        state_dim = int(probe.state_dim)
-        state_dtype = getattr(probe, "state_dtype", np.float64)
-        agent = build_agent_for_env(cfg, probe)
-    finally:
-        probe.close()
-    if tracer is not None:
-        agent.tracer = tracer
-
-    checkpoint_every = (
-        runtime.checkpoint_every if runtime is not None else 0
-    )
-    if checkpoint_every > 0:
-        # checkpoint_every counts env steps here; round to the cadence.
-        segment_steps = max(
-            align,
-            ((checkpoint_every + align - 1) // align) * align,
-        )
-    else:
-        segment_steps = None
-
-    trainer = ActorLearnerTrainer(
-        [_env_fn(b) for b in builts],
-        agent,
-        state_dim=state_dim,
-        state_dtype=state_dtype,
-        sync_every=cfg.actor_sync_every,
-        ring_capacity=cfg.actor_ring_capacity,
-        max_steps_per_episode=cfg.max_steps_per_episode,
-        learning_start=cfg.learning_start,
-        target_update_steps=cfg.target_update_steps,
-        train_interval=cfg.train_interval,
-        observation_spec=spec,
-        tracer=tracer,
-        metrics=registry,
-        seed=cfg.seed,
-    )
-    try:
-        RunLoop(runtime, phase="curriculum").run_steps(
-            trainer, steps, segment_steps=segment_steps
-        )
-    finally:
-        trainer.close()
-    return agent
-
-
 def run_curriculum_experiment(
     cfg: DQNDockingConfig,
     *,
@@ -188,8 +116,9 @@ def run_curriculum_experiment(
         # rounds up to the weight-broadcast cadence so checkpoint
         # boundaries stay aligned (both regimes use the rounded budget
         # to keep the comparison fair).
-        align = n_train_complexes * cfg.actor_sync_every
-        steps = max(align, ((steps + align - 1) // align) * align)
+        steps = aligned_steps(
+            steps, n_train_complexes * cfg.actor_sync_every
+        )
     tracer = telemetry.tracer if telemetry is not None else None
     registry = telemetry.registry if telemetry is not None else None
 
@@ -200,13 +129,15 @@ def run_curriculum_experiment(
 
     builts = [build_complex(_complex_cfg(cfg, s)) for s in train_seeds]
     if actor_learner:
-        curriculum_agent = _train_curriculum_actor_learner(
+        curriculum_agent, _history = train_actor_learner(
             cfg,
             builts,
             steps,
-            align=align,
-            tracer=tracer,
-            registry=registry,
+            phase="curriculum",
+            checkpoint_steps=(
+                runtime.checkpoint_every if runtime is not None else 0
+            ),
+            telemetry=telemetry,
             runtime=runtime,
         )
     else:

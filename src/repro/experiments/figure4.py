@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chem.builders import build_complex
 from repro.config import DQNDockingConfig
 from repro.env.factory import make_env
 from repro.rl.agent import AgentConfig, DQNAgent
@@ -142,13 +143,6 @@ def build_agent_for_env(cfg: DQNDockingConfig, env):
     """
     spec = getattr(env, "observation_spec", None)
     if spec is None:
-        if getattr(env, "compact_states", False):
-            return build_agent(
-                cfg,
-                env.full_state_dim,
-                env.n_actions,
-                static_state=env.static_state(),
-            )
         return build_agent(cfg, env.state_dim, env.n_actions)
     if spec.mode == "compact":
         return build_agent(
@@ -190,13 +184,21 @@ def run_figure4_experiment(
     from repro.runtime.loop import RunLoop
 
     if cfg.trainer == "actor-learner":
-        return _run_figure4_actor_learner(
+        # N actors over one shared complex; the episode budget becomes a
+        # transition budget and the episode-denominated checkpoint
+        # cadence a step count.
+        every = runtime.checkpoint_every if runtime is not None else 0
+        agent, history = train_actor_learner(
             cfg,
+            [build_complex(cfg.complex)] * cfg.num_actors,
+            cfg.episodes * cfg.max_steps_per_episode,
+            phase=phase,
+            checkpoint_steps=every * cfg.max_steps_per_episode,
             on_episode_end=on_episode_end,
             telemetry=telemetry,
             runtime=runtime,
-            phase=phase,
         )
+        return Figure4Result(config=cfg, history=history, agent=agent)
     env = make_env(cfg)
     callbacks = []
     tracer = None
@@ -231,106 +233,82 @@ def run_figure4_experiment(
     return Figure4Result(config=cfg, history=history, agent=agent)
 
 
-def aligned_step_budget(cfg: DQNDockingConfig) -> tuple[int, int]:
-    """(total_steps, segment_steps) for an actor-learner figure4 run.
-
-    The episode budget ``episodes * max_steps_per_episode`` becomes a
-    transition budget, rounded up to a multiple of ``num_actors *
-    actor_sync_every`` so every checkpoint boundary lands exactly on a
-    weight-broadcast boundary (the alignment
-    :meth:`~repro.rl.distributed.ActorLearnerTrainer.run` enforces).
-    The segment length comes from the runtime's episode-denominated
-    ``checkpoint_every``, converted and rounded the same way.
-    """
-    align = cfg.num_actors * cfg.actor_sync_every
-
-    def round_up(steps: int) -> int:
-        return max(align, ((steps + align - 1) // align) * align)
-
-    total = round_up(cfg.episodes * cfg.max_steps_per_episode)
-    return total, align
+def aligned_steps(steps: int, align: int) -> int:
+    """``steps`` rounded up to a positive multiple of ``align``."""
+    return max(align, -(-steps // align) * align)
 
 
-def _run_figure4_actor_learner(
+def train_actor_learner(
     cfg: DQNDockingConfig,
+    builts,
+    total_steps: int,
     *,
+    phase: str,
+    checkpoint_steps: int = 0,
     on_episode_end=None,
     telemetry=None,
     runtime=None,
-    phase: str = "figure4",
-) -> Figure4Result:
-    """The figure4 experiment under the actor/learner runtime.
+):
+    """Train one agent on the actor/learner runtime.
 
-    N actor processes each own an env built by :func:`make_env` over
-    one shared complex (inherited through fork, so the receptor builds
-    once); the learner consumes their transitions round-robin and
-    reconstructs the per-episode Figure 4 series from the ring payloads
-    (see :mod:`repro.rl.distributed`).  Engine spans stay inside the
-    actor processes and are not merged into the parent's telemetry;
-    the per-actor throughput metrics cover that ground instead.
+    One actor process per entry of ``builts``, each owning an env built
+    by :func:`make_env` over its complex (inherited through fork, so
+    nothing re-builds in the workers); the learner consumes their
+    transitions round-robin and reconstructs the per-episode Figure 4
+    series from the ring payloads (see :mod:`repro.rl.distributed`).
+    Engine spans stay inside the actor processes and are not merged
+    into the parent's telemetry; the per-actor throughput metrics cover
+    that ground instead.
+
+    ``total_steps`` and the checkpoint cadence ``checkpoint_steps``
+    (0: one segment) are rounded up to multiples of ``len(builts) *
+    cfg.actor_sync_every`` so every checkpoint boundary lands exactly
+    on a weight-broadcast boundary (the alignment
+    :meth:`~repro.rl.distributed.ActorLearnerTrainer.run` enforces).
+    Returns ``(agent, history)``.
     """
-    from repro.chem.builders import build_complex
     from repro.rl.distributed import ActorLearnerTrainer
     from repro.runtime.loop import RunLoop
 
-    built = build_complex(cfg.complex)
-
-    def env_fn():
-        return make_env(cfg, built)
-
+    tracer = metrics = None
+    if telemetry is not None:
+        tracer, metrics = telemetry.tracer, telemetry.registry
     # Probe once in the parent for the codec geometry the agent and the
     # transition rings must match; actors rebuild their own envs.
-    probe = make_env(cfg, built)
+    probe = make_env(cfg, builts[0])
     try:
-        spec = getattr(probe, "observation_spec", None)
-        state_dim = int(probe.state_dim)
-        state_dtype = getattr(probe, "state_dtype", np.float64)
         agent = build_agent_for_env(cfg, probe)
+        agent.tracer = tracer
+        trainer = ActorLearnerTrainer(
+            [(lambda b=b: make_env(cfg, b)) for b in builts],
+            agent,
+            state_dim=int(probe.state_dim),
+            state_dtype=probe.state_dtype,
+            sync_every=cfg.actor_sync_every,
+            ring_capacity=cfg.actor_ring_capacity,
+            max_steps_per_episode=cfg.max_steps_per_episode,
+            learning_start=cfg.learning_start,
+            target_update_steps=cfg.target_update_steps,
+            train_interval=cfg.train_interval,
+            observation_spec=probe.observation_spec,
+            tracer=tracer,
+            metrics=metrics,
+            seed=cfg.seed,
+            on_episode_end=on_episode_end,
+        )
     finally:
         probe.close()
-
-    tracer = None
-    metrics = None
-    if telemetry is not None:
-        tracer = telemetry.tracer
-        metrics = telemetry.registry
-        agent.tracer = tracer
-
-    total_steps, segment_align = aligned_step_budget(cfg)
-    checkpoint_every = (
-        runtime.checkpoint_every if runtime is not None else 0
-    )
-    if checkpoint_every > 0:
-        # The CLI flag counts episodes; convert and align.
-        raw = checkpoint_every * cfg.max_steps_per_episode
-        segment_steps = max(
-            segment_align,
-            ((raw + segment_align - 1) // segment_align) * segment_align,
-        )
-    else:
-        segment_steps = None
-
-    trainer = ActorLearnerTrainer(
-        [env_fn] * cfg.num_actors,
-        agent,
-        state_dim=state_dim,
-        state_dtype=state_dtype,
-        sync_every=cfg.actor_sync_every,
-        ring_capacity=cfg.actor_ring_capacity,
-        max_steps_per_episode=cfg.max_steps_per_episode,
-        learning_start=cfg.learning_start,
-        target_update_steps=cfg.target_update_steps,
-        train_interval=cfg.train_interval,
-        observation_spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        seed=cfg.seed,
-        on_episode_end=on_episode_end,
-    )
+    align = len(builts) * cfg.actor_sync_every
     try:
-        RunLoop(runtime, phase=phase).run_steps(
-            trainer, total_steps, segment_steps=segment_steps
+        history = RunLoop(runtime, phase=phase).run_steps(
+            trainer,
+            aligned_steps(total_steps, align),
+            segment_steps=(
+                aligned_steps(checkpoint_steps, align)
+                if checkpoint_steps > 0
+                else None
+            ),
         )
     finally:
         trainer.close()
-    return Figure4Result(config=cfg, history=trainer.history, agent=agent)
+    return agent, history

@@ -25,7 +25,7 @@ from repro.rl.evaluation import (
 )
 from repro.rl.learner import LearnerCore
 from repro.rl.nstep import NStepTransitionBuffer
-from repro.rl.vector_trainer import VectorTrainer, VectorRunStats
+from repro.rl.vector_trainer import VectorTrainer
 from repro.rl.distributed import ActorLearnerTrainer
 
 __all__ = [
@@ -48,6 +48,5 @@ __all__ = [
     "LearnerCore",
     "NStepTransitionBuffer",
     "VectorTrainer",
-    "VectorRunStats",
     "ActorLearnerTrainer",
 ]

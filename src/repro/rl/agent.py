@@ -15,6 +15,7 @@ lives in :mod:`repro.rl.distributional`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,6 +28,7 @@ from repro.nn.layers import Dense
 from repro.nn.losses import make_loss
 from repro.nn.network import MLP, build_mlp
 from repro.nn.optimizers import make_optimizer
+from repro.rl.nstep import NStepTransitionBuffer
 from repro.rl.prioritized_replay import PrioritizedReplayMemory
 from repro.rl.replay import ReplayMemory
 from repro.rl.schedules import EpsilonGreedy, LinearSchedule
@@ -266,14 +268,16 @@ class DQNAgent:
                 exploration_steps=config.initial_exploration_steps,
                 rng=rngs.get("policy"),
             )
-        if config.n_step > 1:
-            from repro.rl.nstep import NStepTransitionBuffer
-
-            self._nstep: NStepTransitionBuffer | None = (
-                NStepTransitionBuffer(config.n_step, config.gamma)
+        # One n-step window per transition source (env column, actor),
+        # made on first use: a window must only ever span one
+        # environment's own steps.
+        self._nstep: dict[int, NStepTransitionBuffer] | None = (
+            defaultdict(
+                lambda: NStepTransitionBuffer(config.n_step, config.gamma)
             )
-        else:
-            self._nstep = None
+            if config.n_step > 1
+            else None
+        )
         self.learn_steps = 0
         self.target_syncs = 0
         # Reused across learn steps instead of np.zeros_like per step.
@@ -381,8 +385,13 @@ class DQNAgent:
         reward: float,
         next_state: np.ndarray,
         terminal: bool,
+        source: int = 0,
     ) -> None:
-        """Store a transition (accumulated to n steps when configured)."""
+        """Store a transition (accumulated to n steps when configured).
+
+        ``source`` names the environment the transition came from when
+        several feed one agent; n-step returns accumulate per source.
+        """
         if self._nstep is None:
             self.replay.push(
                 state, action, reward, next_state, terminal,
@@ -394,17 +403,19 @@ class DQNAgent:
             # compact env reuses its tail buffers, so snapshot them.
             state = np.array(state, dtype=self.dtype)
             next_state = np.array(next_state, dtype=self.dtype)
-        for t in self._nstep.push(state, action, reward, next_state, terminal):
-            self.replay.push(
-                t.state, t.action, t.reward, t.next_state, t.terminal,
-                discount=t.discount,
+        self._push_nstep(
+            self._nstep[source].push(
+                state, action, reward, next_state, terminal
             )
+        )
 
-    def flush_episode(self) -> None:
-        """Drain the n-step tail at an episode boundary (trainer hook)."""
-        if self._nstep is None:
-            return
-        for t in self._nstep.flush():
+    def flush_episode(self, source: int = 0) -> None:
+        """Drain ``source``'s n-step tail at its episode boundary."""
+        if self._nstep is not None:
+            self._push_nstep(self._nstep[source].flush())
+
+    def _push_nstep(self, transitions) -> None:
+        for t in transitions:
             self.replay.push(
                 t.state, t.action, t.reward, t.next_state, t.terminal,
                 discount=t.discount,
@@ -513,7 +524,14 @@ class DQNAgent:
             "target_syncs": self.target_syncs,
         }
         if self._nstep is not None:
-            state["nstep"] = self._nstep.state_dict()
+            # Checkpoints are written at episode boundaries of every
+            # source, so only the first window can hold anything.
+            if any(len(w) for src, w in self._nstep.items() if src != 0):
+                raise RuntimeError(
+                    "n-step windows of sources other than 0 must be "
+                    "flushed before the agent is checkpointed"
+                )
+            state["nstep"] = self._nstep[0].state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -552,7 +570,7 @@ class DQNAgent:
         self.replay.load_state_dict(state["replay"])
         restore_generator(self.policy.rng, state["policy_rng"])
         if self._nstep is not None:
-            self._nstep.load_state_dict(state["nstep"])
+            self._nstep[0].load_state_dict(state["nstep"])
         self.learn_steps = int(state["learn_steps"])
         self.target_syncs = int(state["target_syncs"])
 

@@ -44,9 +44,7 @@ import numpy as np
 from repro.env.comm import TransitionRing
 from repro.rl.distributed.actor import actor_worker
 from repro.rl.distributed.weights import SharedWeightBlock
-from repro.rl.learner import LearnerCore
-from repro.rl.trainer import EpisodeStats, TrainingHistory
-from repro.rl.vector_trainer import VectorRunStats
+from repro.rl.learner import LearnerCore, TrainingHistory
 from repro.telemetry.spans import SpanTracer
 
 #: Seconds to wait for an actor to come up / acknowledge a command.
@@ -58,24 +56,6 @@ METRIC_PREFIX = "actor_learner"
 
 class ActorDiedError(RuntimeError):
     """An actor process exited outside the shutdown protocol."""
-
-
-class _EpisodeAccum:
-    """Per-actor in-progress episode aggregates (learner-side)."""
-
-    __slots__ = (
-        "steps", "total_reward", "max_q_sum", "best_score",
-        "final_score", "min_rmsd", "start_learn_steps",
-    )
-
-    def __init__(self, start_learn_steps: int):
-        self.steps = 0
-        self.total_reward = 0.0
-        self.max_q_sum = 0.0
-        self.best_score = float("-inf")
-        self.final_score = float("nan")
-        self.min_rmsd = float("nan")
-        self.start_learn_steps = start_learn_steps
 
 
 class ActorLearnerTrainer:
@@ -159,6 +139,7 @@ class ActorLearnerTrainer:
             learning_start=learning_start,
             target_update_steps=target_update_steps,
             train_interval=train_interval,
+            on_episode_end=on_episode_end,
         )
         self.state_dim = int(state_dim)
         self.state_dtype = np.dtype(state_dtype)
@@ -169,11 +150,8 @@ class ActorLearnerTrainer:
         self.tracer = tracer
         self.metrics = metrics
         self.seed = int(seed)
-        self.on_episode_end = on_episode_end
         #: Global transitions between weight broadcasts.
         self.publish_every = self.num_actors * self.sync_every
-        self.history = TrainingHistory()
-        self._episode_index = 0
         self._weight_version = -1  # latest published version
         self._actor_rng: list = [None] * self.num_actors
         self._procs: list | None = None
@@ -182,23 +160,10 @@ class ActorLearnerTrainer:
         self._weights: SharedWeightBlock | None = None
         self._closed = False
 
-    # -- properties shared with the other trainers ------------------------
     @property
-    def learning_start(self) -> int:
-        return self.core.learning_start
-
-    @property
-    def target_update_steps(self) -> int:
-        return self.core.target_update_steps
-
-    @property
-    def train_interval(self) -> int:
-        return self.core.train_interval
-
-    @property
-    def worker_restarts(self) -> int:
-        """Actor respawns (always 0: a dead actor fails the run)."""
-        return 0
+    def history(self) -> TrainingHistory:
+        """The run record (accumulates across ``run`` calls)."""
+        return self.core.history
 
     # -- process management -----------------------------------------------
     def _ensure_spawned(self) -> None:
@@ -334,8 +299,15 @@ class ActorLearnerTrainer:
             pass
 
     # -- the segment loop -------------------------------------------------
-    def run(self, total_steps: int, *, start_step: int = 0) -> VectorRunStats:
+    def run(
+        self, total_steps: int, *, start_step: int = 0
+    ) -> TrainingHistory:
         """Consume one segment: transitions ``start_step .. total_steps``.
+
+        Returns :attr:`history`; episodes still open at the end of the
+        segment are closed as ``"segment-boundary"`` rows (the next
+        segment starts from ``env.reset()``, mirroring
+        ``RunLoop.run_steps``).
 
         Alignment contract (validated here, arranged by the drivers):
         the segment length divides evenly across actors, and
@@ -360,6 +332,7 @@ class ActorLearnerTrainer:
                 "(checkpoint boundaries align with weight broadcasts)"
             )
         tracer = self.tracer if self.tracer is not None else SpanTracer()
+        core = self.core
         self._ensure_spawned()
         n = self.num_actors
         quota = segment // n
@@ -384,13 +357,7 @@ class ActorLearnerTrainer:
             )
 
         pending: list[deque] = [deque() for _ in range(n)]
-        accums = [
-            _EpisodeAccum(self.agent.learn_steps) for _ in range(n)
-        ]
         consumed = start_step
-        best_score = float("-inf")
-        reward_sum = 0.0
-        episodes = 0
         idle_seconds = 0.0
         t0 = time.perf_counter()
         seg_pushed = [0] * n
@@ -432,35 +399,31 @@ class ActorLearnerTrainer:
                 rec = pending[a].popleft()
                 seg_pushed[a] += 1
                 with tracer.span("remember"):
-                    self.agent.remember(
+                    steps = core.consume(
+                        a,
                         rec.state,
                         int(rec.action),
                         float(rec.reward),
                         rec.next_state,
                         bool(rec.done),
+                        max_q=rec.max_q,
+                        score=rec.score,
+                        crystal_rmsd=rec.crystal_rmsd,
                     )
-                reward_sum += rec.reward
-                self._fold_episode_step(a, rec, accums, consumed)
-                if np.isfinite(rec.score):
-                    best_score = max(best_score, rec.score)
+                self._observe_transition(a, consumed)
                 prev = consumed
                 consumed += 1
-                self.core.advance(prev, consumed, tracer)
+                core.advance(prev, consumed, tracer)
                 if consumed % self.publish_every == 0:
                     k = consumed // self.publish_every
                     self._weights.publish(k, self.agent.q_net.params())
                     self._weight_version = k
                 # Episode boundary reconstruction (same rule the actor
                 # applies locally: env-terminal or the step cap).
-                acc = accums[a]
-                if rec.done or acc.steps >= self.max_steps:
-                    self._close_episode(
-                        a,
-                        accums,
-                        consumed,
-                        "terminal" if rec.done else "time-limit",
+                if rec.done or steps >= self.max_steps:
+                    core.close_episode(
+                        a, consumed, "terminal" if rec.done else "time-limit"
                     )
-                    episodes += 1
 
         # Segment complete: collect the authoritative RNG streams and
         # verify the deterministic drain-to-empty invariant.
@@ -473,84 +436,27 @@ class ActorLearnerTrainer:
                     f"ring {i} holds {len(ring)} transitions after a "
                     "fully consumed segment"
                 )
-        # Partial episodes are closed at the boundary (the next segment
-        # starts from env.reset(), mirroring RunLoop.run_steps).
-        for a in range(n):
-            if accums[a].steps > 0:
-                self._close_episode(a, accums, consumed, "segment-boundary")
-
         wall = time.perf_counter() - t0
-        self.history.total_steps = consumed
-        self.history.wall_seconds += wall
-        self.history.timer_report = tracer.report()
+        history = core.end_run(consumed, wall, tracer)
         ring_depth = [d / max(c, 1) for d, c in zip(drained, drain_calls)]
         self._record_metrics(
             seg_pushed, ring_depth, wall, idle_seconds, consumed
         )
-        return VectorRunStats(
-            total_steps=consumed,
-            episodes_completed=episodes,
-            best_score=(
-                best_score if np.isfinite(best_score) else float("nan")
-            ),
-            mean_reward=reward_sum / max(segment, 1),
-            wall_seconds=wall,
-            steps_per_second=segment / max(wall, 1e-9),
-            timer_report=tracer.report(),
-            worker_restarts=0,
-        )
-
-    # -- episode reconstruction -------------------------------------------
-    def _fold_episode_step(
-        self, a: int, rec, accums: list, consumed: int
-    ) -> None:
-        acc = accums[a]
-        acc.steps += 1
-        acc.total_reward += rec.reward
-        acc.max_q_sum += rec.max_q
-        if np.isfinite(rec.score):
-            acc.best_score = max(acc.best_score, rec.score)
-            acc.final_score = rec.score
-        if np.isfinite(rec.crystal_rmsd):
-            acc.min_rmsd = (
-                rec.crystal_rmsd
-                if np.isnan(acc.min_rmsd)
-                else min(acc.min_rmsd, rec.crystal_rmsd)
-            )
-        if self.metrics is not None:
-            self.metrics.inc(f"{METRIC_PREFIX}/transitions-actor{a}")
-            # Staleness of the weights the acting sidecar used for this
-            # transition, in global transitions.
-            version = (consumed // self.num_actors) // self.sync_every
-            self.metrics.observe(
-                f"{METRIC_PREFIX}/weight-staleness-steps",
-                consumed - version * self.publish_every,
-            )
-
-    def _close_episode(
-        self, a: int, accums: list, consumed: int, termination: str
-    ) -> None:
-        acc = accums[a]
-        stats = EpisodeStats(
-            episode=self._episode_index,
-            steps=acc.steps,
-            total_reward=acc.total_reward,
-            avg_max_q=acc.max_q_sum / max(acc.steps, 1),
-            best_score=acc.best_score,
-            final_score=acc.final_score,
-            epsilon=self.core.epsilon(consumed),
-            mean_loss=float("nan"),
-            learning_active=self.agent.learn_steps > acc.start_learn_steps,
-            termination=termination,
-            min_crystal_rmsd=acc.min_rmsd,
-        )
-        self._episode_index += 1
-        self.history.episodes.append(stats)
-        if self.on_episode_end is not None:
-            self.on_episode_end(stats)
-        accums[a] = _EpisodeAccum(self.agent.learn_steps)
+        return history
 
     # -- telemetry ---------------------------------------------------------
+    def _observe_transition(self, a: int, consumed: int) -> None:
+        if self.metrics is None:
+            return
+        self.metrics.inc(f"{METRIC_PREFIX}/transitions-actor{a}")
+        # Staleness of the weights the acting sidecar used for this
+        # transition, in global transitions.
+        version = (consumed // self.num_actors) // self.sync_every
+        self.metrics.observe(
+            f"{METRIC_PREFIX}/weight-staleness-steps",
+            consumed - version * self.publish_every,
+        )
+
     def _record_metrics(
         self,
         seg_pushed: list[int],
@@ -585,9 +491,9 @@ class ActorLearnerTrainer:
         """Distributed-trainer state for full-run checkpoints.
 
         Rings are empty at every segment boundary by construction, so
-        only the actor RNG streams, the broadcast version counter, and
-        the reconstructed episode history need to persist (the agent's
-        own state travels separately via ``agent.state_dict()``).
+        only the actor RNG streams and the broadcast version counter
+        need to persist (the agent's state and the episode history
+        travel separately, as for every trainer).
         """
         from repro.utils.serialization import _to_jsonable
 
@@ -595,15 +501,12 @@ class ActorLearnerTrainer:
             "num_actors": self.num_actors,
             "sync_every": self.sync_every,
             "weight_version": self._weight_version,
-            "episode_index": self._episode_index,
             "actor_rng": _to_jsonable(list(self._actor_rng)),
-            "history": _to_jsonable(self.history),
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (validated)."""
         from repro.nn.checkpoints import CheckpointMismatchError
-        from repro.runtime.loop import _history_from_meta
         from repro.utils.serialization import _from_jsonable
 
         for name in ("num_actors", "sync_every"):
@@ -613,6 +516,4 @@ class ActorLearnerTrainer:
                     f"{state.get(name)} vs trainer {getattr(self, name)}"
                 )
         self._weight_version = int(state["weight_version"])
-        self._episode_index = int(state["episode_index"])
         self._actor_rng = list(_from_jsonable(state["actor_rng"]))
-        self.history = _history_from_meta(state["history"])

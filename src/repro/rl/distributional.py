@@ -126,12 +126,17 @@ class DistributionalDQNAgent:
         """Pure exploitation."""
         return int(np.argmax(self.predict_q(state)))
 
-    def remember(self, state, action, reward, next_state, terminal) -> None:
-        """Store a transition."""
+    def remember(
+        self, state, action, reward, next_state, terminal, source=0
+    ) -> None:
+        """Store a transition (1-step: ``source`` makes no difference)."""
         self.replay.push(
             state, action, reward, next_state, terminal,
             discount=self.config.gamma,
         )
+
+    def flush_episode(self, source=0) -> None:
+        """No n-step window to drain (trainer protocol no-op)."""
 
     def can_learn(self) -> bool:
         """True once the memory holds a minibatch."""

@@ -10,15 +10,19 @@ the series plotted in Figure 4.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.rl.learner import LearnerCore
+# The result types live with the sink that fills them and stay
+# importable from here.
+from repro.rl.learner import (  # noqa: F401
+    EpisodeStats,
+    LearnerCore,
+    TrainingHistory,
+)
 from repro.telemetry.callbacks import CallbackList, StepInfo, TrainerCallback
 from repro.telemetry.spans import SpanTracer
-from repro.utils.ascii_plot import ascii_line_plot, sparkline
 
 
 class SupportsEnv(Protocol):
@@ -27,102 +31,6 @@ class SupportsEnv(Protocol):
     def reset(self) -> np.ndarray: ...
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]: ...
-
-
-@dataclass(frozen=True)
-class EpisodeStats:
-    """Per-episode aggregates."""
-
-    episode: int
-    steps: int
-    total_reward: float
-    #: Mean over the episode's time-steps of ``max_a Q(s_t, a)`` -- the
-    #: Figure 4 quantity.
-    avg_max_q: float
-    best_score: float
-    final_score: float
-    epsilon: float
-    mean_loss: float
-    #: True if any learning update ran during this episode.
-    learning_active: bool
-    termination: str
-    #: Closest approach to the crystallographic pose (RMSD, angstrom);
-    #: NaN when the environment does not report it.
-    min_crystal_rmsd: float = float("nan")
-
-
-@dataclass
-class TrainingHistory:
-    """Full run record with the figure-series accessors."""
-
-    episodes: list[EpisodeStats] = field(default_factory=list)
-    total_steps: int = 0
-    wall_seconds: float = 0.0
-    timer_report: str = ""
-
-    def figure4_series(self) -> np.ndarray:
-        """Average max predicted Q per episode, from the first episode
-        where learning was active (the paper's measurement window)."""
-        active = [e.avg_max_q for e in self.episodes if e.learning_active]
-        return np.asarray(active)
-
-    def best_score_series(self) -> np.ndarray:
-        """Best engine score reached in each episode."""
-        return np.asarray([e.best_score for e in self.episodes])
-
-    def reward_series(self) -> np.ndarray:
-        """Total clipped reward per episode."""
-        return np.asarray([e.total_reward for e in self.episodes])
-
-    def rmsd_series(self) -> np.ndarray:
-        """Minimum crystal RMSD per episode (NaN where unavailable)."""
-        return np.asarray([e.min_crystal_rmsd for e in self.episodes])
-
-    def docking_success_rate(self, threshold: float = 2.0) -> float:
-        """Fraction of episodes whose closest approach to the crystal
-        pose was within ``threshold`` angstrom RMSD -- the standard
-        docking success criterion ("discovering the crystallographic
-        solution" in the paper's terms)."""
-        rmsd = self.rmsd_series()
-        valid = np.isfinite(rmsd)
-        if not valid.any():
-            return 0.0
-        return float((rmsd[valid] <= threshold).mean())
-
-    @property
-    def best_score(self) -> float:
-        """Best engine score reached across the entire run."""
-        if not self.episodes:
-            return float("-inf")
-        return max(e.best_score for e in self.episodes)
-
-    def summary(self) -> str:
-        """Multi-line human-readable run report (with ASCII Figure 4)."""
-        if not self.episodes:
-            return "(no episodes)"
-        q = self.figure4_series()
-        lines = [
-            f"episodes: {len(self.episodes)}   steps: {self.total_steps}"
-            f"   wall: {self.wall_seconds:.1f}s",
-            f"best score: {self.best_score:.2f}   "
-            f"final epsilon: {self.episodes[-1].epsilon:.3f}",
-        ]
-        if q.size:
-            lines.append(
-                f"avg max Q: first {q[0]:.3f}  peak {q.max():.3f} "
-                f"(episode {int(np.argmax(q))} of measured)  "
-                f"last {q[-1]:.3f}"
-            )
-            lines.append("Q curve:     " + sparkline(q))
-        lines.append("best scores: " + sparkline(self.best_score_series()))
-        return "\n".join(lines)
-
-    def figure4_plot(self) -> str:
-        """ASCII rendering of the Figure 4 training curve."""
-        return ascii_line_plot(
-            self.figure4_series(),
-            title="Figure 4: average max predicted Q per episode",
-        )
 
 
 class Trainer:
@@ -174,30 +82,19 @@ class Trainer:
         self.agent = agent
         self.episodes = int(episodes)
         self.max_steps = int(max_steps_per_episode)
-        # All update cadence (learn / target-sync / epsilon) lives in
-        # the shared LearnerCore so every trainer applies Algorithm 2's
-        # schedule identically.
+        # Everything after the transition exists (replay, episode rows,
+        # learn / target-sync cadence) lives in the shared LearnerCore
+        # so every trainer applies Algorithm 2's learner step
+        # identically.
         self.core = LearnerCore(
             agent,
             learning_start=learning_start,
             target_update_steps=target_update_steps,
             train_interval=train_interval,
+            on_episode_end=on_episode_end,
         )
-        self.on_episode_end = on_episode_end
         self.callbacks = CallbackList(callbacks)
         self.tracer = tracer
-
-    @property
-    def learning_start(self) -> int:
-        return self.core.learning_start
-
-    @property
-    def target_update_steps(self) -> int:
-        return self.core.target_update_steps
-
-    @property
-    def train_interval(self) -> int:
-        return self.core.train_interval
 
     def run(
         self,
@@ -223,8 +120,8 @@ class Trainer:
         tracer = self.tracer if self.tracer is not None else SpanTracer()
         cb = self.callbacks
         notify = len(cb) > 0
-        if history is None:
-            history = TrainingHistory()
+        core = self.core
+        core.history = history if history is not None else TrainingHistory()
 
         t0 = time.perf_counter()
         if notify:
@@ -234,98 +131,54 @@ class Trainer:
                 if notify:
                     cb.on_episode_start(ep)
                 state = self.env.reset()
-                max_qs: list[float] = []
-                losses: list[float] = []
-                total_reward = 0.0
-                best_score = float("-inf")
-                final_score = float("nan")
-                min_rmsd = float("nan")
                 termination = "time-limit"
-                learning_active = False
-                steps = 0
-                for _t in range(self.max_steps):
+                for t in range(self.max_steps):
                     with tracer.span("act"):
                         action, q = self.agent.act(state, global_step)
                     max_q = float(np.max(q))
-                    max_qs.append(max_q)
                     with tracer.span("env-step"):
                         next_state, reward, done, info = self.env.step(action)
-                    self.agent.remember(
-                        state, action, reward, next_state, done
+                    score = info.get("score", float("nan"))
+                    core.consume(
+                        0, state, action, reward, next_state, done,
+                        max_q=max_q,
+                        score=score,
+                        crystal_rmsd=info.get("crystal_rmsd", float("nan")),
                     )
                     state = next_state
-                    total_reward += reward
-                    score = info.get("score", float("nan"))
-                    if np.isfinite(score):
-                        best_score = max(best_score, score)
-                        final_score = score
-                    rmsd = info.get("crystal_rmsd", float("nan"))
-                    if np.isfinite(rmsd):
-                        min_rmsd = rmsd if np.isnan(min_rmsd) else min(
-                            min_rmsd, rmsd
-                        )
                     global_step += 1
-                    steps += 1
-                    step_loss = float("nan")
-                    learn_infos = self.core.advance(
+                    learn_infos = core.advance(
                         global_step - 1, global_step, tracer
                     )
-                    if learn_infos:
-                        losses.append(learn_infos[-1].loss)
-                        step_loss = learn_infos[-1].loss
-                        learning_active = True
                     if done:
                         termination = info.get("termination", "terminal")
                     if notify:
                         cb.on_step(
                             StepInfo(
                                 episode=ep,
-                                step=steps - 1,
+                                step=t,
                                 global_step=global_step,
                                 action=int(action),
                                 reward=float(reward),
                                 score=float(score),
                                 max_q=max_q,
-                                epsilon=float(
-                                    self.agent.policy.epsilon(global_step)
+                                epsilon=core.epsilon(global_step),
+                                loss=(
+                                    learn_infos[-1].loss
+                                    if learn_infos
+                                    else float("nan")
                                 ),
-                                loss=step_loss,
                                 done=done,
                             )
                         )
                     if done:
                         break
-                # n-step agents must not carry partial windows across
-                # episodes.
-                flush = getattr(self.agent, "flush_episode", None)
-                if flush is not None:
-                    flush()
-                stats = EpisodeStats(
-                    episode=ep,
-                    steps=steps,
-                    total_reward=total_reward,
-                    avg_max_q=float(np.mean(max_qs)) if max_qs else 0.0,
-                    best_score=best_score,
-                    final_score=final_score,
-                    epsilon=self.agent.policy.epsilon(global_step),
-                    mean_loss=(
-                        float(np.mean(losses)) if losses else float("nan")
-                    ),
-                    learning_active=learning_active,
-                    termination=termination,
-                    min_crystal_rmsd=min_rmsd,
-                )
-                history.episodes.append(stats)
-                history.total_steps = global_step
-                if self.on_episode_end is not None:
-                    self.on_episode_end(stats)
+                stats = core.close_episode(0, global_step, termination)
                 if notify:
                     cb.on_episode_end(stats)
                 if stop is not None and stop(ep, global_step):
                     break
-        history.total_steps = global_step
-        history.wall_seconds += time.perf_counter() - t0
-        history.timer_report = tracer.report()
+        history = core.end_run(global_step, time.perf_counter() - t0, tracer)
         if notify:
             cb.on_train_end(history)
         return history

@@ -17,36 +17,10 @@ interchangeable -- construct either via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.env.protocol import VectorEnv
-from repro.rl.learner import LearnerCore
+from repro.rl.learner import LearnerCore, TrainingHistory
 from repro.telemetry.spans import SpanTracer
-
-
-@dataclass
-class VectorRunStats:
-    """Aggregate results of a vectorized collection run.
-
-    ``best_score`` is NaN (never ``-inf``) when no environment ever
-    reported a finite ``score`` info, so downstream stats/telemetry
-    can test ``isfinite`` instead of special-casing the sentinel.
-    ``timer_report`` renders the tracer the run actually used -- the
-    externally supplied one when the trainer was given a tracer.
-    """
-
-    total_steps: int
-    episodes_completed: int
-    best_score: float
-    mean_reward: float
-    wall_seconds: float
-    steps_per_second: float
-    timer_report: str
-    #: Worker respawns performed by the vector env during the run
-    #: (always 0 for in-process backends).
-    worker_restarts: int = 0
 
 
 class VectorTrainer:
@@ -64,8 +38,9 @@ class VectorTrainer:
     ):
         self.venv = venv
         self.agent = agent
-        # Update cadence (learn / target-sync / epsilon) is shared with
-        # every other trainer through the LearnerCore.
+        # Replay, per-env episode rows and the update cadence are shared
+        # with every other trainer through the LearnerCore; env column
+        # ``i`` is transition source ``i``.
         self.core = LearnerCore(
             agent,
             learning_start=learning_start,
@@ -74,92 +49,62 @@ class VectorTrainer:
         )
         self.tracer = tracer
 
-    @property
-    def learning_start(self) -> int:
-        return self.core.learning_start
-
-    @property
-    def target_update_steps(self) -> int:
-        return self.core.target_update_steps
-
-    @property
-    def train_interval(self) -> int:
-        return self.core.train_interval
-
-    def _select_actions(
-        self, states: np.ndarray, global_step: int
-    ) -> np.ndarray:
-        """Batched epsilon-greedy (delegates to the LearnerCore)."""
-        return self.core.select_actions(states, global_step)
-
-    def run(self, total_steps: int, *, start_step: int = 0) -> VectorRunStats:
+    def run(
+        self, total_steps: int, *, start_step: int = 0
+    ) -> TrainingHistory:
         """Collect transitions until ``total_steps`` (summed across envs).
 
         ``start_step`` continues an interrupted run: the epsilon
         schedule, learn cadence, and target-sync cadence all key off the
         global step, so a resumed segment picks up exactly where the
         checkpointed one left off.  The venv is (re)reset at the start
-        of every call -- checkpoint boundaries are therefore also
-        episode boundaries for all N environments (see
-        docs/CHECKPOINTS.md).  The returned stats cover only this call's
-        segment, except ``total_steps`` which reports the global count.
+        of every call, so episodes still open when a call returns are
+        closed as ``"segment-boundary"`` rows -- checkpoint boundaries
+        are therefore also episode boundaries for all N environments
+        (see docs/CHECKPOINTS.md).  Returns the sink's history, which
+        accumulates across calls.
         """
         if total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not 0 <= start_step < total_steps:
             raise ValueError("start_step must lie in [0, total_steps)")
         tracer = self.tracer if self.tracer is not None else SpanTracer()
-        restarts_before = getattr(self.venv, "worker_restarts", 0)
+        core = self.core
         t0 = time.perf_counter()
         states = self.venv.reset()
         global_step = start_step
-        episodes = 0
-        best_score = float("-inf")
-        reward_sum = 0.0
         n = self.venv.n_envs
         while global_step < total_steps:
             with tracer.span("act"):
-                actions = self._select_actions(states, global_step)
+                actions, q = core.select_actions(states, global_step)
+            max_qs = q.max(axis=1)
             with tracer.span("env-step"):
                 next_states, rewards, dones, infos = self.venv.step(actions)
             with tracer.span("remember"):
                 for i in range(n):
-                    true_next = (
-                        infos[i]["terminal_state"]
-                        if dones[i]
-                        else next_states[i]
-                    )
-                    self.agent.remember(
+                    info = infos[i]
+                    core.consume(
+                        i,
                         states[i],
                         int(actions[i]),
                         float(rewards[i]),
-                        true_next,
+                        info["terminal_state"] if dones[i] else next_states[i],
                         bool(dones[i]),
+                        max_q=float(max_qs[i]),
+                        score=info.get("score", float("nan")),
+                        crystal_rmsd=info.get("crystal_rmsd", float("nan")),
                     )
-                    score = infos[i].get("score", float("nan"))
-                    if np.isfinite(score):
-                        best_score = max(best_score, score)
-            episodes += int(dones.sum())
-            reward_sum += float(rewards.sum())
             states = next_states
             prev_step = global_step
             global_step += n
             # One learn per train_interval transitions, matching the
             # sequential trainer's update density.
-            self.core.advance(prev_step, global_step, tracer)
-        wall = time.perf_counter() - t0
-        segment_steps = global_step - start_step
-        return VectorRunStats(
-            total_steps=global_step,
-            episodes_completed=episodes,
-            best_score=(
-                best_score if np.isfinite(best_score) else float("nan")
-            ),
-            mean_reward=reward_sum / max(segment_steps, 1),
-            wall_seconds=wall,
-            steps_per_second=segment_steps / max(wall, 1e-9),
-            timer_report=tracer.report(),
-            worker_restarts=(
-                getattr(self.venv, "worker_restarts", 0) - restarts_before
-            ),
-        )
+            core.advance(prev_step, global_step, tracer)
+            for i in range(n):
+                if dones[i]:
+                    core.close_episode(
+                        i,
+                        global_step,
+                        infos[i].get("termination", "terminal"),
+                    )
+        return core.end_run(global_step, time.perf_counter() - t0, tracer)

@@ -6,18 +6,22 @@
 evaluations), and the optional :class:`~repro.runtime.signals.ShutdownGuard`
 / :class:`~repro.telemetry.run.TelemetryRun` wiring.
 
-:class:`RunLoop` hosts both trainer flavours under that context:
+:class:`RunLoop` hosts every trainer under that context, with one
+checkpoint payload (agent + trainer + telemetry state; progress
+counters and the episode history in the meta document):
 
 - :meth:`RunLoop.run_episodes` drives a
   :class:`~repro.rl.trainer.Trainer`, checkpointing at episode
   boundaries.  ``env.reset()`` is deterministic, so a restored run
   replays the exact trajectory an uninterrupted one would have -- the
   resume is bit-for-bit.
-- :meth:`RunLoop.run_steps` drives a
-  :class:`~repro.rl.vector_trainer.VectorTrainer` in fixed segments of
-  ``checkpoint_every`` environment steps.  The venv resets and n-step
-  windows flush at every segment boundary *whether or not* a checkpoint
-  interrupts there, so segmented-and-resumed equals segmented-and-not.
+- :meth:`RunLoop.run_steps` drives a step-driven trainer
+  (:class:`~repro.rl.vector_trainer.VectorTrainer`,
+  :class:`~repro.rl.distributed.ActorLearnerTrainer`) in fixed segments
+  of ``checkpoint_every`` environment steps.  The envs reset and open
+  episodes close (n-step windows flushed) at every segment boundary
+  *whether or not* a checkpoint interrupts there, so
+  segmented-and-resumed equals segmented-and-not.
 
 Experiment drivers pass ``runtime=None`` to keep the classic
 zero-overhead path: the loop then simply calls ``trainer.run()``.
@@ -25,18 +29,15 @@ zero-overhead path: the loop then simply calls ``trainer.run()``.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
-
-import numpy as np
 
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.signals import ShutdownGuard
 from repro.utils.serialization import (
     _from_jsonable,
     _to_jsonable,
+    decode_history,
     dump_json,
     load_json,
 )
@@ -139,7 +140,7 @@ class RuntimeContext:
         path = self.checkpoint_path(phase)
         if not path.exists():
             return None
-        return Checkpoint.load(path)
+        return upgrade_checkpoint(Checkpoint.load(path))
 
     def save_checkpoint(
         self, phase: str, state: dict, meta: dict
@@ -204,56 +205,45 @@ def memoized(
     return runtime.cached(key, compute, decode=decode)
 
 
-def _history_to_meta(history) -> Any:
-    return _to_jsonable(history)
+def upgrade_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+    """Bring a checkpoint written by an earlier version up to date.
+
+    Applied once, at load, so nothing downstream branches on age:
+
+    - step-mode checkpoints used to carry an aggregate ``meta["stats"]``
+      and (actor/learner runs only) the episode rows under
+      ``state["trainer"]["history"]``; both become the one
+      ``meta["history"]`` every mode now writes;
+    - checkpoints from before the observation codecs carry no
+      ``"observation"`` key, which reads as "spec-less" (no check).
+    """
+    meta = ckpt.meta
+    if "history" not in meta:
+        stats = _from_jsonable(meta.get("stats") or {})
+        rows = (ckpt.state.get("trainer") or {}).get("history") or {}
+        meta["history"] = {
+            "episodes": rows.get("episodes", []),
+            "total_steps": stats.get(
+                "total_steps", meta.get("global_step", 0)
+            ),
+            "wall_seconds": stats.get("wall_seconds", 0.0),
+            "timer_report": stats.get("timer_report", ""),
+        }
+    meta.setdefault("observation", None)
+    return ckpt
 
 
-def _history_from_meta(data):
-    from repro.rl.trainer import EpisodeStats, TrainingHistory
-
-    raw = _from_jsonable(data)
-    return TrainingHistory(
-        episodes=[EpisodeStats(**ep) for ep in raw["episodes"]],
-        total_steps=raw["total_steps"],
-        wall_seconds=raw["wall_seconds"],
-        timer_report=raw.get("timer_report", ""),
-    )
-
-
-def _merge_vector_stats(agg: Optional[dict], seg) -> dict:
-    """Fold one segment's :class:`VectorRunStats` into the aggregate."""
-    s = dataclasses.asdict(seg)
-    if agg is None:
-        return s
-    seg_best = s["best_score"]
-    agg_best = agg["best_score"]
-    best = (
-        seg_best
-        if not _isfinite(agg_best)
-        else (agg_best if not _isfinite(seg_best) else max(agg_best, seg_best))
-    )
-    prev_steps = agg["total_steps"]
-    seg_steps = s["total_steps"] - prev_steps
-    total = s["total_steps"]
-    wall = agg["wall_seconds"] + s["wall_seconds"]
-    mean_reward = (
-        agg["mean_reward"] * prev_steps + s["mean_reward"] * seg_steps
-    ) / max(total, 1)
-    return {
-        "total_steps": total,
-        "episodes_completed": agg["episodes_completed"]
-        + s["episodes_completed"],
-        "best_score": best,
-        "mean_reward": mean_reward,
-        "wall_seconds": wall,
-        "steps_per_second": total / max(wall, 1e-9),
-        "timer_report": s["timer_report"],
-        "worker_restarts": agg["worker_restarts"] + s["worker_restarts"],
-    }
-
-
-def _isfinite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _observation_spec(trainer):
+    """The codec spec of whatever ``trainer`` collects from, if any."""
+    for owner in (
+        trainer,
+        getattr(trainer, "env", None),
+        getattr(trainer, "venv", None),
+    ):
+        spec = getattr(owner, "observation_spec", None)
+        if spec is not None:
+            return spec
+    return None
 
 
 def _check_observation(meta: dict, spec) -> None:
@@ -261,11 +251,10 @@ def _check_observation(meta: dict, spec) -> None:
 
     A raw-trained Q-network cannot consume descriptor states (and vice
     versa), so codec identity is validated *before* ``_restore``
-    mutates the agent.  Pre-PR-7 checkpoints carry no "observation"
-    key and spec-less custom envs advertise none -- both skip the
-    check for backward compatibility.
+    mutates the agent.  Spec-less custom envs advertise (and record)
+    none and skip the check.
     """
-    recorded = meta.get("observation")
+    recorded = meta["observation"]
     if recorded is None or spec is None:
         return
     current = spec.as_dict()
@@ -284,7 +273,12 @@ class RunLoop:
 
     One loop per training phase; multi-phase drivers construct one per
     phase with distinct ``phase`` names so each gets its own rolling
-    checkpoint and completed phases short-circuit on resume.
+    checkpoint and completed phases short-circuit on resume.  Every
+    trainer is hosted the same way: its agent, its own ``state_dict``
+    (if it has one -- the actor/learner trainer's RNG streams and
+    version counter) and the telemetry registry form the state tree;
+    the history its :class:`~repro.rl.learner.LearnerCore` keeps rides
+    in the meta document next to the progress counters.
     """
 
     def __init__(
@@ -293,32 +287,44 @@ class RunLoop:
         self.runtime = runtime
         self.phase = str(phase)
 
-    # -- shared state capture ---------------------------------------------
-    def _capture(self, agent, trainer=None) -> dict:
-        state = {"agent": agent.state_dict()}
-        # Trainers with distributed state of their own (actor RNG
-        # streams, weight-version counters -- see
-        # repro.rl.distributed.ActorLearnerTrainer) ride along under a
-        # "trainer" subtree; classic trainers contribute nothing.
-        if trainer is not None and hasattr(trainer, "state_dict"):
-            state["trainer"] = trainer.state_dict()
-        rt = self.runtime
-        if rt is not None and rt.telemetry is not None:
-            state["telemetry"] = rt.telemetry.registry.state_dict()
-        return state
+    def _resume(self, trainer) -> dict:
+        """Restore this phase's checkpoint into ``trainer``.
 
-    def _restore(self, agent, state: dict, trainer=None) -> None:
-        agent.load_state_dict(state["agent"])
-        if (
-            trainer is not None
-            and "trainer" in state
-            and hasattr(trainer, "load_state_dict")
-        ):
-            trainer.load_state_dict(state["trainer"])
+        Returns the checkpoint's meta document, ``{}`` when the phase
+        has no checkpoint yet.
+        """
         rt = self.runtime
-        if rt is not None and rt.telemetry is not None:
-            if "telemetry" in state:
-                rt.telemetry.registry.load_state_dict(state["telemetry"])
+        ckpt = rt.load_checkpoint(self.phase)
+        if ckpt is None:
+            return {}
+        _check_observation(ckpt.meta, _observation_spec(trainer))
+        state = ckpt.state
+        trainer.agent.load_state_dict(state["agent"])
+        if "trainer" in state and hasattr(trainer, "load_state_dict"):
+            trainer.load_state_dict(state["trainer"])
+        if rt.telemetry is not None and "telemetry" in state:
+            rt.telemetry.registry.load_state_dict(state["telemetry"])
+        trainer.core.history = decode_history(ckpt.meta["history"])
+        return ckpt.meta
+
+    def _snapshot(self, trainer, progress: dict) -> Path:
+        """Write this phase's checkpoint: state tree + progress meta."""
+        rt = self.runtime
+        state = {"agent": trainer.agent.state_dict()}
+        if hasattr(trainer, "state_dict"):
+            state["trainer"] = trainer.state_dict()
+        if rt.telemetry is not None:
+            state["telemetry"] = rt.telemetry.registry.state_dict()
+        spec = _observation_spec(trainer)
+        return rt.save_checkpoint(
+            self.phase,
+            state,
+            {
+                **progress,
+                "observation": spec.as_dict() if spec else None,
+                "history": _to_jsonable(trainer.core.history),
+            },
+        )
 
     # -- episode-mode (sequential Trainer) --------------------------------
     def run_episodes(self, trainer):
@@ -333,37 +339,22 @@ class RunLoop:
         rt = self.runtime
         if rt is None:
             return trainer.run()
-        from repro.rl.trainer import TrainingHistory
-
-        agent = trainer.agent
-        spec = getattr(getattr(trainer, "env", None), "observation_spec", None)
-        ckpt = rt.load_checkpoint(self.phase)
-        start_episode = 0
-        global_step = 0
-        history = TrainingHistory()
-        if ckpt is not None:
-            meta = ckpt.meta
-            _check_observation(meta, spec)
-            history = _history_from_meta(meta["history"])
-            self._restore(agent, ckpt.state)
-            if meta.get("complete"):
-                return history
-            start_episode = int(meta["next_episode"])
-            global_step = int(meta["global_step"])
+        meta = self._resume(trainer)
+        history = trainer.core.history
+        if meta.get("complete"):
+            return history
+        start_episode = int(meta.get("next_episode", 0))
         every = rt.checkpoint_every
 
-        def snapshot(next_episode: int, gstep: int, complete: bool) -> Path:
-            return rt.save_checkpoint(
-                self.phase,
-                self._capture(agent),
+        def snapshot(next_episode: int, gstep: int) -> Path:
+            return self._snapshot(
+                trainer,
                 {
                     "mode": "episodes",
                     "next_episode": next_episode,
                     "episodes_target": trainer.episodes,
                     "global_step": gstep,
-                    "complete": complete,
-                    "observation": spec.as_dict() if spec else None,
-                    "history": _history_to_meta(history),
+                    "complete": next_episode >= trainer.episodes,
                 },
             )
 
@@ -371,12 +362,12 @@ class RunLoop:
             stopping = rt.stop_requested
             due = every > 0 and (ep + 1 - start_episode) % every == 0
             if (due or stopping) and ep + 1 < trainer.episodes:
-                snapshot(ep + 1, gstep, complete=False)
+                snapshot(ep + 1, gstep)
             return stopping
 
-        history = trainer.run(
+        trainer.run(
             start_episode=start_episode,
-            global_step=global_step,
+            global_step=int(meta.get("global_step", 0)),
             history=history,
             stop=stop,
         )
@@ -384,7 +375,7 @@ class RunLoop:
             raise RunInterrupted(
                 self.phase, rt.checkpoint_path(self.phase)
             )
-        snapshot(trainer.episodes, history.total_steps, complete=True)
+        snapshot(trainer.episodes, history.total_steps)
         return history
 
     # -- step-mode (VectorTrainer / ActorLearnerTrainer) ------------------
@@ -393,69 +384,40 @@ class RunLoop:
 
         With a runtime, collection happens in fixed segments of
         ``checkpoint_every`` environment steps (one big segment when 0);
-        every segment boundary resets the envs, flushes n-step windows,
-        and writes a checkpoint -- making the segmentation part of the
-        run's definition, so interrupted-and-resumed runs equal
-        uninterrupted ones exactly.  ``segment_steps`` overrides the
-        segment length -- the actor/learner driver uses it to align
-        checkpoint boundaries with weight-broadcast boundaries (see
-        docs/PARALLELISM.md).  Trainers exposing ``state_dict`` /
-        ``load_state_dict`` (the actor/learner trainer's RNG streams and
-        version counter) have that state checkpointed and restored
-        alongside the agent.
+        every segment boundary resets the envs, closes the open
+        episodes (flushing their n-step windows) and writes a
+        checkpoint -- making the segmentation part of the run's
+        definition, so interrupted-and-resumed runs equal uninterrupted
+        ones exactly.  ``segment_steps`` overrides the segment length --
+        the actor/learner driver uses it to align checkpoint boundaries
+        with weight-broadcast boundaries (see docs/PARALLELISM.md).
         """
         rt = self.runtime
         if rt is None:
             return vtrainer.run(total_steps)
-        from repro.rl.vector_trainer import VectorRunStats
-
-        agent = vtrainer.agent
-        spec = getattr(vtrainer, "observation_spec", None)
-        if spec is None:
-            spec = getattr(
-                getattr(vtrainer, "venv", None), "observation_spec", None
-            )
-        ckpt = rt.load_checkpoint(self.phase)
-        current = 0
-        agg: Optional[dict] = None
-        if ckpt is not None:
-            meta = ckpt.meta
-            _check_observation(meta, spec)
-            agg = _from_jsonable(meta.get("stats"))
-            self._restore(agent, ckpt.state, vtrainer)
-            if meta.get("complete"):
-                return VectorRunStats(**agg)
-            current = int(meta["next_step"])
+        meta = self._resume(vtrainer)
+        if meta.get("complete"):
+            return vtrainer.core.history
+        current = int(meta.get("next_step", 0))
         segment = segment_steps or rt.checkpoint_every or total_steps
-        flush = getattr(agent, "flush_episode", None)
 
         while current < total_steps:
             rt.check_interrupt(self.phase)
             target = min(current + segment, total_steps)
-            seg_stats = vtrainer.run(target, start_step=current)
-            if flush is not None:
-                # Segment boundaries are episode boundaries for all N
-                # envs: drain partial n-step windows deterministically.
-                flush()
-            current = seg_stats.total_steps
-            agg = _merge_vector_stats(agg, seg_stats)
+            current = vtrainer.run(target, start_step=current).total_steps
             complete = current >= total_steps
-            rt.save_checkpoint(
-                self.phase,
-                self._capture(agent, vtrainer),
+            self._snapshot(
+                vtrainer,
                 {
                     "mode": "steps",
                     "next_step": current,
                     "global_step": current,
                     "steps_target": total_steps,
                     "complete": complete,
-                    "observation": spec.as_dict() if spec else None,
-                    "stats": _to_jsonable(agg),
                 },
             )
             if rt.stop_requested and not complete:
                 raise RunInterrupted(
                     self.phase, rt.checkpoint_path(self.phase)
                 )
-        assert agg is not None
-        return VectorRunStats(**agg)
+        return vtrainer.core.history

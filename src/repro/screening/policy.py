@@ -33,6 +33,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
+from repro.config import recorded_observation_mode
 from repro.nn.checkpoints import mlp_from_arrays
 from repro.nn.network import MLP
 
@@ -104,18 +105,8 @@ def _manifest_activation(run_dir: Path) -> str | None:
 
 
 def _manifest_observation_mode(run_dir: Path) -> str | None:
-    """The recorded observation codec of a run dir, if any.
-
-    Pre-PR-7 manifests carry no ``observation_mode``; their legacy
-    ``compact_states`` flag maps to "compact".
-    """
-    config = _manifest_config(run_dir)
-    value = config.get("observation_mode")
-    if value:
-        return str(value)
-    if config.get("compact_states"):
-        return "compact"
-    return None
+    """The recorded observation codec of a run dir, if any."""
+    return recorded_observation_mode(_manifest_config(run_dir))
 
 
 def _q_net_arrays(path: Path) -> Dict[str, np.ndarray]:

@@ -7,7 +7,7 @@ wall-clock cost).  It has four layers, composable bottom-up:
 - :mod:`repro.telemetry.metrics` -- counters, gauges, streaming
   histograms behind a :class:`MetricsRegistry`;
 - :mod:`repro.telemetry.spans` -- nested wall-time spans with
-  parent/child attribution (subsumes the old ``Timer``);
+  parent/child attribution;
 - :mod:`repro.telemetry.sinks` -- pluggable persistence
   (:class:`JsonlEventSink`, :class:`CsvMetricsSink`,
   :class:`MemorySink`) behind the :class:`TelemetrySink` protocol;

@@ -1,8 +1,7 @@
 """Nested span tracing: wall time with parent/child attribution.
 
-A :class:`SpanTracer` subsumes the old flat ``Timer``: entering a span
-while another is open records the new span *under* the open one, so a
-run's time decomposes into a tree ("train" -> "episode" -> "env-step"
+Entering a span while another is open records the new span *under*
+the open one, so a run's time decomposes into a tree ("train" -> "episode" -> "env-step"
 -> "score") instead of a flat bag of names.  That is exactly what the
 paper's limitation analysis needs: "engine step" vs "Q-network forward"
 vs "replay sample" time is first-class, with self-time (time in a span
@@ -10,8 +9,8 @@ minus time in its children) computed per node.
 
 Spans are identified by slash-joined paths.  The same leaf name can
 appear under several parents; :meth:`SpanTracer.total` and
-:meth:`SpanTracer.totals_by_name` aggregate across paths, which is the
-old ``Timer`` view.
+:meth:`SpanTracer.totals_by_name` aggregate across paths (the flat
+view).
 """
 
 from __future__ import annotations
@@ -82,9 +81,6 @@ class SpanTracer:
                 )
             st.total += elapsed
             st.count += 1
-
-    # ``Timer``-flavoured alias so call sites read either way.
-    section = span
 
     # -- queries -----------------------------------------------------------
     def spans(self) -> List[SpanStats]:
@@ -163,7 +159,7 @@ class SpanTracer:
         return "\n".join(lines)
 
     def flat_report(self) -> str:
-        """Old ``Timer``-style flat report aggregated by leaf name."""
+        """Flat report aggregated by leaf name."""
         totals = self.totals_by_name()
         if not totals:
             return "(no timed sections)"

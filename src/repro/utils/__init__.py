@@ -1,7 +1,6 @@
-"""Shared utilities: RNG plumbing, timers, ASCII plots, tables, logging."""
+"""Shared utilities: RNG plumbing, ASCII plots, tables, logging."""
 
 from repro.utils.rng import RngFactory, as_generator, spawn_seeds
-from repro.utils.timers import Timer, WallClock
 from repro.utils.tables import render_table
 from repro.utils.ascii_plot import ascii_line_plot, sparkline
 from repro.utils.running_stats import RunningStats, ExponentialMovingAverage
@@ -11,8 +10,6 @@ __all__ = [
     "RngFactory",
     "as_generator",
     "spawn_seeds",
-    "Timer",
-    "WallClock",
     "render_table",
     "ascii_line_plot",
     "sparkline",

@@ -94,15 +94,20 @@ def save_history(history, path: PathLike) -> None:
     dump_json(history, path)
 
 
-def load_history(path: PathLike):
-    """Reconstruct a TrainingHistory saved by :func:`save_history`."""
-    from repro.rl.trainer import EpisodeStats, TrainingHistory
+def decode_history(data):
+    """Rebuild a TrainingHistory from its JSON tree (the one decoder:
+    history files and checkpoint metas both come through here)."""
+    from repro.rl.learner import EpisodeStats, TrainingHistory
 
-    raw = load_json(path)
-    episodes = [EpisodeStats(**ep) for ep in raw["episodes"]]
+    raw = _from_jsonable(data)
     return TrainingHistory(
-        episodes=episodes,
+        episodes=[EpisodeStats(**ep) for ep in raw["episodes"]],
         total_steps=raw["total_steps"],
         wall_seconds=raw["wall_seconds"],
         timer_report=raw.get("timer_report", ""),
     )
+
+
+def load_history(path: PathLike):
+    """Reconstruct a TrainingHistory saved by :func:`save_history`."""
+    return decode_history(load_json(path))

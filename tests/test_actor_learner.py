@@ -97,12 +97,11 @@ class TestRuntimeSemantics:
         agent = tiny_agent()
         trainer = counting_trainer(agent, horizon=7)
         try:
-            stats = trainer.run(28)  # 14 steps/actor = 2 episodes each
+            history = trainer.run(28)  # 14 steps/actor = 2 episodes each
         finally:
             trainer.close()
-        assert stats.total_steps == 28
-        assert stats.episodes_completed == 4
-        eps = trainer.history.episodes
+        assert history is trainer.history
+        eps = history.episodes
         assert len(eps) == 4
         assert all(e.steps == 7 for e in eps)
         assert all(e.termination == "terminal" for e in eps)
@@ -110,7 +109,7 @@ class TestRuntimeSemantics:
         assert trainer.history.total_steps == 28
         # CountingEnv scores count up under greedy-ish play; the
         # learner rebuilt them from ring payloads.
-        assert np.isfinite(stats.best_score)
+        assert np.isfinite(history.best_score)
 
     def test_partial_episodes_close_at_segment_boundary(self):
         agent = tiny_agent()
@@ -202,10 +201,6 @@ class TestRuntimeSemantics:
         other = counting_trainer(tiny_agent())
         other.load_state_dict(state)
         assert other._weight_version == trainer._weight_version
-        assert other._episode_index == trainer._episode_index
-        assert len(other.history.episodes) == len(
-            trainer.history.episodes
-        )
         assert other._actor_rng[0] is not None
         mismatched = counting_trainer(tiny_agent(), n_actors=3)
         with pytest.raises(CheckpointMismatchError):
@@ -337,8 +332,8 @@ class TestSignalMasking:
             time.sleep(0.3)
             assert all(p.is_alive() for p in trainer._procs)
             # The fleet still works after the signal storm.
-            stats = trainer.run(40, start_step=20)
-            assert stats.total_steps == 40
+            history = trainer.run(40, start_step=20)
+            assert history.total_steps == 40
         finally:
             trainer.close()
         assert all(not p.is_alive() for p in trainer._procs or [])

@@ -22,6 +22,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'grid'" in capsys.readouterr().err
 
+    def test_removed_compact_states_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["figure4", "--compact-states"])
+        assert exc.value.code == 2
+        assert "--compact-states" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["figure4", "--observation-mode", "compact"]
+        )
+        assert args.observation_mode == "compact"
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])

@@ -1,7 +1,7 @@
 """Compact-state emission end-to-end: engine -> env -> vector -> agent.
 
 The compact hot loop (engine ``dynamic_state`` double-buffering,
-``DockingEnv(compact_states=True)``, float32 shared-memory vector
+``DockingEnv(observation_mode="compact")``, float32 shared-memory vector
 blocks, and the compact agent wiring in the experiment drivers) must
 produce exactly the trajectories of the classic dense float64 pipeline
 -- the receptor block it factors out is constant, and every cast
@@ -34,7 +34,7 @@ def compact_env(small_complex):
     engine = MetadockEngine(
         small_complex, shift_length=0.8, rotation_angle_deg=5.0
     )
-    return DockingEnv(engine, compact_states=True)
+    return DockingEnv(engine, observation_mode="compact")
 
 
 class TestEngineEmission:
@@ -111,7 +111,7 @@ class TestCompactEnv:
                     small_complex, shift_length=0.8,
                     rotation_angle_deg=5.0,
                 ),
-                compact_states=True,
+                observation_mode="compact",
             )
             return dense, compact
 
@@ -133,7 +133,7 @@ class TestCompactEnv:
 
     def test_flexible_env_compact(self, small_complex):
         env = FlexibleDockingEnv(
-            small_complex, n_torsions=2, compact_states=True
+            small_complex, n_torsions=2, observation_mode="compact"
         )
         state = env.reset()
         assert state.dtype == np.float32
@@ -142,9 +142,9 @@ class TestCompactEnv:
 
 class TestConfigGating:
     def test_distributional_compact_rejected(self):
-        with pytest.raises(ValueError, match="compact_states"):
+        with pytest.raises(ValueError, match="compact"):
             DQNDockingConfig(
-                variant="distributional", compact_states=True
+                variant="distributional", observation_mode="compact"
             )
 
     def test_build_agent_rejects_distributional_static(self):
@@ -164,14 +164,14 @@ class TestConfigGating:
         other = build_complex(
             dataclasses.replace(SMALL_COMPLEX_CFG, seed=77)
         )
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         with pytest.raises(ValueError, match="single shared complex"):
             make_vector_env(
                 cfg, builts=[small_complex, other], n_envs=2
             )
 
     def test_factory_allows_shared_complex_compact(self, small_complex):
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         venv = make_vector_env(cfg, builts=[small_complex] * 2, n_envs=2)
         try:
             assert venv.state_dtype == np.float32
@@ -181,7 +181,7 @@ class TestConfigGating:
 
 class TestVectorBackends:
     def test_sync_carries_float32(self, small_complex):
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         venv = make_vector_env(cfg, builts=[small_complex] * 2, n_envs=2)
         try:
             states = venv.reset()
@@ -194,7 +194,7 @@ class TestVectorBackends:
     def test_sync_terminal_state_is_snapshot(self, small_complex):
         # Drive one env to termination; the surfaced terminal_state must
         # be a private copy, not the engine's reused emission buffer.
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         venv = make_vector_env(cfg, builts=[small_complex], n_envs=1)
         try:
             venv.reset()
@@ -217,7 +217,7 @@ class TestVectorBackends:
     def test_async_matches_sync_compact(self, small_complex):
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("async backend needs fork")
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         actions = [[a % 12, (a + 3) % 12] for a in range(25)]
         streams = []
         for backend in ("sync", "async"):
@@ -254,7 +254,7 @@ class TestEndToEnd:
         # because a compact agent's first layer is bound to the constant
         # receptor prefix and sums the same products in another order.
         dense_cfg = ci_scale_config(episodes=4, seed=3, max_steps=20)
-        compact_cfg = dense_cfg.replace(compact_states=True)
+        compact_cfg = dense_cfg.replace(observation_mode="compact")
         dense = run_figure4_experiment(dense_cfg)
         compact = run_figure4_experiment(compact_cfg)
         assert compact.agent.static_state is not None
@@ -273,7 +273,7 @@ class TestEndToEnd:
         assert relative_drift(compact.series, dense.series) < DRIFT_BOUND
 
     def test_build_agent_for_env_compact(self, compact_env):
-        cfg = ci_scale_config(episodes=2, compact_states=True)
+        cfg = ci_scale_config(episodes=2, observation_mode="compact")
         agent = build_agent_for_env(cfg, compact_env)
         assert agent.config.state_dim == compact_env.full_state_dim
         assert agent.replay.is_compact
@@ -286,7 +286,7 @@ class TestEndToEnd:
         from repro.rl.vector_trainer import VectorTrainer
 
         cfg = ci_scale_config(
-            episodes=2, compact_states=True, max_steps=10
+            episodes=2, observation_mode="compact", max_steps=10
         )
         venv = make_vector_env(cfg, builts=[small_complex] * 2, n_envs=2)
         try:

@@ -188,25 +188,6 @@ class TestConfigKnob:
     def test_default_raw(self):
         cfg = ci_scale_config(4)
         assert cfg.observation_mode == "raw"
-        assert not cfg.compact_states
-
-    def test_legacy_compact_flag_normalizes(self):
-        cfg = ci_scale_config(4, compact_states=True)
-        assert cfg.observation_mode == "compact"
-
-    def test_mode_sets_legacy_flag(self):
-        cfg = ci_scale_config(4, observation_mode="compact")
-        assert cfg.compact_states
-
-    def test_descriptor_keeps_flag_off(self):
-        cfg = ci_scale_config(4, observation_mode="descriptor")
-        assert not cfg.compact_states
-
-    def test_descriptor_conflicts_with_compact_flag(self):
-        with pytest.raises(ValueError, match="pick one observation codec"):
-            ci_scale_config(
-                4, compact_states=True, observation_mode="descriptor"
-            )
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown observation_mode"):
@@ -220,11 +201,21 @@ class TestConfigKnob:
 
     def test_pre_pr7_manifest_dict_still_loads(self):
         # Manifests written before the knob existed carry no
-        # observation_mode key; compact_states alone must still map to
-        # the compact codec.
-        data = dataclasses.asdict(ci_scale_config(4, compact_states=True))
+        # observation_mode key; their compact_states boolean (no longer
+        # a config field) must still map to the compact codec.
+        data = dataclasses.asdict(ci_scale_config(4))
         del data["observation_mode"]
+        assert config_from_dict(data).observation_mode == "raw"
+        data["compact_states"] = True
         assert config_from_dict(data).observation_mode == "compact"
+        # Later manifests carried both keys, normalised or not.
+        for mode in ("raw", "compact"):
+            data["observation_mode"] = mode
+            assert config_from_dict(data).observation_mode == "compact"
+        data.update(compact_states=False, observation_mode="descriptor")
+        assert config_from_dict(data).observation_mode == "descriptor"
+        with pytest.raises(TypeError):
+            ci_scale_config(4, compact_states=True)
 
 
 class TestEnvWiring:
@@ -233,10 +224,6 @@ class TestEnvWiring:
         assert env.observation_spec.mode == "raw"
         assert env.observation_space.shape == (env.observation_spec.dim,)
         assert env.state_dtype is np.float64
-
-    def test_explicit_mode_conflict(self, engine):
-        with pytest.raises(ValueError, match="conflicts"):
-            DockingEnv(engine, compact_states=True, observation_mode="raw")
 
     def test_descriptor_env_emits_spec_shape(self, engine):
         env = DockingEnv(engine, observation_mode="descriptor")
@@ -248,12 +235,6 @@ class TestEnvWiring:
         assert next_state.shape == (spec.dim,)
         assert env.full_state().shape == (spec.full_dim,)
         assert env.state_dtype is np.float32
-
-    def test_legacy_compact_flag(self, engine):
-        env = DockingEnv(engine, compact_states=True)
-        assert env.observation_mode == "compact"
-        assert env.compact_states
-        assert env.static_state() is not None
 
 
 class TestFactory:

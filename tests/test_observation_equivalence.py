@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ci_scale_config
+from repro.config import ci_scale_config, config_from_dict
 from repro.env.factory import make_env, make_vector_env
 from repro.experiments.figure4 import build_agent, build_agent_for_env
 from repro.nn.checkpoints import CheckpointMismatchError
@@ -138,12 +138,16 @@ class TestRawEquivalence:
         _assert_state_equal(agent_a.state_dict(), agent_b.state_dict())
 
     def test_trainer_compact_replay(self):
-        # Legacy compact_states flag == explicit "compact" codec mode.
-        legacy = ci_scale_config(
-            episodes=4, seed=7, max_steps=12, compact_states=True
-        )
+        # An archived config with the legacy compact_states key ==
+        # the explicit "compact" codec mode.
         explicit = ci_scale_config(
             episodes=4, seed=7, max_steps=12, observation_mode="compact"
+        )
+        legacy = config_from_dict(
+            dict(
+                dataclasses.asdict(explicit.replace(observation_mode="raw")),
+                compact_states=True,
+            )
         )
         assert legacy == explicit
         hist_a, agent_a = _train(legacy, make_env(legacy))
@@ -159,9 +163,7 @@ class TestRawEquivalence:
                 episodes=4, seed=13, max_steps=12, observation_mode="raw"
             )
         )
-        assert stats_a.total_steps == stats_b.total_steps
-        assert stats_a.best_score == stats_b.best_score
-        assert stats_a.mean_reward == stats_b.mean_reward
+        _assert_histories_equal(stats_a, stats_b)
         _assert_state_equal(agent_a.state_dict(), agent_b.state_dict())
 
 
@@ -263,9 +265,8 @@ class TestDescriptorTraining:
 
         rt_c = RuntimeContext(tmp_path / "b", checkpoint_every=segment)
         stats_b, agent_c = make(rt_c)
-        assert stats_b.total_steps == stats_a.total_steps == total
-        assert stats_b.best_score == stats_a.best_score
-        assert stats_b.mean_reward == stats_a.mean_reward
+        assert stats_b.total_steps == total
+        _assert_histories_equal(stats_a, stats_b)
         _assert_state_equal(agent_c.state_dict(), state_a)
 
 
@@ -302,11 +303,14 @@ class TestCodecMismatch:
 
     def test_pre_pr7_checkpoint_still_resumes(self, tmp_path):
         # Checkpoints written before the codec layer carry no
-        # "observation" meta key; resume must not reject them.
-        from repro.runtime.loop import _check_observation
+        # "observation" meta key; the load-time upgrade reads that as
+        # "spec-less" and resume must not reject them.
+        from repro.runtime.checkpoint import Checkpoint
+        from repro.runtime.loop import _check_observation, upgrade_checkpoint
 
         spec = make_env(ci_scale_config(4)).observation_spec
-        _check_observation({}, spec)
+        old = Checkpoint(state={}, meta={"mode": "episodes", "history": {}})
+        _check_observation(upgrade_checkpoint(old).meta, spec)
         _check_observation({"observation": None}, spec)
         _check_observation({"observation": spec.as_dict()}, spec)
         with pytest.raises(CheckpointMismatchError):

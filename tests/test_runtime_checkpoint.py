@@ -369,7 +369,7 @@ class TestTrainerResume:
             seed=3,
             max_steps=12,
             variant=variant,
-            compact_states=compact,
+            observation_mode="compact" if compact else "raw",
         )
 
         # Uninterrupted reference (same cadence: snapshots are pure
@@ -453,10 +453,9 @@ class TestVectorResume:
         stats_b = RunLoop(rt_c, phase="v").run_steps(vt_c, total)
         venv.close()
 
-        assert stats_b.total_steps == stats_a.total_steps == total
-        assert stats_b.episodes_completed == stats_a.episodes_completed
-        assert stats_b.best_score == stats_a.best_score
-        assert stats_b.mean_reward == stats_a.mean_reward
+        assert stats_b.total_steps == total
+        assert stats_b.episodes
+        _assert_histories_equal(stats_a, stats_b)
         _assert_state_equal(agent_c.state_dict(), state_a)
 
     def test_completed_phase_short_circuits(self, tmp_path):
@@ -469,9 +468,107 @@ class TestVectorResume:
         venv, agent_b, vt_b = _make_vector(cfg)
         stats_b = RunLoop(rt, phase="v").run_steps(vt_b, 40)
         venv.close()
-        assert stats_b.total_steps == stats_a.total_steps
-        assert stats_b.best_score == stats_a.best_score
+        _assert_histories_equal(stats_a, stats_b)
         _assert_state_equal(agent_b.state_dict(), agent_a.state_dict())
+
+
+class TestLegacyStepCheckpoint:
+    """Step-mode checkpoints written before the single payload: an
+    aggregate ``meta["stats"]``, no ``meta["history"]``, and (actor/
+    learner runs) the episode rows under ``state["trainer"]``."""
+
+    OLD_STATS = {
+        "total_steps": 24,
+        "episodes_completed": 3,
+        "best_score": {"__float__": "nan"},
+        "mean_reward": 0.125,
+        "wall_seconds": 2.5,
+        "steps_per_second": 9.6,
+        "timer_report": "old report",
+        "worker_restarts": 0,
+    }
+
+    def test_vector_checkpoint_resumes(self, tmp_path):
+        cfg = ci_scale_config(episodes=4, seed=5, max_steps=12)
+        total, segment = 72, 24
+
+        rt_a = RuntimeContext(tmp_path / "a", checkpoint_every=segment)
+        venv, agent_a, vt = _make_vector(cfg)
+        hist_a = RunLoop(rt_a, phase="v").run_steps(vt, total)
+        venv.close()
+
+        rt_b = RuntimeContext(tmp_path / "b", checkpoint_every=segment)
+        rt_b.guard = _StopAfterCheckpoint(rt_b, "v", segment)
+        venv, _, vt_b = _make_vector(cfg)
+        with pytest.raises(RunInterrupted):
+            RunLoop(rt_b, phase="v").run_steps(vt_b, total)
+        venv.close()
+
+        # Rewrite the snapshot into the old layout.
+        path = rt_b.checkpoint_path("v")
+        ckpt = Checkpoint.load(path)
+        first_segment_rows = len(ckpt.meta.pop("history")["episodes"])
+        ckpt.meta["stats"] = self.OLD_STATS
+        ckpt.write(path)
+
+        rt_c = RuntimeContext(tmp_path / "b", checkpoint_every=segment)
+        venv, agent_c, vt_c = _make_vector(cfg)
+        hist_c = RunLoop(rt_c, phase="v").run_steps(vt_c, total)
+        venv.close()
+
+        _assert_state_equal(agent_c.state_dict(), agent_a.state_dict())
+        assert hist_c.total_steps == total
+        assert hist_c.wall_seconds > 2.5
+        # The old payload kept no rows for vector runs: the upgraded
+        # history holds the episodes closed after the resume.
+        key = lambda e: (e.steps, e.total_reward, e.termination)
+        assert [key(e) for e in hist_c.episodes] == [
+            key(e) for e in hist_a.episodes[first_segment_rows:]
+        ]
+        meta = read_meta(path)
+        assert meta["complete"] and "stats" not in meta
+
+    def test_actor_learner_rows_move_to_meta(self):
+        from repro.rl.trainer import EpisodeStats, TrainingHistory
+        from repro.runtime.loop import upgrade_checkpoint
+        from repro.utils.serialization import _to_jsonable, decode_history
+
+        rows = TrainingHistory(
+            episodes=[
+                EpisodeStats(
+                    episode=i,
+                    steps=12,
+                    total_reward=float(i),
+                    avg_max_q=0.5,
+                    best_score=float("-inf"),
+                    final_score=1.0,
+                    epsilon=0.9,
+                    mean_loss=0.25,
+                    learning_active=True,
+                    termination="segment-boundary",
+                    min_crystal_rmsd=2.0,
+                )
+                for i in range(2)
+            ],
+            total_steps=24,
+        )
+        old = Checkpoint(
+            state={
+                "agent": {},
+                "trainer": {
+                    "num_actors": 2,
+                    "episode_index": 2,
+                    "history": _to_jsonable(rows),
+                },
+            },
+            meta={"mode": "steps", "next_step": 24, "stats": self.OLD_STATS},
+        )
+        history = decode_history(upgrade_checkpoint(old).meta["history"])
+        assert history.episodes == rows.episodes
+        assert history.total_steps == 24
+        assert history.wall_seconds == 2.5
+        assert history.timer_report == "old report"
+        assert old.meta["observation"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +610,31 @@ class TestCliResume:
         assert second["status"] == "completed"
         assert second["parent_run_id"] == first["run_id"]
         assert second["resume_step"] is not None
+
+    def test_resume_upgrades_legacy_compact_flag(self, tmp_path, capsys):
+        # A run started with the removed --compact-states flag recorded
+        # it next to observation_mode="raw"; resume must still rebuild
+        # the compact codec (the checkpoint refuses any other).
+        from repro.cli import main
+
+        run_dir = tmp_path / "run"
+        argv = [
+            "figure4", "--episodes", "2", "--max-steps", "8",
+            "--observation-mode", "compact", "--log-dir", str(run_dir),
+        ]
+        assert main(argv) == 0
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["extra"]["cli_args"].update(
+            observation_mode="raw", compact_states=True
+        )
+        manifest_path.write_text(json.dumps(manifest))
+
+        assert main(["resume", str(run_dir)]) == 0
+        capsys.readouterr()
+        resumed = json.loads(manifest_path.read_text())
+        assert resumed["config"]["observation_mode"] == "compact"
+        assert "compact_states" not in resumed["config"]
 
     def test_resume_missing_manifest_errors(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,11 +1,10 @@
-"""Span tracer: nesting, attribution, and the Timer compatibility shim."""
+"""Span tracer: nesting and attribution."""
 
 import time
 
 import pytest
 
 from repro.telemetry.spans import SpanTracer
-from repro.utils.timers import Timer
 
 
 class TestSpanTracer:
@@ -45,7 +44,7 @@ class TestSpanTracer:
                 pass
         assert tr.get("x/work").count == 1
         assert tr.get("y/work").count == 1
-        # The flat (Timer) view aggregates across parents.
+        # The flat view aggregates across parents.
         assert tr.counts_by_name()["work"] == 2
 
     def test_rejects_separator_in_name(self):
@@ -99,33 +98,3 @@ class TestSpanTracer:
         assert "train" in tree and "  act" in tree
         flat = tr.flat_report()
         assert "total=" in flat and "calls=" in flat
-
-
-class TestTimerShim:
-    def test_section_records(self):
-        t = Timer()
-        with t.section("load"):
-            pass
-        with t.section("load"):
-            pass
-        assert t.counts["load"] == 2
-        assert t.total("load") >= 0.0
-        assert t.mean("load") == pytest.approx(t.total("load") / 2)
-
-    def test_nested_sections_aggregate_by_leaf_name(self):
-        t = Timer()
-        with t.section("outer"):
-            with t.section("inner"):
-                pass
-        assert set(t.totals) == {"outer", "inner"}
-        assert "outer" in t.report()
-
-    def test_wraps_existing_tracer(self):
-        tr = SpanTracer()
-        t = Timer(tr)
-        with t.section("shared"):
-            pass
-        assert tr.get("shared").count == 1
-
-    def test_empty_report(self):
-        assert Timer().report() == "(no timed sections)"

@@ -1,6 +1,4 @@
-"""Timers, tables, ASCII plots, running statistics."""
-
-import time
+"""Tables, ASCII plots, running statistics."""
 
 import numpy as np
 import pytest
@@ -10,53 +8,6 @@ from hypothesis import strategies as st
 from repro.utils.ascii_plot import ascii_line_plot, sparkline
 from repro.utils.running_stats import ExponentialMovingAverage, RunningStats
 from repro.utils.tables import render_table
-from repro.utils.timers import Timer, WallClock
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.total("a") >= 0.0
-
-    def test_mean_of_unknown_is_zero(self):
-        assert Timer().mean("never") == 0.0
-
-    def test_report_mentions_sections(self):
-        t = Timer()
-        with t.section("scoring"):
-            time.sleep(0.001)
-        assert "scoring" in t.report()
-
-    def test_empty_report(self):
-        assert "no timed sections" in Timer().report()
-
-    def test_accumulates_on_exception(self):
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t.section("x"):
-                raise RuntimeError("boom")
-        assert t.counts["x"] == 1
-
-
-class TestWallClock:
-    def test_elapsed_monotone(self):
-        w = WallClock()
-        a = w.elapsed()
-        b = w.elapsed()
-        assert b >= a >= 0.0
-
-    def test_split_resets(self):
-        w = WallClock()
-        time.sleep(0.002)
-        first = w.split()
-        second = w.split()
-        assert first >= 0.002
-        assert second < first
 
 
 class TestRenderTable:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.env.factory import make_vector_env
-from repro.env.vectorized import SyncVectorEnv
 from repro.rl.vector_trainer import VectorTrainer
 from repro.telemetry.spans import SpanTracer
 
@@ -87,11 +86,6 @@ class TestSyncVectorEnv:
         with pytest.raises(ValueError):
             make_vector_env(env_fns=[lambda: CountingEnv(), OtherEnv])
 
-    def test_direct_construction_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning, match="make_vector_env"):
-            venv = SyncVectorEnv([lambda: CountingEnv()])
-        assert venv.reset().shape == (1, 2)
-
     def test_docking_envs_vectorize(self, small_complex):
         from repro.env.docking_env import DockingEnv
         from repro.metadock.engine import MetadockEngine
@@ -120,12 +114,15 @@ class TestVectorTrainer:
         venv = make_venv(3, horizon=5)
         agent = tiny_agent()
         trainer = VectorTrainer(venv, agent)
-        stats = trainer.run(total_steps=30)
-        assert stats.total_steps == 30
+        history = trainer.run(total_steps=30)
+        assert history is trainer.core.history
+        assert history.total_steps == 30
         assert len(agent.replay) == 30
-        assert stats.episodes_completed == 6  # 30 steps / (3 envs * 5)... per env 10 steps -> 2 episodes each
+        # 10 steps per env at horizon 5: two complete episodes each.
+        assert len(history.episodes) == 6
+        assert {e.termination for e in history.episodes} == {"chain-end"}
         assert agent.learn_steps > 0
-        assert stats.worker_restarts == 0
+        assert venv.worker_restarts == 0
 
     def test_update_density_matches_sequential(self):
         venv = make_venv(2, horizon=100)
@@ -168,20 +165,24 @@ class TestVectorTrainer:
     def test_stats_fields(self):
         venv = make_venv(2, horizon=5)
         agent = tiny_agent()
-        stats = VectorTrainer(venv, agent).run(total_steps=20)
-        assert stats.steps_per_second > 0
-        assert np.isfinite(stats.mean_reward)
-        assert "env-step" in stats.timer_report
+        history = VectorTrainer(venv, agent).run(total_steps=20)
+        assert history.wall_seconds > 0
+        assert np.isfinite(history.reward_series()).all()
+        # Every transition's reward lands in exactly one episode row.
+        assert history.reward_series().sum() == sum(
+            agent.replay[i].reward for i in range(20)
+        )
+        assert "env-step" in history.timer_report
 
     def test_external_tracer_reflected_in_report(self):
         # timer_report must render the tracer the caller supplied, and
         # the caller's tracer must accumulate the run's spans.
         tracer = SpanTracer()
         venv = make_venv(2, horizon=5)
-        stats = VectorTrainer(venv, tiny_agent(), tracer=tracer).run(
+        history = VectorTrainer(venv, tiny_agent(), tracer=tracer).run(
             total_steps=20
         )
-        assert stats.timer_report == tracer.report()
+        assert history.timer_report == tracer.report()
         assert tracer.get("env-step") is not None
         assert tracer.get("env-step").count == 10  # 20 steps / 2 envs
 
@@ -194,6 +195,8 @@ class TestVectorTrainer:
         venv = make_vector_env(
             env_fns=[lambda: ScorelessEnv(horizon=5)] * 2
         )
-        stats = VectorTrainer(venv, tiny_agent()).run(total_steps=20)
-        # No env ever reported a finite score: NaN, never -inf.
-        assert np.isnan(stats.best_score)
+        history = VectorTrainer(venv, tiny_agent()).run(total_steps=20)
+        # No env ever reported a finite score: the one "nothing seen"
+        # convention of EpisodeStats / TrainingHistory, -inf.
+        assert history.best_score == float("-inf")
+        assert all(np.isnan(e.final_score) for e in history.episodes)
