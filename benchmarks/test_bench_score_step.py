@@ -35,9 +35,14 @@ field scorer's calm drift and reward-sign agreement against exact over
 ``POSE_A_SEEDS`` x ``POSE_A_PAIRS`` consecutive pose pairs -- the
 numbers the outer field level is accountable for.
 
-The speedup assertions (incremental >= 5x exact, field >= 5x
-incremental, field >= 10x exact at pose A) are ratios of measurements
-on the same machine, so they are robust to absolute runner speed.
+``rebuild_us_crystal`` / ``rebuild_us_pose_a`` are the median cost of
+one Verlet-list build (neighbour query + per-pair gather) in the two
+regimes -- what every pose *jump* pays, and the row the screening
+search's throughput follows.
+
+The speedup assertions (incremental >= 5x exact, field >= 29x exact,
+field >= 10x exact at pose A) are ratios of measurements on the same
+machine, so they are robust to absolute runner speed.
 """
 
 from __future__ import annotations
@@ -77,6 +82,12 @@ BATCH_K = 64
 #: Required batched-field throughput over the single-pose field path at
 #: ``BATCH_K`` (ISSUE 10 acceptance; measured well above).
 FIELD_BATCH_SPEEDUP_BOUND = 3.0
+#: Required field throughput over exact on the crystal-pose walk.  The
+#: guard used to read "field >= 5x incremental"; incremental then ran
+#: 5.6-5.8x exact, so that floor was 28.2-28.8x exact.  It is anchored
+#: on exact (which no list-build change moves) and rounded up, so a
+#: faster incremental scorer cannot loosen it (measured 31-33x).
+FIELD_SPEEDUP_BOUND = 29.0
 #: Documented per-step score-change drift of cutoff truncation vs exact
 #: at the default cutoff on the 2BSM-scale synthetic complex, calm
 #: regime (measured ~57 kcal/mol; docs/PERFORMANCE.md, "Scoring
@@ -163,6 +174,20 @@ def _measure(scorer, poses: np.ndarray) -> tuple[float, np.ndarray]:
             scores[i] = scorer.score(p)
         best = min(best, time.perf_counter() - t0)
     return len(poses) / max(best, 1e-9), scores
+
+
+def _rebuild_us(scorer: IncrementalScorer, poses: np.ndarray) -> float:
+    """Median Verlet-list build cost in microseconds over ``poses``.
+
+    One forced build per pose (neighbour query + per-pair gather) --
+    what a pose jump costs the scatter search before it scores.
+    """
+    times = np.empty(len(poses))
+    for i, p in enumerate(poses):
+        t0 = time.perf_counter()
+        scorer._rebuild(p)
+        times[i] = time.perf_counter() - t0
+    return float(np.median(times)) * 1e6
 
 
 def _measure_batch(
@@ -279,6 +304,10 @@ def test_bench_score_step(paper_complex):
     rate_a_exact, _ = _measure(exact, a_poses)
     rate_a_inc, _ = _measure(inc, a_poses)
     rate_a_field, _ = _measure(fld, a_poses)
+    # List-build cost in both regimes (taken last on each scorer: the
+    # forced builds inflate rebuild_count).
+    rebuild_us_crystal = _rebuild_us(inc_batch, poses)
+    rebuild_us_pose_a = _rebuild_us(inc_batch, a_poses)
     a_calm_drift, a_agreement, a_outer, a_near = [], [], [], []
     for w_poses, keep in walks:
         sa_exact = np.array([exact.score(p) for p in w_poses])
@@ -313,6 +342,8 @@ def test_bench_score_step(paper_complex):
         "speedup_incremental_vs_cutoff": round(rate_inc / rate_cutoff, 3),
         "rebuild_count": inc.rebuild_count,
         "rebuild_rate": round(rebuild_rate, 4),
+        "rebuild_us_crystal": round(rebuild_us_crystal, 1),
+        "rebuild_us_pose_a": round(rebuild_us_pose_a, 1),
         "max_rel_drift_incremental_vs_cutoff": max_rel_inc_vs_cutoff,
         "calm_steps": int(calm.sum()),
         "calm_step_delta_drift_vs_exact": round(calm_step_drift, 3),
@@ -381,9 +412,10 @@ def test_bench_score_step(paper_complex):
     # The Verlet list must actually amortize: far fewer rebuilds than
     # steps (skin/2 displacement policy, see docs/PERFORMANCE.md).
     assert rebuild_rate < 0.5, payload
-    # Field scorer: another >= 5x over incremental at default maps,
-    # with drift inside its documented two-regime budget.
-    assert rate_field >= 5.0 * rate_inc, payload
+    # Field scorer: >= 29x exact at default maps (no weaker than the
+    # ">= 5x incremental" it replaces, see FIELD_SPEEDUP_BOUND), with
+    # drift inside its documented two-regime budget.
+    assert rate_field >= FIELD_SPEEDUP_BOUND * rate_exact, payload
     assert field_calm_drift <= FIELD_CALM_STEP_BOUND, payload
     assert field_clash_rel <= FIELD_CLASH_REL_BOUND, payload
     # Pose-major batching: the fused field kernel must amortize per-call

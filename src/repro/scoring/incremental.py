@@ -28,10 +28,10 @@ resumed run starts with a cold cache.  The score must therefore be a
 pure function of the pose, independent of when the list was last built.
 Two properties guarantee this:
 
-1. :func:`repro.scoring.neighborlist.query_pairs` returns pairs in a
-   canonical order (ligand-atom-major, cells ascending, stored index
-   ascending within a cell) that depends only on pair *membership*, not
-   on where the query was centered; and
+1. :func:`repro.scoring.neighborlist.candidate_pairs` returns pairs in
+   the receptor ``CellList``'s canonical order (ligand-atom-major, cells
+   ascending, stored index ascending within a cell), which depends only
+   on pair *membership*, not on where the query was centered; and
 2. each evaluation first *compresses* the cached superset list to
    exactly the pairs with ``r <= cutoff`` — a subset whose content and
    order is the same whether the list was built at this pose or up to
@@ -59,7 +59,7 @@ from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
 from repro.scoring import hbond as hb
 from repro.scoring.composite import as_pose, as_pose_batch
-from repro.scoring.neighborlist import CellList, query_pairs
+from repro.scoring.neighborlist import CellList, candidate_pairs
 from repro.scoring.pairwise import direction_vectors
 
 #: Default Verlet skin, angstrom.  With the paper's 1 A shift actions a
@@ -100,10 +100,9 @@ class IncrementalScorer:
         Extra list radius in angstrom — the cadence knob.
     shifted:
         Use the energy-shifted Coulomb form (matches ``CutoffScorer``).
-    cell_size:
-        Receptor cell-list bin edge; ``None`` picks ``(cutoff+skin)/2``,
-        which measured fastest for list-radius-sized queries (bins equal
-        to the query radius degenerate to scanning the whole receptor).
+    cells:
+        A prebuilt :meth:`receptor_cache` to share between the scorers
+        of one receptor; built privately when omitted.
 
     Attributes
     ----------
@@ -124,7 +123,6 @@ class IncrementalScorer:
         skin: float = DEFAULT_SKIN,
         *,
         shifted: bool = True,
-        cell_size: float | None = None,
         cells: CellList | None = None,
     ):
         if cutoff <= 0:
@@ -147,9 +145,7 @@ class IncrementalScorer:
         self._cells = (
             cells
             if cells is not None
-            else self.receptor_cache(
-                receptor, cutoff, skin, cell_size=cell_size
-            )
+            else self.receptor_cache(receptor, cutoff, skin)
         )
         self._dirs_full = direction_vectors(receptor.coords, receptor.bonds)
         self._iso_full = (np.abs(self._dirs_full) < 1e-12).all(axis=1)
@@ -174,8 +170,6 @@ class IncrementalScorer:
         receptor: Molecule,
         cutoff: float = DEFAULT_CUTOFF,
         skin: float = DEFAULT_SKIN,
-        *,
-        cell_size: float | None = None,
         **_pair_kwargs,
     ) -> CellList:
         """The receptor cell list every ligand's scorer can share.
@@ -183,11 +177,14 @@ class IncrementalScorer:
         Takes the scorer's config kwargs (those that only shape the
         per-pair arithmetic are ignored) and returns what ``__init__``
         builds for itself when ``cells`` is None -- screening workers
-        bin the receptor once and pass it to every ligand's scorer.
+        sort the receptor once and pass it to every ligand's scorer.
+        The bin edge ``(cutoff + skin) / 2`` only fixes the canonical
+        pair order (hence the summation order, hence every digest);
+        query cost does not depend on it.
         """
-        if cell_size is None:
-            cell_size = (float(cutoff) + float(skin)) / 2.0
-        return CellList(receptor.coords, cell_size=cell_size)
+        return CellList(
+            receptor.coords, cell_size=(float(cutoff) + float(skin)) / 2.0
+        )
 
     # -- capacity / buffers -------------------------------------------------
     def _ensure_capacity(self, n: int) -> None:
@@ -225,7 +222,12 @@ class IncrementalScorer:
 
     # -- list construction --------------------------------------------------
     def _rebuild(self, lig: np.ndarray) -> None:
-        rec_idx, lig_idx = query_pairs(self._cells, lig, self._list_radius)
+        # The rounding-margin superset is enough: every score compresses
+        # the list to r <= cutoff exactly, and the skin leaves skin/2 of
+        # slack against a margin below 1e-7 A.
+        rec_idx, lig_idx = candidate_pairs(
+            self._cells, lig, self._list_radius
+        )
         n = int(rec_idx.size)
         self._ensure_capacity(n)
         self._n_pairs = n

@@ -84,8 +84,8 @@ class ExactScorer:
 class CutoffScorer:
     """Eq. 1 truncated to receptor atoms within ``cutoff`` of any ligand atom.
 
-    The receptor cell list is built once; each evaluation touches
-    O(ligand x local-density) pairs instead of all n x m.
+    The receptor is put in cell-sorted order once; each evaluation
+    touches O(ligand x local-density) pairs instead of all n x m.
 
     ``shifted=True`` (default) uses the energy-shifted Coulomb form
     ``k q_i q_j (1/r - 1/Rc)``, which is continuous at the cutoff.  With
@@ -102,7 +102,6 @@ class CutoffScorer:
         cutoff: float = DEFAULT_CUTOFF,
         *,
         shifted: bool = True,
-        cell_size: float | None = None,
         cells: CellList | None = None,
     ):
         if cutoff <= 0:
@@ -114,7 +113,7 @@ class CutoffScorer:
         self._cells = (
             cells
             if cells is not None
-            else self.receptor_cache(receptor, cutoff, cell_size=cell_size)
+            else self.receptor_cache(receptor, cutoff)
         )
         self._dirs = direction_vectors(receptor.coords, receptor.bonds)
         self._mask_full = hb.eligible_pairs_mask(
@@ -129,8 +128,6 @@ class CutoffScorer:
         cls,
         receptor: Molecule,
         cutoff: float = DEFAULT_CUTOFF,
-        *,
-        cell_size: float | None = None,
         **_pair_kwargs,
     ) -> CellList:
         """The receptor cell list every ligand's scorer can share.
@@ -138,15 +135,12 @@ class CutoffScorer:
         Takes the scorer's config kwargs (those that only shape the
         per-pair arithmetic are ignored) and returns what ``__init__``
         builds for itself when ``cells`` is None -- screening workers
-        bin the receptor once and pass it to every ligand's scorer.
-        Bins of cutoff/2 measured fastest for cutoff-radius queries;
-        bins equal to the radius degenerate to scanning most of the
-        receptor (pair membership is identical either way).
+        sort the receptor once and pass it to every ligand's scorer.
+        The bin edge ``cutoff / 2`` only fixes the canonical pair order
+        (hence the summation order); query cost and pair membership do
+        not depend on it.
         """
-        return CellList(
-            receptor.coords,
-            cell_size=cutoff / 2.0 if cell_size is None else cell_size,
-        )
+        return CellList(receptor.coords, cell_size=cutoff / 2.0)
 
     def _score_pose(self, lig: np.ndarray) -> float:
         if not np.isfinite(lig).all():
@@ -248,7 +242,6 @@ class ScorerEntry:
 
 
 _NUMBER = (int, float)
-_OPTIONAL_NUMBER = (int, float, type(None))
 
 #: Method name -> :class:`ScorerEntry`; the single source of truth for
 #: valid ``scoring_method`` / ``scoring_kwargs`` combinations.
@@ -259,7 +252,6 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
         kwargs={
             "cutoff": _NUMBER,
             "shifted": (bool,),
-            "cell_size": _OPTIONAL_NUMBER,
             "cells": (object,),
         },
         runtime_only=frozenset({"cells"}),
@@ -270,7 +262,6 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
             "cutoff": _NUMBER,
             "skin": _NUMBER,
             "shifted": (bool,),
-            "cell_size": _OPTIONAL_NUMBER,
             "cells": (object,),
         },
         runtime_only=frozenset({"cells"}),

@@ -57,7 +57,7 @@ METHODS = list(SCORER_REGISTRY)
 #: also covers ``receptor_cache`` reading the same kwargs the scorer does.
 TUNED_KWARGS = {
     "cutoff": {"cutoff": 9.0, "shifted": False},
-    "incremental": {"cutoff": 9.0, "skin": 2.0, "cell_size": 4.0},
+    "incremental": {"cutoff": 9.0, "skin": 2.0, "shifted": False},
     "field": {"spacing": 1.5, "padding": 8.0, "clash_radius": 2.5},
 }
 

@@ -16,9 +16,12 @@ The load-bearing properties (see ``repro/scoring/incremental.py``):
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ci_scale_config
 from repro.env.docking_env import DockingEnv
@@ -31,7 +34,8 @@ from repro.scoring.incremental import (
     REBUILDS_METRIC,
     IncrementalScorer,
 )
-from repro.scoring.neighborlist import CellList, query_pairs
+from repro.scoring import incremental, neighborlist
+from repro.scoring.neighborlist import CellList, candidate_pairs, query_pairs
 from repro.scoring.scorers import (
     SCORING_METHODS,
     CutoffScorer,
@@ -57,52 +61,201 @@ def _fresh(rec, template, **kw) -> IncrementalScorer:
 # vectorized multi-center query
 
 
+def _csr_query_pairs(pts, cell_size, probes, r):
+    """Frozen copy of the cell-enumeration query this module replaced.
+
+    Kept as the index-for-index reference: occupied-cell CSR tables,
+    a dense (k, span^3) block of candidate cells per probe resolved
+    with ``searchsorted``, CSR expansion, exact distance filter.
+    """
+    pts = np.ascontiguousarray(pts, dtype=float)
+    probes = np.asarray(probes, dtype=float).reshape(-1, 3)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if len(probes) == 0 or len(pts) == 0:
+        return empty
+    origin = pts.min(axis=0) - 1e-9
+    idx3 = np.floor((pts - origin) / cell_size).astype(np.int64)
+    dims = idx3.max(axis=0) + 1
+
+    def flatten(i3):
+        return (i3[..., 0] * dims[1] + i3[..., 1]) * dims[2] + i3[..., 2]
+
+    flat = flatten(idx3)
+    order = np.argsort(flat, kind="stable")
+    unique_flat, starts = np.unique(flat[order], return_index=True)
+    ends = np.append(starts[1:], len(flat))
+    lo = np.floor((probes - r - origin) / cell_size).astype(np.int64)
+    hi = np.floor((probes + r - origin) / cell_size).astype(np.int64)
+    span = int((hi - lo).max()) + 1
+    ax = np.arange(span, dtype=np.int64)
+    off = np.stack(
+        np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    cells = lo[:, None, :] + off[None, :, :]
+    valid = (
+        (cells >= 0) & (cells < dims) & (cells <= hi[:, None, :])
+    ).all(axis=2)
+    cflat = flatten(cells)
+    pos = np.searchsorted(unique_flat, cflat)
+    np.minimum(pos, len(unique_flat) - 1, out=pos)
+    found = valid & (unique_flat[pos] == cflat)
+    cstart = np.where(found, starts[pos], 0).reshape(-1)
+    counts = np.where(found, ends[pos] - starts[pos], 0).reshape(-1)
+    total = int(counts.sum())
+    if total == 0:
+        return empty
+    cum = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=cum[1:])
+    rank = np.arange(total, dtype=np.int64)
+    rank -= np.repeat(cum, counts)
+    rank += np.repeat(cstart, counts)
+    cand = np.take(order, rank)
+    slot = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    probe_of = slot // off.shape[0]
+    diff = np.take(pts, cand, axis=0)
+    diff -= np.take(probes, probe_of, axis=0)
+    keep = np.einsum("ij,ij->i", diff, diff) <= r * r
+    return np.compress(keep, cand), np.compress(keep, probe_of)
+
+
+@st.composite
+def _point_sets(draw, min_points=0, min_probes=0):
+    """(points, cell_size, probes, radius), optionally lattice-rounded.
+
+    On the integer lattice with an integer radius many pairs sit at
+    *exactly* the query radius and many points share a cell boundary --
+    the ties a rounding-margin superset and a cell sort must not
+    reorder or drop.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_points, 120))
+    k = draw(st.integers(min_probes, 6))
+    extent = draw(st.floats(1.0, 8.0))
+    spread = draw(st.floats(0.0, 10.0))
+    cell_size = draw(st.floats(0.5, 5.0))
+    radius = draw(st.floats(0.3, 12.0))
+    pts = rng.normal(size=(n, 3)) * extent
+    probes = rng.normal(size=(k, 3)) * spread + rng.normal(size=3) * extent
+    if draw(st.booleans()):
+        pts, probes, radius = np.round(pts), np.round(probes), np.ceil(radius)
+    return pts, cell_size, probes, float(radius)
+
+
 class TestQueryPairs:
-    def test_matches_brute_force(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(0, 120))
-            pts = rng.normal(size=(n, 3)) * rng.uniform(1.0, 8.0)
-            cl = CellList(pts, cell_size=float(rng.uniform(0.5, 5.0)))
-            k = int(rng.integers(0, 6))
-            probes = rng.normal(size=(k, 3)) * rng.uniform(1.0, 10.0)
-            r = float(rng.uniform(0.3, 12.0))
-            s_idx, p_idx = query_pairs(cl, probes, r)
-            got = set(zip(s_idx.tolist(), p_idx.tolist()))
-            want = {
-                (int(i), kk)
-                for kk in range(k)
-                for i in np.nonzero(
-                    ((pts - probes[kk]) ** 2).sum(axis=1) <= r * r
-                )[0]
-            }
-            assert got == want
+    @settings(max_examples=60, deadline=None)
+    @given(_point_sets())
+    def test_matches_frozen_csr_reference(self, case):
+        pts, cell_size, probes, r = case
+        s_idx, p_idx = query_pairs(CellList(pts, cell_size), probes, r)
+        want_s, want_p = _csr_query_pairs(pts, cell_size, probes, r)
+        assert s_idx.dtype == want_s.dtype and p_idx.dtype == want_p.dtype
+        assert np.array_equal(s_idx, want_s)
+        assert np.array_equal(p_idx, want_p)
 
-    def test_probe_major_canonical_order(self, rng):
-        pts = rng.normal(size=(80, 3)) * 5.0
-        cl = CellList(pts, cell_size=2.0)
-        probes = rng.normal(size=(5, 3)) * 4.0
-        _, p_idx = query_pairs(cl, probes, 6.0)
-        assert (np.diff(p_idx) >= 0).all()
+    @settings(max_examples=60, deadline=None)
+    @given(_point_sets())
+    def test_matches_brute_force(self, case):
+        pts, cell_size, probes, r = case
+        s_idx, p_idx = query_pairs(CellList(pts, cell_size), probes, r)
+        got = set(zip(s_idx.tolist(), p_idx.tolist()))
+        assert len(got) == s_idx.size  # no duplicates
+        want = {
+            (int(i), kk)
+            for kk in range(len(probes))
+            for i in np.nonzero(
+                ((pts - probes[kk]) ** 2).sum(axis=1) <= r * r
+            )[0]
+        }
+        assert got == want
 
-    def test_order_independent_of_other_probes(self, rng):
+    @settings(max_examples=60, deadline=None)
+    @given(_point_sets(min_points=1, min_probes=1))
+    def test_probe_major_canonical_order(self, case):
+        # Lexicographic in (probe, flat cell id, stored index).
+        pts, cell_size, probes, r = case
+        cl = CellList(pts, cell_size)
+        s_idx, p_idx = query_pairs(cl, probes, r)
+        cell = cl._flatten(
+            np.floor((pts - cl.origin) / cl.cell_size).astype(np.int64)
+        )
+        keys = list(zip(p_idx.tolist(), cell[s_idx].tolist(), s_idx.tolist()))
+        assert keys == sorted(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_point_sets())
+    def test_candidate_pairs_is_order_preserving_superset(self, case):
+        pts, cell_size, probes, r = case
+        cl = CellList(pts, cell_size)
+        c_s, c_p = candidate_pairs(cl, probes, r)
+        q_s, q_p = query_pairs(cl, probes, r)
+        d2 = ((pts[c_s] - probes[c_p]) ** 2).sum(axis=1)
+        keep = d2 <= r * r
+        # Dropping the beyond-radius extras leaves query_pairs' arrays
+        # as they are ...
+        assert np.array_equal(c_s[keep], q_s)
+        assert np.array_equal(c_p[keep], q_p)
+        # ... and the extras are beyond it by rounding only.
+        assert (np.sqrt(d2[~keep]) <= r + 1e-6).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_point_sets(min_points=1, min_probes=2), st.integers(1, 40))
+    def test_chunked_equals_unchunked(self, case, budget):
+        pts, cell_size, probes, r = case
+        cl = CellList(pts, cell_size)
+        whole = candidate_pairs(cl, probes, r)
+        with pytest.MonkeyPatch.context() as mp:
+            # A few probe rows (down to one) per distance block.
+            mp.setattr(neighborlist, "_BLOCK_ELEMENTS", budget)
+            chunked = candidate_pairs(cl, probes, r)
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.array_equal(chunked[1], whole[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_point_sets(min_points=1, min_probes=1))
+    def test_order_independent_of_other_probes(self, case):
         # The per-probe pair sequence must not depend on which other
         # probes ride along in the same call (the canonical-order
         # property the incremental scorer's bit-stability rests on).
-        pts = rng.normal(size=(60, 3)) * 5.0
-        cl = CellList(pts, cell_size=2.0)
-        probes = rng.normal(size=(4, 3)) * 4.0
-        s_all, p_all = query_pairs(cl, probes, 6.0)
-        for k in range(4):
-            s_one, _ = query_pairs(cl, probes[k : k + 1], 6.0)
+        pts, cell_size, probes, r = case
+        cl = CellList(pts, cell_size)
+        s_all, p_all = query_pairs(cl, probes, r)
+        for k in range(len(probes)):
+            s_one, _ = query_pairs(cl, probes[k : k + 1], r)
             assert np.array_equal(s_all[p_all == k], s_one)
 
     def test_empty_inputs(self):
-        cl = CellList(np.zeros((0, 3)), cell_size=1.0)
-        s, p = query_pairs(cl, np.zeros((2, 3)), 1.0)
-        assert s.size == 0 and p.size == 0
-        cl2 = CellList(np.zeros((3, 3)), cell_size=1.0)
-        s, p = query_pairs(cl2, np.zeros((0, 3)), 1.0)
-        assert s.size == 0 and p.size == 0
+        for query in (query_pairs, candidate_pairs):
+            cl = CellList(np.zeros((0, 3)), cell_size=1.0)
+            s, p = query(cl, np.zeros((2, 3)), 1.0)
+            assert s.size == 0 and p.size == 0
+            cl2 = CellList(np.zeros((3, 3)), cell_size=1.0)
+            s, p = query(cl2, np.zeros((0, 3)), 1.0)
+            assert s.size == 0 and p.size == 0
+            # Nothing in reach of the probes' ball.
+            s, p = query(cl2, np.full((2, 3), 50.0), 1.0)
+            assert s.size == 0 and p.size == 0
+            assert s.dtype == np.int64 and p.dtype == np.int64
+
+    def test_cost_independent_of_radius_over_cell_size(self, rng):
+        # The cell enumeration paid (2 * radius / cell_size)^3 cells per
+        # probe: 1.25e8 here (66 s and gigabytes).
+        pts = rng.normal(size=(50, 3)) * 5.0
+        cl = CellList(pts, cell_size=2.0)
+        probes = rng.normal(size=(4, 3)) * 4.0
+        t0 = time.perf_counter()
+        s_idx, p_idx = query_pairs(cl, probes, 500.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert np.array_equal(p_idx, np.repeat(np.arange(4), 50))
+        assert np.array_equal(s_idx, np.tile(cl.order, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_raises(self, rng, bad):
+        cl = CellList(rng.normal(size=(20, 3)), cell_size=1.0)
+        probes = rng.normal(size=(3, 3))
+        probes[1, 2] = bad
+        for query in (query_pairs, candidate_pairs):
+            with pytest.raises(ValueError, match="finite"):
+                query(cl, probes, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +397,49 @@ class TestCacheIndependence:
             [_fresh(rec, template).score(c) for c in batch]
         )
         assert np.array_equal(a, b)
+
+    def test_jump_heavy_stream_bitwise(self, pair, monkeypatch):
+        # The scatter search's mix: mostly jumps to unrelated poses
+        # (each one a list build) with a few small moves scored off the
+        # list in between.  The warm scorer builds its list from
+        # candidate_pairs with the rounding margin blown up until the
+        # superset visibly overshoots; an exact-list twin (its build
+        # goes through query_pairs) and a cold scorer per pose must see
+        # the same floats, rebuild decisions and active-pair counts.
+        rec, template, coords = pair
+        rng = np.random.default_rng(2018)
+        warm, twin = _fresh(rec, template), _fresh(rec, template)
+        centre = coords.mean(axis=0)
+        pose, builds, extras = coords, 0, 0
+        for step in range(120):
+            if step % 4 == 0 or rng.random() < 0.7:
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                pose = (
+                    (coords - centre) @ q
+                    + centre
+                    + rng.normal(scale=3.0, size=3)
+                )
+            else:
+                pose = pose + rng.normal(scale=0.15, size=pose.shape)
+            before = warm.rebuild_count
+            with monkeypatch.context() as mp:
+                mp.setattr(neighborlist, "_ROUNDING_MARGIN", 1e-2)
+                a = warm.score(pose)
+            with monkeypatch.context() as mp:
+                mp.setattr(incremental, "candidate_pairs", query_pairs)
+                assert a == twin.score(pose)
+            cold = _fresh(rec, template)
+            assert a == cold.score(pose)
+            assert warm.active_pairs == twin.active_pairs
+            assert warm.active_pairs == cold.active_pairs
+            assert warm.rebuild_count == twin.rebuild_count
+            if warm.rebuild_count > before:
+                builds += 1
+                assert warm._n_pairs >= twin._n_pairs
+                extras += warm._n_pairs - twin._n_pairs
+        # Jump-heavy, but not every pose: the small moves reuse a list.
+        assert 0.6 * 120 <= builds < 120
+        assert extras > 0
 
     def test_zero_pairs_scores_zero(self, pair):
         rec, template, coords = pair

@@ -108,6 +108,11 @@ class TestScorerRegistry:
     def test_unknown_kwarg_lists_valid_names(self):
         with pytest.raises(ValueError, match="cutoff"):
             validate_scoring_kwargs("cutoff", {"cutof": 9.0})
+        # The retired bin-size knob gets the ordinary unknown-kwarg
+        # error: queries no longer depend on the bin edge.
+        for method in ("cutoff", "incremental"):
+            with pytest.raises(ValueError, match="accepts no kwarg"):
+                validate_scoring_kwargs(method, {"cell_size": 4.0})
 
     def test_type_mismatch(self):
         with pytest.raises(ValueError, match="must be int/float"):
@@ -128,7 +133,7 @@ class TestScorerRegistry:
         validate_scoring_kwargs("exact", {})
         validate_scoring_kwargs(
             "incremental",
-            {"cutoff": 12.0, "skin": 3, "shifted": True, "cell_size": None},
+            {"cutoff": 12.0, "skin": 3, "shifted": True},
         )
         validate_scoring_kwargs("field", {"spacing": 0.8, "padding": 4.0})
 
