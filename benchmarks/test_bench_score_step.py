@@ -40,9 +40,14 @@ one Verlet-list build (neighbour query + per-pair gather) in the two
 regimes -- what every pose *jump* pays, and the row the screening
 search's throughput follows.
 
-The speedup assertions (incremental >= 5x exact, field >= 29x exact,
-field >= 10x exact at pose A) are ratios of measurements on the same
-machine, so they are robust to absolute runner speed.
+The speedup floors (incremental >= 5x, field >= 29x, field >= 10x at
+pose A) are anchored on ``tests/frozen_eq1.py`` -- the exact scorer as
+it was when those floors were set -- not on the live ``ExactScorer``,
+so making the oracle faster cannot fail (or loosen) a guard on a scorer
+that did not change.  The live exact scorer has its own floor against
+the same anchor (``EXACT_SPEEDUP_BOUND``).  All are ratios of
+measurements on the same machine, so they are robust to absolute runner
+speed.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from repro.scoring.incremental import (
     IncrementalScorer,
 )
 from repro.scoring.scorers import CutoffScorer, ExactScorer
+from tests.frozen_eq1 import FrozenExactScorer
 
 #: Artifact path (repo root under plain pytest; override via env).
 ARTIFACT = Path(
@@ -82,12 +88,21 @@ BATCH_K = 64
 #: Required batched-field throughput over the single-pose field path at
 #: ``BATCH_K`` (ISSUE 10 acceptance; measured well above).
 FIELD_BATCH_SPEEDUP_BOUND = 3.0
-#: Required field throughput over exact on the crystal-pose walk.  The
-#: guard used to read "field >= 5x incremental"; incremental then ran
-#: 5.6-5.8x exact, so that floor was 28.2-28.8x exact.  It is anchored
-#: on exact (which no list-build change moves) and rounded up, so a
-#: faster incremental scorer cannot loosen it (measured 31-33x).
+#: Required field throughput over the frozen exact kernel on the
+#: crystal-pose walk.  The guard used to read "field >= 5x
+#: incremental"; incremental then ran 5.6-5.8x exact, so that floor was
+#: 28.2-28.8x exact.  It is anchored on the exact scorer of that time
+#: (which no later change moves) and rounded up, so neither a faster
+#: incremental scorer nor a faster oracle can loosen it (measured
+#: 31-33x).
 FIELD_SPEEDUP_BOUND = 29.0
+#: Required incremental throughput over the frozen exact kernel.
+INCREMENTAL_SPEEDUP_BOUND = 5.0
+#: Required live-exact throughput over the frozen kernel, both walks
+#: (measured 1.9-2.4x on the 2-core baseline box, where the frozen
+#: kernel runs 3.8-4.5 ms a pose; the training loop sees more, see
+#: docs/PERFORMANCE.md "Scoring kernels").
+EXACT_SPEEDUP_BOUND = 1.6
 #: Documented per-step score-change drift of cutoff truncation vs exact
 #: at the default cutoff on the 2BSM-scale synthetic complex, calm
 #: regime (measured ~57 kcal/mol; docs/PERFORMANCE.md, "Scoring
@@ -102,8 +117,8 @@ TRUNCATION_CLASH_REL_BOUND = 1e-2
 #: Pose-A walks: seeds x consecutive pose pairs per seed.
 POSE_A_SEEDS = (3, 107)
 POSE_A_PAIRS = 1000
-#: Required field throughput over exact at pose A, and the reward-sign
-#: agreement floor there (ISSUE 13 acceptance).
+#: Required field throughput over the frozen exact kernel at pose A, and
+#: the reward-sign agreement floor there (ISSUE 13 acceptance).
 POSE_A_FIELD_SPEEDUP_BOUND = 10.0
 POSE_A_SIGN_AGREEMENT_BOUND = 0.95
 
@@ -211,6 +226,7 @@ def test_bench_score_step(paper_complex):
     poses = _trajectory(built, N_POSES)
 
     exact = ExactScorer(rec, lig)
+    frozen = FrozenExactScorer(rec, lig)
     cutoff = CutoffScorer(rec, lig, cutoff=DEFAULT_CUTOFF)
     inc = IncrementalScorer(
         rec, lig, cutoff=DEFAULT_CUTOFF, skin=DEFAULT_SKIN
@@ -223,6 +239,8 @@ def test_bench_score_step(paper_complex):
     field_build_s = time.perf_counter() - t0
 
     rate_exact, s_exact = _measure(exact, poses)
+    rate_frozen, s_frozen = _measure(frozen, poses)
+    assert np.array_equal(s_exact, s_frozen)
     rate_cutoff, s_cutoff = _measure(cutoff, poses)
     inc.rebuild_count = 0
     rate_inc, s_inc = _measure(inc, poses)
@@ -301,7 +319,9 @@ def test_bench_score_step(paper_complex):
     # the first walk's leading N_POSES poses; accuracy over every walk.
     walks = [_pose_a_walk(built, POSE_A_PAIRS, s) for s in POSE_A_SEEDS]
     a_poses = walks[0][0][:N_POSES]
-    rate_a_exact, _ = _measure(exact, a_poses)
+    rate_a_exact, sa_live = _measure(exact, a_poses)
+    rate_a_frozen, sa_frozen = _measure(frozen, a_poses)
+    assert np.array_equal(sa_live, sa_frozen)
     rate_a_inc, _ = _measure(inc, a_poses)
     rate_a_field, _ = _measure(fld, a_poses)
     # List-build cost in both regimes (taken last on each scorer: the
@@ -336,6 +356,15 @@ def test_bench_score_step(paper_complex):
         "cutoff": DEFAULT_CUTOFF,
         "skin": DEFAULT_SKIN,
         "exact_steps_per_second": round(rate_exact, 2),
+        "frozen_exact_steps_per_second": round(rate_frozen, 2),
+        "speedup_exact_vs_frozen": round(rate_exact / rate_frozen, 3),
+        "exact_us_crystal": round(1e6 / rate_exact, 1),
+        "exact_us_pose_a": round(1e6 / rate_a_exact, 1),
+        "speedup_incremental_vs_frozen": round(rate_inc / rate_frozen, 3),
+        "speedup_field_vs_frozen": round(rate_field / rate_frozen, 3),
+        "pose_a_speedup_field_vs_frozen": round(
+            rate_a_field / rate_a_frozen, 3
+        ),
         "cutoff_steps_per_second": round(rate_cutoff, 2),
         "incremental_steps_per_second": round(rate_inc, 2),
         "speedup_incremental_vs_exact": round(rate_inc / rate_exact, 3),
@@ -403,19 +432,25 @@ def test_bench_score_step(paper_complex):
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nscore-step throughput: {payload}")
 
-    # Acceptance criteria (see ISSUE/docs): 5x the exact scorer at
-    # default cutoff, drift within the documented policy bounds.
-    assert rate_inc >= 5.0 * rate_exact, payload
+    # The oracle itself: bit-equal to the frozen kernel (asserted
+    # above) and faster than it on both walks.
+    assert rate_exact >= EXACT_SPEEDUP_BOUND * rate_frozen, payload
+    assert rate_a_exact >= EXACT_SPEEDUP_BOUND * rate_a_frozen, payload
+    # Acceptance criteria (see ISSUE/docs): 5x the (frozen) exact
+    # scorer at default cutoff, drift within the documented policy
+    # bounds.
+    assert rate_inc >= INCREMENTAL_SPEEDUP_BOUND * rate_frozen, payload
     assert max_rel_inc_vs_cutoff <= DRIFT_REL_BOUND, payload
     assert calm_step_drift <= TRUNCATION_STEP_BOUND, payload
     assert clash_rel_drift <= TRUNCATION_CLASH_REL_BOUND, payload
     # The Verlet list must actually amortize: far fewer rebuilds than
     # steps (skin/2 displacement policy, see docs/PERFORMANCE.md).
     assert rebuild_rate < 0.5, payload
-    # Field scorer: >= 29x exact at default maps (no weaker than the
-    # ">= 5x incremental" it replaces, see FIELD_SPEEDUP_BOUND), with
-    # drift inside its documented two-regime budget.
-    assert rate_field >= FIELD_SPEEDUP_BOUND * rate_exact, payload
+    # Field scorer: >= 29x the frozen exact kernel at default maps (no
+    # weaker than the ">= 5x incremental" it replaces, see
+    # FIELD_SPEEDUP_BOUND), with drift inside its documented two-regime
+    # budget.
+    assert rate_field >= FIELD_SPEEDUP_BOUND * rate_frozen, payload
     assert field_calm_drift <= FIELD_CALM_STEP_BOUND, payload
     assert field_clash_rel <= FIELD_CLASH_REL_BOUND, payload
     # Pose-major batching: the fused field kernel must amortize per-call
@@ -427,7 +462,7 @@ def test_bench_score_step(paper_complex):
     # must stay O(ligand atoms) there too, inside the same calm budget,
     # with rewards that agree with the Eq. 1 oracle.
     assert (
-        rate_a_field >= POSE_A_FIELD_SPEEDUP_BOUND * rate_a_exact
+        rate_a_field >= POSE_A_FIELD_SPEEDUP_BOUND * rate_a_frozen
     ), payload
     assert max(a_calm_drift) <= FIELD_CALM_STEP_BOUND, payload
     assert min(a_agreement) >= POSE_A_SIGN_AGREEMENT_BOUND, payload

@@ -30,7 +30,6 @@ from repro.scoring.composite import (
 )
 from repro.scoring.electrostatics import electrostatic_energy
 from repro.scoring.lennard_jones import lennard_jones_energy
-from repro.scoring.hbond import hbond_energy
 from repro.scoring.neighborlist import CellList
 from repro.scoring.field import FieldMaps, FieldScorer, score_field_group
 from repro.scoring.incremental import IncrementalScorer
@@ -56,7 +55,6 @@ __all__ = [
     "score_pose_batch",
     "electrostatic_energy",
     "lennard_jones_energy",
-    "hbond_energy",
     "CellList",
     "FieldMaps",
     "FieldScorer",

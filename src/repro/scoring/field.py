@@ -113,11 +113,9 @@ import numpy as np
 
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
-from repro.scoring import electrostatics as elec
 from repro.scoring import hbond as hb
-from repro.scoring import lennard_jones as lj
-from repro.scoring.composite import ScoringTables, as_pose, as_pose_batch
-from repro.scoring.pairwise import direction_vectors, pairwise_distances
+from repro.scoring.composite import Eq1Kernel, as_pose, as_pose_batch
+from repro.scoring.pairwise import direction_vectors
 
 #: Default lattice spacing, angstrom.  The error-vs-spacing table in
 #: docs/PERFORMANCE.md motivates the default: with the clipped kernels
@@ -749,7 +747,7 @@ class FieldScorer:
         self.padding = self._maps.padding
         self.clash_radius = self._maps.clash_radius
         self.dtype = self._maps.dtype
-        self._tables = ScoringTables.build(receptor, ligand)
+        self._kernel = Eq1Kernel(receptor, ligand)
         self._specs, spec_ids = _atom_type_specs(ligand)
         self._charges = np.asarray(ligand.charges, dtype=float)
         self._spec_ids = spec_ids
@@ -967,34 +965,10 @@ class FieldScorer:
         return float(e.sum())
 
     def _exact_energy(self, lig: np.ndarray, ex: np.ndarray) -> float:
-        """Full Eq. 1 column energy for out-of-box ligand atoms.
-
-        Same kernels, arrays, and reduction order as the exact scorer
-        restricted to these columns -- a pose routed entirely through
-        this path scores bit-identically to ``ExactScorer``.
-        """
-        t = self._tables
-        rec = self.receptor
-        d = pairwise_distances(rec.coords, lig[ex])
-        e = elec.electrostatic_energy(
-            rec.charges, self.ligand.charges[ex], d
-        )
-        e += lj.lennard_jones_energy_pre(
-            t.sig_full[:, ex], t.eps_full[:, ex], d
-        )
-        if t.rows_any:
-            cos_t, sin_t = hb.hbond_angle_factors(
-                t.rec_sub, lig[ex], t.dirs_sub
-            )
-            e += hb.hbond_energy(
-                d[t.rows],
-                t.mask_sub[:, ex],
-                cos_t,
-                sin_t,
-                t.sig_sub[:, ex],
-                t.eps_sub[:, ex],
-            )
-        return e
+        """Full Eq. 1 column energy for out-of-box ligand atoms: the
+        exact scorer's kernel restricted to columns ``ex``."""
+        e_el, e_lj, e_hb = self._kernel.terms(lig, ex)
+        return e_el + e_lj + e_hb
 
     def score(self, coords: np.ndarray) -> float:
         m = self.ligand.n_atoms

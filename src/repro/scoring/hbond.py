@@ -111,24 +111,6 @@ def hbond_energy_matrix(
     return np.where(mask, corr, 0.0)
 
 
-def hbond_energy(
-    distances: np.ndarray,
-    mask: np.ndarray,
-    cos_theta: np.ndarray,
-    sin_theta: np.ndarray,
-    sigma_pair: np.ndarray,
-    eps_pair: np.ndarray,
-    **kwargs,
-) -> float:
-    """Total H-bond correction energy, kcal/mol."""
-    return float(
-        hbond_energy_matrix(
-            distances, mask, cos_theta, sin_theta, sigma_pair, eps_pair,
-            **kwargs,
-        ).sum()
-    )
-
-
 def hbond_1210_pair(r: float, r0: float = HBOND_R0, depth: float = HBOND_DEPTH) -> float:
     """Single-pair 12-10 energy (reference/tests)."""
     c, d = hbond_coefficients(r0, depth)

@@ -40,24 +40,6 @@ def lennard_jones_energy(
     )
 
 
-def lennard_jones_energy_pre(
-    sigma_pair: np.ndarray,
-    eps_pair: np.ndarray,
-    distances: np.ndarray,
-) -> float:
-    """Total 12-6 energy from *pre-combined* (n, m) pair parameters.
-
-    Arithmetic replicates :func:`lennard_jones_energy_matrix` exactly, so
-    callers that cache the static ``combine_lj`` matrices (the receptor
-    and ligand topologies never change within a run) get bit-identical
-    energies while skipping the per-call combination.
-    """
-    x = sigma_pair / distances
-    x6 = x * x * x
-    x6 *= x6
-    return float((4.0 * eps_pair * (x6 * x6 - x6)).sum())
-
-
 def lennard_jones_energy_matrix(
     sigma_a: np.ndarray,
     eps_a: np.ndarray,

@@ -22,6 +22,10 @@ def pairwise_distances(
     Distances are clamped below at ``min_distance`` so downstream ``1/r``
     powers stay finite: overlapping atoms then produce the huge-but-finite
     penalties the paper reports (scores around ``-4.5e21``).
+
+    This is the definition; the scorers' hot path
+    (:class:`repro.scoring.composite.Eq1Kernel`) runs the same
+    operations through reusable buffers.
     """
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)

@@ -32,13 +32,7 @@ import numpy as np
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
 from repro.scoring import hbond as hb
-from repro.scoring.composite import (
-    ScoringTables,
-    as_pose,
-    as_pose_batch,
-    interaction_breakdown,
-    score_pose_batch,
-)
+from repro.scoring.composite import Eq1Kernel, as_pose, as_pose_batch
 from repro.scoring.field import FieldScorer, score_field_group
 from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.neighborlist import CellList, query_pairs
@@ -56,29 +50,25 @@ class PoseScorer(Protocol):
 class ExactScorer:
     """Full Eq. 1 over all receptor x ligand pairs.
 
-    The static-topology arrays — H-bond eligibility mask, receptor donor
-    directions, combined LJ matrices — are built **once** here and reused
-    for every ``score``/``score_batch`` call (they depend only on
-    topology, never on the pose).  Results are bit-identical to
-    rebuilding them per call.
+    Everything pose-independent -- receptor geometry, charges, combined
+    LJ matrices, the H-bond block -- is snapshotted **once** here and
+    every call runs this instance's :class:`Eq1Kernel` over it.  The
+    snapshot is the only receptor the scorer reads: writing to
+    ``receptor.coords`` afterwards does not move a score (as with
+    ``FieldMaps`` and ``CellList``); build a new scorer instead.
     """
 
     def __init__(self, receptor: Molecule, ligand: Molecule):
         self.receptor = receptor
         self.ligand = ligand
-        self._tables = ScoringTables.build(receptor, ligand)
+        self._kernel = Eq1Kernel(receptor, ligand)
 
     def score(self, coords: np.ndarray) -> float:
-        return interaction_breakdown(
-            self.receptor,
-            self.ligand.with_coords(as_pose(coords, self.ligand.n_atoms)),
-            tables=self._tables,
-        ).score
+        return self._kernel.score(as_pose(coords, self.ligand.n_atoms))
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
-        return score_pose_batch(
-            self.receptor, self.ligand, coords_batch, tables=self._tables
-        )
+        cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
+        return np.array([self._kernel.score(pose) for pose in cb])
 
 
 class CutoffScorer:

@@ -109,13 +109,6 @@ class TestBatchScoring:
             expected = interaction_score(a, b.with_coords(batch[k]))
             assert scores[k] == pytest.approx(expected, rel=1e-9)
 
-    def test_chunking_consistent(self):
-        a, b = random_molecules(9)
-        batch = np.stack([b.coords + [k * 0.5, 0, 0] for k in range(10)])
-        full = score_pose_batch(a, b, batch, chunk=64)
-        tiny = score_pose_batch(a, b, batch, chunk=3)
-        np.testing.assert_allclose(full, tiny, rtol=1e-12)
-
     def test_shape_validated(self):
         a, b = random_molecules(10)
         with pytest.raises(ValueError):
