@@ -2,10 +2,21 @@
 """The full Section 4 experiment at paper scale (2BSM-sized complex).
 
 Builds the 3,264-atom receptor / 45-atom ligand complex, prints Table 1,
-and runs a configurable slice of the 1,800-episode training.  The full
+and runs a configurable slice of the 1,800-episode training in the
+paper's configuration as this repo defines it: compact observation codec,
+exact Eq. 1 scoring, and every Table 1 hyperparameter, including the
+400,000-transition replay memory (stored compactly, ~0.4 GB).  The full
 run takes hours on CPU; the default slice (3 episodes) demonstrates that
 the paper-scale pipeline works and reports the measured steps/sec so the
 full-run cost can be extrapolated.
+
+The replay is deliberately not dense: 400,000 full-width states plus
+next-states are ~32 GB in float32 at this 10,059 width (docs/PERFORMANCE.md:
+"dense replay, float32 ... ~53 GB" at the paper's 16,599), more than a
+commodity machine can allocate.  So the agent comes from
+``build_agent_for_env``, which builds the Q-network on the full width and
+wires the env's constant receptor prefix into compact replay, not from
+``build_agent(cfg, env.state_dim, ...)``.
 
 Run:
     python examples/paper_scale.py [--episodes N] [--max-steps T]
@@ -19,7 +30,7 @@ import time
 from repro.chem.builders import build_complex
 from repro.config import PAPER_CONFIG
 from repro.env.factory import make_env
-from repro.experiments.figure4 import build_agent
+from repro.experiments.figure4 import build_agent_for_env
 from repro.experiments.table1 import render_table1
 from repro.rl.trainer import Trainer
 
@@ -36,6 +47,7 @@ def main() -> None:
     cfg = PAPER_CONFIG.replace(
         episodes=args.episodes,
         max_steps_per_episode=args.max_steps,
+        observation_mode="compact",
         # Learning must start inside the demo slice to exercise the
         # full pipeline (the paper's 10k-step warmup assumes 1,800 eps).
         learning_start=min(PAPER_CONFIG.learning_start, args.max_steps),
@@ -55,10 +67,10 @@ def main() -> None:
     env = make_env(cfg, built)
     try:
         print(
-            f"  state vector: {env.state_dim:,} reals "
+            f"  state vector: {env.observation_spec.full_dim:,} reals "
             f"(paper: {cfg.state_space:,}); actions: {env.n_actions}"
         )
-        agent = build_agent(cfg, env.state_dim, env.n_actions)
+        agent = build_agent_for_env(cfg, env)
         print(f"  Q-network parameters: {agent.q_net.n_parameters():,}")
         trainer = Trainer(
             env,
