@@ -47,9 +47,10 @@ def main() -> None:
     cfg = PAPER_CONFIG.replace(
         episodes=args.episodes,
         max_steps_per_episode=args.max_steps,
-        observation_mode="compact",
         # Learning must start inside the demo slice to exercise the
-        # full pipeline (the paper's 10k-step warmup assumes 1,800 eps).
+        # full pipeline (the paper's 10k-step warmup assumes 1,800 eps);
+        # the first learn step also needs minibatch_size (32) stored
+        # transitions, so slices shorter than that only act.
         learning_start=min(PAPER_CONFIG.learning_start, args.max_steps),
         initial_exploration_steps=min(
             PAPER_CONFIG.initial_exploration_steps, 2 * args.max_steps

@@ -109,6 +109,8 @@ produce bit-identical floats for the same coordinates (pinned by
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.chem.molecule import Molecule
@@ -751,7 +753,6 @@ class FieldScorer:
         self._specs, spec_ids = _atom_type_specs(ligand)
         self._charges = np.asarray(ligand.charges, dtype=float)
         self._spec_ids = spec_ids
-        self._all_atoms = np.arange(ligand.n_atoms)
         # Built lazily: per-atom flat offsets of each atom's combined
         # map slot in the shared stack (slot 0 is phi, slot 1+g is type
         # g's combined map), plus views of the stack / the flattened
@@ -874,96 +875,6 @@ class FieldScorer:
             self._metrics.observe(NEAR_FRACTION_METRIC, near)
             self._metrics.observe(OUTER_FRACTION_METRIC, outer)
 
-    def _interp_energy(self, level: FieldMaps, ib, frac):
-        """Fused two-lookup interpolation of atoms ``ib`` on ``level``.
-
-        ``frac`` holds the atoms' lattice coordinates on that level.
-        One fancy gather pulls every stencil node of both the phi slot
-        and each atom's type slot from the flattened stack; the ligand
-        charge folds into the phi weights so a single reduction yields
-        the total.  Returns ``(energy, base)`` -- ``base`` being the
-        atoms' cell nodes, which on the fine level index the near mask.
-        """
-        base, w1 = level.stencil(frac)
-        b = ib.size
-        lin = np.empty(2 * b, dtype=np.int64)
-        lin[:b] = base
-        lin[b:] = base + self._foff[ib]
-        values = self._flat[lin[:, None] + level.stencil_offs]
-        w = np.empty(values.shape)
-        np.multiply(w1, self._charges[ib][:, None], out=w[:b])
-        w[b:] = w1
-        return float(np.einsum("pc,pc->", values, w)), base
-
-    def _pair_correction(self, lig, rec_i, lig_i) -> float:
-        """Exact-vs-clipped Eq. 1 energy difference of overlapping pairs.
-
-        For each pair the clipped-kernel contribution (what the maps
-        tabulated, same conventions as ``_build_pass``) is subtracted
-        and the exact-path energy at the MIN_DISTANCE-clamped true
-        distance added -- so clash terms come out exact while the
-        interpolated total needs no per-atom branching.
-        """
-        rec = self.receptor
-        maps = self._maps
-        u = lig[lig_i] - rec.coords[rec_i]
-        r = np.sqrt((u * u).sum(axis=1))
-        r_md = np.maximum(r, MIN_DISTANCE)
-        r_c = np.maximum(r, maps.clip_radius)
-        inv_md = 1.0 / r_md
-        inv_c = 1.0 / r_c
-        # Electrostatics: k q_j q_i (1/r_exact - 1/r_clip).
-        e = (
-            COULOMB_CONSTANT
-            * rec.charges[rec_i]
-            * self._charges[lig_i]
-            * (inv_md - inv_c)
-        )
-        # Lennard-Jones, arithmetic-sigma Lorentz-Berthelot.
-        sig = 0.5 * (rec.sigma[rec_i] + self.ligand.sigma[lig_i])
-        epsp = 4.0 * np.sqrt(
-            rec.epsilon[rec_i] * self.ligand.epsilon[lig_i]
-        )
-        s6 = sig**6
-        w12 = epsp * s6 * s6
-        w6 = epsp * s6
-        i6_md = inv_md**6
-        i6_c = inv_c**6
-        lj_md = w12 * (i6_md * i6_md) - w6 * i6_md
-        lj_c = w12 * (i6_c * i6_c) - w6 * i6_c
-        e += lj_md - lj_c
-        # H-bond correction on eligible pairs: replace the clipped
-        # cos/(1-sin)-weighted terms with the exact-path ones.
-        elig = (
-            rec.hbond_donor[rec_i] & self.ligand.hbond_acceptor[lig_i]
-        ) | (rec.hbond_acceptor[rec_i] & self.ligand.hbond_donor[lig_i])
-        if elig.any():
-            sel = np.flatnonzero(elig)
-            ri, li = rec_i[sel], lig_i[sel]
-            dirs = maps.dirs_full[ri]
-            dot = (dirs * u[sel]).sum(axis=1)
-            # Exact-path angular convention (hbond_angle_factors):
-            # unit vector at the true distance, 1e-9 floor.
-            cos_e = dot / np.maximum(r[sel], 1e-9)
-            cos_e[maps.iso_full[ri]] = 1.0
-            np.clip(cos_e, 0.0, 1.0, out=cos_e)
-            sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e * cos_e))
-            # Map-side angular convention: normalized by the clipped
-            # distance (see _build_pass).
-            cos_c = dot * inv_c[sel]
-            cos_c[maps.iso_full[ri]] = 1.0
-            np.clip(cos_c, 0.0, 1.0, out=cos_c)
-            sin_c = np.sqrt(np.maximum(0.0, 1.0 - cos_c * cos_c))
-            c_hb, d_hb = hb.hbond_coefficients()
-            i10_md = i6_md[sel] * inv_md[sel] ** 4
-            i10_c = i6_c[sel] * inv_c[sel] ** 4
-            e1210_md = c_hb * (i10_md * inv_md[sel] ** 2) - d_hb * i10_md
-            e1210_c = c_hb * (i10_c * inv_c[sel] ** 2) - d_hb * i10_c
-            corr = cos_e * e1210_md - (1.0 - sin_e) * lj_md[sel]
-            corr -= cos_c * e1210_c - (1.0 - sin_c) * lj_c[sel]
-            e[sel] += corr
-        return float(e.sum())
-
     def _exact_energy(self, lig: np.ndarray, ex: np.ndarray) -> float:
         """Full Eq. 1 column energy for out-of-box ligand atoms: the
         exact scorer's kernel restricted to columns ``ex``."""
@@ -971,65 +882,13 @@ class FieldScorer:
         return e_el + e_lj + e_hb
 
     def score(self, coords: np.ndarray) -> float:
+        """Score of one pose: the k = 1 case of the fused kernel."""
         m = self.ligand.n_atoms
         lig = as_pose(coords, m)
         self._ensure_built()
-        maps = self._maps
-        energy = 0.0
-        n_exact = n_shell = 0
-        # Accumulation order (the batch path reproduces it): fine
-        # atoms, shell atoms, atoms outside both boxes, pair
-        # corrections.
-        frac, fine = maps.locate(lig)
-        if fine.all():
-            fi, rest = self._all_atoms, None
-        else:
-            fi, rest = np.flatnonzero(fine), np.flatnonzero(~fine)
-            frac = frac[fi]
-        if fi.size:
-            e, base_fi = self._interp_energy(maps, fi, frac)
-            energy += e
-        if rest is not None:
-            frac_o, in_outer = maps.outer.locate(lig[rest])
-            if in_outer.all():
-                shell = rest
-            else:
-                shell, frac_o = rest[in_outer], frac_o[in_outer]
-                oob = rest[~in_outer]
-            n_shell = shell.size
-            if n_shell:
-                energy += self._interp_energy(maps.outer, shell, frac_o)[0]
-            if n_shell < rest.size:
-                energy += self._exact_energy(lig, oob)
-                n_exact += oob.size
-        if fi.size:
-            near = self._near_flat[base_fi]
-            if near.any():
-                flagged = fi[near]
-                vox = base_fi[near]
-                counts = maps.cand_count[vox].astype(np.int64)
-                total = int(counts.sum())
-                if total:
-                    # CSR expansion of the voxel candidate lists, then
-                    # an exact distance check keeps true overlaps.
-                    cum = np.zeros(counts.size, dtype=np.int64)
-                    np.cumsum(counts[:-1], out=cum[1:])
-                    rank = np.arange(total, dtype=np.int64)
-                    rank -= np.repeat(cum, counts)
-                    rank += np.repeat(maps.cand_start[vox], counts)
-                    cand = maps.cand_atoms.take(rank).astype(np.int64)
-                    lig_i = np.repeat(flagged, counts)
-                    diff = self.receptor.coords.take(cand, axis=0)
-                    diff -= lig.take(lig_i, axis=0)
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    keep = d2 <= maps.clash_radius * maps.clash_radius
-                    if keep.any():
-                        rec_i = np.compress(keep, cand)
-                        lig_i = np.compress(keep, lig_i)
-                        energy += self._pair_correction(lig, rec_i, lig_i)
-                        n_exact += np.unique(lig_i).size
-        self._record(n_exact / m, n_shell / m)
-        return -energy
+        scores, near, outer = _fused_scores([self], lig, [m])
+        self._record(near[0], outer[0])
+        return scores[0]
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
         """Scores for (k, m, 3) poses; bitwise-equal per entry to
@@ -1037,15 +896,16 @@ class FieldScorer:
 
         Pose-major fused path: per chunk of poses, one stencil gather
         per lattice level over the shared stack covers every in-box
-        atom of every pose, the voxel CSR candidate table is expanded across
-        all flagged atoms at once, and only the per-pose scalar
+        atom of every pose, the voxel CSR candidate table is expanded
+        across all flagged atoms at once, and only the per-pose scalar
         reductions (contiguous-slice einsums, rare exact columns, pair
-        corrections) remain in Python.  Every floating-point reduction
-        stays per-pose over the same arrays in the same order as
-        :meth:`score`, so entries are bitwise identical to sequential
-        single-pose calls.  ``near_fraction`` / ``outer_fraction`` end
-        at the last pose's values and their histograms observe one
-        value per pose, exactly as sequential calls would.
+        corrections) remain in Python.  :meth:`score` runs the same
+        kernel on one pose, and a pose's floats do not depend on the
+        rest of its batch (see ``_fused_scores``), so entries are
+        bitwise identical to sequential single-pose calls.
+        ``near_fraction`` / ``outer_fraction`` end at the last pose's
+        values and their histograms observe one value per pose, exactly
+        as sequential calls would.
         """
         m = self.ligand.n_atoms
         cb = as_pose_batch(coords_batch, m)
@@ -1064,7 +924,7 @@ class FieldScorer:
             )
             out[s:e] = scores
             for f, g in zip(near, outer):
-                self._record(float(f), float(g))
+                self._record(f, g)
         return out
 
 
@@ -1074,194 +934,184 @@ class FieldScorer:
 _BATCH_CHUNK_ROWS = 16384
 
 
-def _level_rows(level, flat, frac, rows, item_of, k, foff_rows, ch_rows):
+def _level_rows(level, flat, frac, rows, starts, foff_rows, ch_rows):
     """Gathered stencil values and weights of ``rows`` on ``level``.
 
     ``rows`` (ascending row ids into the fused batch, so grouped by
-    pose) are the atoms interpolated on ``level``; ``frac`` their
-    lattice coordinates.  Returns ``(values, w, bounds, base)``: pose
-    ``i``'s interpolation energy on this level is ``einsum("pc,pc->",
-    values[s], w[s])`` over ``s = slice(2 * bounds[i], 2 * bounds[i +
-    1])`` -- a contiguous slice laid out exactly like
-    :meth:`FieldScorer._interp_energy`'s single-pose arrays (phi rows
-    first, type rows after), holding the same floats.
+    pose; pose ``i`` owns rows ``starts[i]:starts[i + 1]``) are the
+    atoms interpolated on ``level``; ``frac`` their lattice
+    coordinates.  One gather pulls every stencil node of the phi slot
+    and of each atom's type slot; the ligand charge folds into the phi
+    weights, so one reduction per pose yields the level's total.
+    Returns ``(values, w, at, base)``: ``values`` / ``w`` are shaped
+    ``(2, rows, support**3)`` (phi rows, then type rows) and ``at``
+    lists the per-pose bounds into ``rows``, so pose ``i``'s energy on
+    this level reduces ``values[:, at[i]:at[i + 1]]``.
     """
     base, w1 = level.stencil(frac)
-    item = item_of[rows]
-    counts = np.bincount(item, minlength=k).astype(np.int64)
-    bounds = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
     n = rows.size
-    pos_phi = bounds[item] + np.arange(n, dtype=np.int64)
-    pos_typ = pos_phi + counts[item]
     lin = np.empty(2 * n, dtype=np.int64)
-    lin[pos_phi] = base
-    lin[pos_typ] = base + foff_rows[rows]
-    values = flat[lin[:, None] + level.stencil_offs]
+    lin[:n] = base
+    lin[n:] = base + foff_rows.take(rows)
+    values = flat.take(lin[:, None] + level.stencil_offs)
     w = np.empty(values.shape)
-    w[pos_phi] = w1 * ch_rows[rows][:, None]
-    w[pos_typ] = w1
-    return values, w, bounds, base
+    np.multiply(w1, ch_rows.take(rows)[:, None], out=w[:n])
+    w[n:] = w1
+    at = rows.searchsorted(starts).tolist()
+    return values.reshape(2, n, -1), w.reshape(2, n, -1), at, base
 
 
 def _fused_scores(scorers, pts, sizes):
-    """Fused field evaluation of ``len(sizes)`` poses over one stack.
+    """Field evaluation of ``len(sizes)`` poses in one fused pass.
 
     ``scorers[i]`` scores the pose occupying rows
     ``starts[i]:starts[i]+sizes[i]`` of ``pts`` (float64 ``(R, 3)``).
     All scorers must share one built :class:`FieldMaps` (they gather
     from its shared flat stack -- their per-atom slot offsets address
     it directly, which is what lets heterogeneous ligands fuse).
+    :meth:`FieldScorer.score` is the ``k = 1`` case.
 
-    Returns ``(scores, near_fracs, outer_fracs)``; each entry is
-    bitwise-equal to what ``scorers[i].score(pose_i)`` produces: the
-    batched stages are elementwise or per-row (identical values
-    regardless of batch), while every floating-point *reduction* -- the
-    per-level stencil einsums, the exact-column energy, the
-    pair-correction sum -- runs per pose over contiguous slices laid
-    out exactly like the single-pose arrays, in the same accumulation
-    order (fine level, outer level, out-of-box columns, pair
-    corrections).
+    Returns the lists ``(scores, near_fracs, outer_fracs)``; entry
+    ``i`` is a function of pose ``i`` alone, bit for bit, whatever else
+    shares the call: the batched stages are elementwise or per-row,
+    while every floating-point *reduction* -- the per-level stencil
+    einsums, the exact-column energy, the pair-correction sum -- runs
+    per pose over a contiguous slice laid out as if the pose were
+    alone, in one accumulation order (fine level, outer level,
+    out-of-box columns, pair corrections).
     """
     k = len(sizes)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
+    # Per-pose boundaries ("at" lists) are Python lists for the loop at
+    # the end: pose i's part of a pose-grouped array is [at[i], at[i+1]).
+    starts_at = [0, *itertools.accumulate(sizes)]
+    starts = np.array(starts_at, dtype=np.int64)
     s0 = scorers[0]
     maps = s0._maps
     flat = maps.flat_stack()
-    item_of = np.repeat(np.arange(k, dtype=np.int64), sizes)
     foff_rows = np.concatenate([sc._foff for sc in scorers])
     ch_rows = np.concatenate([sc._charges for sc in scorers])
-    frac, fine = maps.locate(pts)
-    fi = np.flatnonzero(fine)
-    rest = np.flatnonzero(~fine)
-    frac_o, in_outer = maps.outer.locate(pts[rest])
-    shell = rest[in_outer]
-    beyond = np.zeros(pts.shape[0], dtype=bool)
-    beyond[rest[~in_outer]] = True
-    n_beyond = np.bincount(item_of[beyond], minlength=k)
-    # (values, weights, per-pose bounds) per level that has rows.
+    beyond_at = shell_at = pair_at = uniq_at = [0] * (k + 1)
+    # (values, weights, at) per level that has rows, fine level first.
     levels = []
-    pair_e = pair_bounds = uniq_cum = None
+    frac, fine = maps.locate(pts)
+    fi = fine.nonzero()[0]
     if fi.size:
-        values, w, bounds, base_fi = _level_rows(
-            maps,
-            flat,
-            frac if fi.size == fine.size else frac[fi],
-            fi,
-            item_of,
-            k,
-            foff_rows,
-            ch_rows,
+        values, w, at, base_fi = _level_rows(
+            maps, flat, frac if fi.size == fine.size else frac[fi], fi,
+            starts, foff_rows, ch_rows,
         )
-        levels.append((values, w, bounds))
-        # Batched near-field candidate expansion (same CSR arithmetic
-        # as score(), across all flagged atoms of all poses at once).
-        nz = np.flatnonzero(s0._near_flat[base_fi])
+        levels.append((values, w, at))
+        # CSR expansion of the voxel candidate lists of every flagged
+        # atom (a flagged voxel lists >= 1 atom), then an exact
+        # distance check keeps the true overlaps.
+        nz = s0._near_flat.take(base_fi).nonzero()[0]
         if nz.size:
             vox = base_fi[nz]
             counts = maps.cand_count[vox].astype(np.int64)
-            total = int(counts.sum())
-            if total:
-                cum = np.zeros(counts.size, dtype=np.int64)
-                np.cumsum(counts[:-1], out=cum[1:])
-                rank = np.arange(total, dtype=np.int64)
-                rank -= np.repeat(cum, counts)
-                rank += np.repeat(maps.cand_start[vox], counts)
-                cand = maps.cand_atoms.take(rank).astype(np.int64)
-                lig_rows = np.repeat(fi[nz], counts)
-                diff = maps.receptor.coords.take(cand, axis=0)
-                diff -= pts.take(lig_rows, axis=0)
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                keep = d2 <= maps.clash_radius * maps.clash_radius
-                if keep.any():
-                    pair_rec = np.compress(keep, cand)
-                    pair_row = np.compress(keep, lig_rows)
-                    pair_bounds = np.searchsorted(
-                        item_of[pair_row], np.arange(k + 1)
-                    )
-                    pair_e = _pair_energies(
-                        scorers, maps, pts, pair_rec, pair_row, ch_rows
-                    )
-                    # Unique corrected ligand atoms per pose (the
-                    # near-fraction numerator): pair_row is
-                    # non-decreasing and pose slices never share rows,
-                    # so first-occurrence flags prefix-sum into
-                    # per-slice unique counts.
-                    firsts = np.empty(pair_row.size, dtype=np.int64)
-                    firsts[0] = 1
-                    firsts[1:] = pair_row[1:] != pair_row[:-1]
-                    uniq_cum = np.zeros(
-                        pair_row.size + 1, dtype=np.int64
-                    )
-                    np.cumsum(firsts, out=uniq_cum[1:])
-    if shell.size:
-        levels.append(
-            _level_rows(
+            cum = np.zeros(counts.size, dtype=np.int64)
+            np.cumsum(counts[:-1], out=cum[1:])
+            rank = np.arange(int(counts.sum()), dtype=np.int64)
+            rank -= np.repeat(cum, counts)
+            rank += np.repeat(maps.cand_start[vox], counts)
+            cand = maps.cand_atoms.take(rank).astype(np.int64)
+            lig_rows = np.repeat(fi[nz], counts)
+            diff = maps.receptor.coords.take(cand, axis=0)
+            diff -= pts.take(lig_rows, axis=0)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            keep = d2 <= maps.clash_radius * maps.clash_radius
+            if keep.any():
+                pair_rec = np.compress(keep, cand)
+                pair_row = np.compress(keep, lig_rows)
+                pair_e = _pair_energies(
+                    scorers, maps, pts, pair_rec, pair_row, ch_rows
+                )
+                pair_at = pair_row.searchsorted(starts).tolist()
+                # Corrected ligand atoms per pose (the near-fraction
+                # numerator): pair_row is non-decreasing, so its first
+                # occurrences are the distinct rows.
+                first = np.empty(pair_row.size, dtype=bool)
+                first[0] = True
+                np.not_equal(pair_row[1:], pair_row[:-1], out=first[1:])
+                uniq_at = pair_row[first].searchsorted(starts).tolist()
+    if fi.size < fine.size:
+        # Only atoms that left the fine box are located on the outer
+        # level; the rare ones beyond it take exact receptor columns.
+        rest = (~fine).nonzero()[0]
+        frac_o, in_outer = maps.outer.locate(pts.take(rest, axis=0))
+        shell, beyond = rest[in_outer], rest[~in_outer]
+        beyond_at = beyond.searchsorted(starts).tolist()
+        if shell.size:
+            values, w, shell_at, _ = _level_rows(
                 maps.outer, flat, frac_o[in_outer], shell,
-                item_of, k, foff_rows, ch_rows,
-            )[:3]
-        )
-    scores = np.empty(k)
-    near_fracs = np.empty(k)
+                starts, foff_rows, ch_rows,
+            )
+            levels.append((values, w, shell_at))
+    scores, near_fracs, outer_fracs = [], [], []
     for i in range(k):
         energy = 0.0
-        for values, w, bounds in levels:
-            lo, hi = 2 * int(bounds[i]), 2 * int(bounds[i + 1])
+        for values, w, at in levels:
+            lo, hi = at[i], at[i + 1]
             if hi > lo:
+                # The pose's phi rows then its type rows as one
+                # contiguous block: a view when the pose owns every row
+                # of the level (always for a single pose), else a copy.
+                nrows = 2 * (hi - lo)
                 energy += float(
-                    np.einsum("pc,pc->", values[lo:hi], w[lo:hi])
+                    np.einsum(
+                        "pc,pc->",
+                        values[:, lo:hi].reshape(nrows, -1),
+                        w[:, lo:hi].reshape(nrows, -1),
+                    )
                 )
-        n_ex = int(n_beyond[i])
+        b0, b1 = beyond_at[i], beyond_at[i + 1]
+        n_ex = b1 - b0
         if n_ex:
-            lo, hi = int(starts[i]), int(starts[i + 1])
+            lo, hi = starts_at[i], starts_at[i + 1]
             energy += scorers[i]._exact_energy(
-                pts[lo:hi], np.flatnonzero(beyond[lo:hi])
+                pts[lo:hi], beyond[b0:b1] - lo
             )
-        if pair_bounds is not None:
-            p0, p1 = int(pair_bounds[i]), int(pair_bounds[i + 1])
-            if p1 > p0:
-                # Same floats as _pair_correction's final e.sum(): the
-                # slice is contiguous with identical length and values.
-                energy += float(pair_e[p0:p1].sum())
-                n_ex += int(uniq_cum[p1] - uniq_cum[p0])
-        scores[i] = -energy
-        near_fracs[i] = n_ex / int(sizes[i])
-    outer_fracs = np.bincount(item_of[shell], minlength=k) / sizes
+        p0, p1 = pair_at[i], pair_at[i + 1]
+        if p1 > p0:
+            energy += float(pair_e[p0:p1].sum())
+            n_ex += uniq_at[i + 1] - uniq_at[i]
+        scores.append(-energy)
+        near_fracs.append(n_ex / sizes[i])
+        outer_fracs.append((shell_at[i + 1] - shell_at[i]) / sizes[i])
     return scores, near_fracs, outer_fracs
 
 
 def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
-    """Per-pair exact-vs-clipped corrections across all poses at once.
+    """Per-pair exact-vs-clipped Eq. 1 corrections of overlapping pairs.
 
-    The elementwise chain of :meth:`FieldScorer._pair_correction`
-    evaluated over every kept (receptor, ligand-row) pair of the fused
-    batch -- per-pair values are independent of batch composition, so
-    each pose's contiguous slice sums to exactly what its own
-    ``_pair_correction`` call would return.  Ligand-side parameters are
-    gathered through concatenated per-scorer rows, which is what lets
-    heterogeneous ligands share the batch.
+    For each kept (receptor, ligand-row) pair of the fused batch the
+    clipped-kernel contribution (what the maps tabulated, same
+    conventions as ``_build_pass``) is subtracted and the exact-path
+    energy at the MIN_DISTANCE-clamped true distance added -- so clash
+    terms come out exact while the interpolated total needs no
+    per-atom branching.  Per-pair values are independent of batch
+    composition; ligand-side parameters are gathered through
+    concatenated per-scorer rows, which is what lets heterogeneous
+    ligands share the batch.
     """
     rec = maps.receptor
     sig_rows = np.concatenate([sc.ligand.sigma for sc in scorers])
     eps_rows = np.concatenate([sc.ligand.epsilon for sc in scorers])
     don_rows = np.concatenate([sc.ligand.hbond_donor for sc in scorers])
-    acc_rows = np.concatenate(
-        [sc.ligand.hbond_acceptor for sc in scorers]
-    )
+    acc_rows = np.concatenate([sc.ligand.hbond_acceptor for sc in scorers])
     u = pts[pair_row] - rec.coords[pair_rec]
     r = np.sqrt((u * u).sum(axis=1))
     r_md = np.maximum(r, MIN_DISTANCE)
     r_c = np.maximum(r, maps.clip_radius)
     inv_md = 1.0 / r_md
     inv_c = 1.0 / r_c
+    # Electrostatics: k q_j q_i (1/r_exact - 1/r_clip).
     e = (
         COULOMB_CONSTANT
         * rec.charges[pair_rec]
         * ch_rows[pair_row]
         * (inv_md - inv_c)
     )
+    # Lennard-Jones, arithmetic-sigma Lorentz-Berthelot.
     sig = 0.5 * (rec.sigma[pair_rec] + sig_rows[pair_row])
     epsp = 4.0 * np.sqrt(rec.epsilon[pair_rec] * eps_rows[pair_row])
     s6 = sig**6
@@ -1272,6 +1122,8 @@ def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
     lj_md = w12 * (i6_md * i6_md) - w6 * i6_md
     lj_c = w12 * (i6_c * i6_c) - w6 * i6_c
     e += lj_md - lj_c
+    # H-bond correction on eligible pairs: replace the clipped
+    # cos/(1-sin)-weighted terms with the exact-path ones.
     elig = (rec.hbond_donor[pair_rec] & acc_rows[pair_row]) | (
         rec.hbond_acceptor[pair_rec] & don_rows[pair_row]
     )
@@ -1280,10 +1132,14 @@ def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
         ri = pair_rec[sel]
         dirs = maps.dirs_full[ri]
         dot = (dirs * u[sel]).sum(axis=1)
+        # Exact-path angular convention (hbond_angle_factors): unit
+        # vector at the true distance, 1e-9 floor.
         cos_e = dot / np.maximum(r[sel], 1e-9)
         cos_e[maps.iso_full[ri]] = 1.0
         np.clip(cos_e, 0.0, 1.0, out=cos_e)
         sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e * cos_e))
+        # Map-side angular convention: normalized by the clipped
+        # distance (see _build_pass).
         cos_c = dot * inv_c[sel]
         cos_c[maps.iso_full[ri]] = 1.0
         np.clip(cos_c, 0.0, 1.0, out=cos_c)
@@ -1337,5 +1193,5 @@ def score_field_group(entries) -> np.ndarray:
         scores, near, outer = _fused_scores(scorers, pts, sizes)
         for j, i in enumerate(idxs):
             out[i] = scores[j]
-            scorers[j]._record(float(near[j]), float(outer[j]))
+            scorers[j]._record(near[j], outer[j])
     return out

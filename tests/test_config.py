@@ -54,6 +54,17 @@ class TestDQNDockingConfigDefaults:
         assert PAPER_CONFIG.complex.ligand_atoms == 45
         assert PAPER_CONFIG.complex.rotatable_bonds == 6
 
+    def test_paper_config_stores_replay_compactly(self):
+        # A dense 400,000-transition replay at the 10,059-wide state is
+        # ~32 GB; the preset names the compact codec so the paper's run
+        # fits in memory.  The dataclass default stays raw, and no
+        # Table 1 value moves.
+        from repro.experiments.table1 import verify_paper_defaults
+
+        assert PAPER_CONFIG.observation_mode == "compact"
+        assert DQNDockingConfig().observation_mode == "raw"
+        assert verify_paper_defaults(PAPER_CONFIG) == []
+
 
 class TestValidation:
     def test_rejects_bad_episodes(self):

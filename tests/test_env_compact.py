@@ -304,3 +304,44 @@ class TestEndToEnd:
             assert len(agent.replay) > 0
         finally:
             venv.close()
+
+
+class TestPaperWidth:
+    def test_paper_config_slice_learns(self):
+        # PAPER_CONFIG on the 2BSM-scale complex, exact scoring: the
+        # compact agent must take gradient steps at the full 10,059-wide
+        # Q-input.  Only the replay is shrunk (the paper's 400,000
+        # transitions are ~0.4 GB even compact); learning starts after
+        # 8 steps, and the first learn step waits for a 32-transition
+        # minibatch.
+        from repro.chem.builders import build_complex
+        from repro.config import PAPER_CONFIG
+        from repro.rl.trainer import Trainer
+
+        cfg = PAPER_CONFIG.replace(
+            episodes=5,
+            max_steps_per_episode=40,
+            learning_start=8,
+            initial_exploration_steps=8,
+            replay_capacity=256,
+        )
+        assert cfg.observation_mode == "compact"
+        assert cfg.scoring_method == "exact"
+        env = make_env(cfg, build_complex(cfg.complex))
+        agent = build_agent_for_env(cfg, env)
+        assert env.observation_spec.full_dim == 10_059
+        assert agent.config.state_dim == 10_059
+        assert agent.q_net.params()[0].shape[0] == 10_059
+        assert agent.replay.is_compact
+        history = Trainer(
+            env,
+            agent,
+            episodes=cfg.episodes,
+            max_steps_per_episode=cfg.max_steps_per_episode,
+            learning_start=cfg.learning_start,
+            target_update_steps=cfg.target_update_steps,
+        ).run(stop=lambda ep, global_step: global_step >= 40)
+        assert sum(ep.steps for ep in history.episodes) >= 40
+        assert agent.learn_steps >= 1
+        losses = [ep.mean_loss for ep in history.episodes if ep.learning_active]
+        assert losses and all(np.isfinite(losses))

@@ -19,8 +19,9 @@ Every registered scorer promises:
 
 For the field scorer additionally: *shell* poses (every atom between
 the fine and the outer box) and *straddling* poses (fine, shell and
-beyond-outer atoms in one pose), per-pose ``near_fraction`` / histogram
-telemetry in batch mode, and the cross-ligand ``score_field_group`` /
+beyond-outer atoms in one pose), batches split across several fused
+chunks, per-pose ``near_fraction`` / histogram telemetry in batch mode,
+and the cross-ligand ``score_field_group`` /
 ``score_pose_group`` front doors.  For the incremental scorer: the
 batch loop's rebuild decisions and gauge updates equal sequential
 calls'.
@@ -334,6 +335,42 @@ def test_field_shell_and_straddling_batches_bitwise(small_complex, rng):
     assert np.array_equal(got, np.array(ref))
     assert [sc.near_fraction for sc in group] == near
     assert [sc.outer_fraction for sc in group] == outer
+
+
+def test_field_batch_bitwise_across_chunks(small_complex, rng, monkeypatch):
+    """A batch split into several fused chunks still reproduces
+    ``score``'s floats, and its histograms observe once per pose."""
+    import repro.scoring.field as field_mod
+
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    m = lig.n_atoms
+    _, _, _, mixed = _pose_batches(small_complex, rng)
+    shell, straddle = _shell_batches(small_complex, rng)
+    cb = np.concatenate([mixed, shell, straddle])
+    k = cb.shape[0]
+    # Four ligands' worth of rows (plus a partial one): 4 poses a chunk.
+    monkeypatch.setattr(field_mod, "_BATCH_CHUNK_ROWS", 4 * m + m // 2)
+    chunks = []
+    fused = field_mod._fused_scores
+
+    def spy(scorers, pts, sizes):
+        chunks.append(len(sizes))
+        return fused(scorers, pts, sizes)
+
+    batch = FieldScorer(rec, lig)
+    batch.metrics = MetricsRegistry()
+    monkeypatch.setattr(field_mod, "_fused_scores", spy)
+    got = batch.score_batch(cb)
+    assert chunks == [4, 4, 4, 1]
+
+    single = FieldScorer(rec, lig)
+    ref = np.array([single.score(p) for p in cb])
+    assert np.array_equal(got, ref)
+    assert batch.near_fraction == single.near_fraction
+    assert batch.outer_fraction == single.outer_fraction
+    for name in (NEAR_FRACTION_METRIC, OUTER_FRACTION_METRIC):
+        assert batch.metrics.get(name).count == k
 
 
 def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
