@@ -47,7 +47,14 @@ so making the oracle faster cannot fail (or loosen) a guard on a scorer
 that did not change.  The live exact scorer has its own floor against
 the same anchor (``EXACT_SPEEDUP_BOUND``).  All are ratios of
 measurements on the same machine, so they are robust to absolute runner
-speed.
+speed.  The field floor is the median over ``FIELD_RATIO_PAIRS``
+interleaved field / frozen passes: one best-of-2 pass per scorer let a
+burst of load on a shared runner land on one side only (the same code
+read 25.8x and 29.3x in two runs).
+
+``field_build_s`` / ``field_build_cpu_s`` / ``field_build_threads``
+record the one-time map build: wall time, CPU time of every build
+thread, and the thread count (one per core the process may use).
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.scoring.field import (
     FIELD_CALM_STEP_BOUND,
     FIELD_CLASH_REL_BOUND,
     FieldScorer,
+    _pool_size,
 )
 from repro.scoring.incremental import (
     DEFAULT_SKIN,
@@ -88,6 +96,9 @@ BATCH_K = 64
 #: Required batched-field throughput over the single-pose field path at
 #: ``BATCH_K`` (ISSUE 10 acceptance; measured well above).
 FIELD_BATCH_SPEEDUP_BOUND = 3.0
+#: Interleaved field / frozen-exact pass pairs behind the
+#: ``FIELD_SPEEDUP_BOUND`` ratio (median of the per-pair ratios).
+FIELD_RATIO_PAIRS = 7
 #: Required field throughput over the frozen exact kernel on the
 #: crystal-pose walk.  The guard used to read "field >= 5x
 #: incremental"; incremental then ran 5.6-5.8x exact, so that floor was
@@ -191,6 +202,28 @@ def _measure(scorer, poses: np.ndarray) -> tuple[float, np.ndarray]:
     return len(poses) / max(best, 1e-9), scores
 
 
+def _interleaved_ratio(fast, slow, poses: np.ndarray) -> list[float]:
+    """Per-pair throughput ratios ``fast / slow`` over ``poses``.
+
+    The two scorers' passes alternate, so a burst of load on a shared
+    runner lands on both sides of a pair instead of on one scorer's
+    whole measurement; the caller takes the median.
+    """
+    for p in poses[:20]:  # warm-up
+        fast.score(p)
+        slow.score(p)
+    ratios = []
+    for _ in range(FIELD_RATIO_PAIRS):
+        elapsed = []
+        for scorer in (fast, slow):
+            t0 = time.perf_counter()
+            for p in poses:
+                scorer.score(p)
+            elapsed.append(time.perf_counter() - t0)
+        ratios.append(elapsed[1] / max(elapsed[0], 1e-9))
+    return ratios
+
+
 def _rebuild_us(scorer: IncrementalScorer, poses: np.ndarray) -> float:
     """Median Verlet-list build cost in microseconds over ``poses``.
 
@@ -234,9 +267,13 @@ def test_bench_score_step(paper_complex):
 
     fld = FieldScorer(rec, lig)
     fld32 = FieldScorer(rec, lig, dtype="float32")
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     field_bytes = fld.maps.nbytes()  # first access builds both levels
     field_build_s = time.perf_counter() - t0
+    # CPU seconds of every build thread (the wall time above is shared
+    # out over _pool_size threads, one per core the process may use).
+    field_build_cpu_s = time.process_time() - c0
+    field_build_threads = _pool_size(fld.maps.n_nodes)
 
     rate_exact, s_exact = _measure(exact, poses)
     rate_frozen, s_frozen = _measure(frozen, poses)
@@ -245,6 +282,8 @@ def test_bench_score_step(paper_complex):
     inc.rebuild_count = 0
     rate_inc, s_inc = _measure(inc, poses)
     rate_field, s_field = _measure(fld, poses)
+    field_ratios = _interleaved_ratio(fld, frozen, poses)
+    field_vs_frozen = float(np.median(field_ratios))
     nf = []
     for p in poses:
         fld.score(p)
@@ -361,7 +400,10 @@ def test_bench_score_step(paper_complex):
         "exact_us_crystal": round(1e6 / rate_exact, 1),
         "exact_us_pose_a": round(1e6 / rate_a_exact, 1),
         "speedup_incremental_vs_frozen": round(rate_inc / rate_frozen, 3),
-        "speedup_field_vs_frozen": round(rate_field / rate_frozen, 3),
+        "speedup_field_vs_frozen": round(field_vs_frozen, 3),
+        "speedup_field_vs_frozen_pairs": [
+            round(r, 3) for r in field_ratios
+        ],
         "pose_a_speedup_field_vs_frozen": round(
             rate_a_field / rate_a_frozen, 3
         ),
@@ -408,6 +450,8 @@ def test_bench_score_step(paper_complex):
         ),
         "batch_bitwise_equal": True,
         "field_build_s": round(field_build_s, 2),
+        "field_build_cpu_s": round(field_build_cpu_s, 2),
+        "field_build_threads": field_build_threads,
         "pose_a_seeds": list(POSE_A_SEEDS),
         "pose_a_pairs_per_seed": POSE_A_PAIRS,
         "pose_a_exact_poses_per_second": round(rate_a_exact, 2),
@@ -448,9 +492,9 @@ def test_bench_score_step(paper_complex):
     assert rebuild_rate < 0.5, payload
     # Field scorer: >= 29x the frozen exact kernel at default maps (no
     # weaker than the ">= 5x incremental" it replaces, see
-    # FIELD_SPEEDUP_BOUND), with drift inside its documented two-regime
-    # budget.
-    assert rate_field >= FIELD_SPEEDUP_BOUND * rate_frozen, payload
+    # FIELD_SPEEDUP_BOUND) in the median interleaved pair, with drift
+    # inside its documented two-regime budget.
+    assert field_vs_frozen >= FIELD_SPEEDUP_BOUND, payload
     assert field_calm_drift <= FIELD_CALM_STEP_BOUND, payload
     assert field_clash_rel <= FIELD_CLASH_REL_BOUND, payload
     # Pose-major batching: the fused field kernel must amortize per-call
