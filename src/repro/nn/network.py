@@ -76,17 +76,24 @@ class MLP:
         for layer in self.layers:
             layer.zero_grad()
 
-    def weights_changed(self) -> None:
+    def weights_changed(self, live_only: bool = False) -> None:
         """Tell every layer its parameters were rewritten in place.
 
         Call after any write through ``params()`` that bypasses
         :meth:`copy_weights_from` / ``load_network_arrays`` (an
         optimizer step, a Polyak update, a shared-memory fetch); a
         constant-prefix :class:`Dense` layer caches a bias derived from
-        its weights.
+        its weights.  ``live_only=True`` only after an optimizer step
+        that honoured :meth:`live_units` (see
+        :meth:`repro.nn.layers.Layer.weights_changed`).
         """
         for layer in self.layers:
-            layer.weights_changed()
+            layer.weights_changed(live_only)
+
+    def live_units(self) -> list[np.ndarray | None]:
+        """Live-unit masks aligned with :meth:`params` (see
+        :meth:`repro.nn.layers.Layer.live_units`)."""
+        return [m for layer in self.layers for m in layer.live_units()]
 
     def n_parameters(self) -> int:
         """Total trainable scalar count."""

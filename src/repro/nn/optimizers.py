@@ -18,8 +18,10 @@ block is one block (small networks run exactly the whole-array ops).
 **Unit-major parameters.**  A 2-D Fortran-ordered ``(in, out)`` weight
 (the layout :meth:`repro.nn.layers.Dense.bind_static_prefix` switches
 to) keeps each output unit's ``in`` weights contiguous; its blocks are
-whole unit rows.  That is what lets :class:`RMSprop` skip units whose
-gradient is exactly zero -- see its docstring.
+whole unit rows.  Its owner may hand the optimizer a **live-unit mask**
+(``live_units``, one boolean per output unit, True for every unit whose
+gradient row may be non-zero); that is what lets :class:`RMSprop` skip
+the units whose gradient is exactly zero -- see its docstring.
 """
 
 from __future__ import annotations
@@ -49,43 +51,50 @@ class _BoundParam:
 
     ``flat`` holds the memory-order views ``(param, grad, *slots)``;
     ``blocks`` the per-block tuples ``(param, grad, *slots, scratch)``.
-    ``unit_rows`` is the ``(out, in)`` view of a blocked unit-major
-    gradient as unsigned integers (``None`` otherwise): one row per
-    block, for the zero-row scan.  ``live`` lists the blocks the
-    current step must touch -- all of them unless the rule's
-    ``_mark_live`` narrowed it.
+    ``units`` is the owner's live-unit mask for a unit-major parameter
+    cut one block per unit row (``None`` otherwise).  ``live`` indexes
+    the blocks the current step must touch -- all of them unless the
+    rule's ``_mark_live`` narrowed it to the mask.
     """
 
-    __slots__ = ("flat", "blocks", "unit_rows", "live")
+    __slots__ = ("flat", "blocks", "units", "live")
 
-    def __init__(self, arrays: Sequence[np.ndarray]):
+    def __init__(
+        self, arrays: Sequence[np.ndarray], units: np.ndarray | None = None
+    ):
         p = arrays[0]
         same_layout = all(
             a.shape == p.shape and a.strides == p.strides for a in arrays
         )
-        self.unit_rows = None
+        self.units = None
         if not (
             same_layout and (p.flags.c_contiguous or p.flags.f_contiguous)
         ):
             # Elementwise ufuncs are layout-agnostic: update the arrays
             # as they are, in one piece.
             self.flat = tuple(arrays)
-            self.blocks = self.live = [self.flat + (np.empty_like(p),)]
+            self.blocks = [self.flat + (np.empty_like(p),)]
+            self.live = range(1)
             return
         self.flat = tuple(_memory_order(a) for a in arrays)
         n = p.size
         step = BLOCK_ELEMS
         if _is_unit_major(p) and n > BLOCK_ELEMS:
             step = p.shape[0]
-            g = self.flat[1]
-            self.unit_rows = g.view(f"u{g.itemsize}").reshape(-1, step)
+            if units is not None:
+                if units.shape != (p.shape[1],) or units.dtype != bool:
+                    raise ValueError(
+                        f"live-unit mask must be bool of shape "
+                        f"({p.shape[1]},), got {units.dtype} {units.shape}"
+                    )
+                self.units = units
         scratch = np.empty(min(n, step), dtype=p.dtype)
         self.blocks = [
             tuple(f[lo : lo + step] for f in self.flat)
             + (scratch[: min(step, n - lo)],)
             for lo in range(0, n, step)
         ]
-        self.live = self.blocks
+        self.live = range(len(self.blocks))
 
     def grad_sq_norm(self) -> float:
         """Sum of squared gradient entries (one full-array ``dot``)."""
@@ -105,9 +114,12 @@ class Optimizer(ABC):
         lr: float,
         *,
         max_grad_norm: float | None = None,
+        live_units: Sequence[np.ndarray | None] | None = None,
     ):
         if len(params) != len(grads):
             raise ValueError("params and grads must be aligned")
+        if live_units is not None and len(live_units) != len(params):
+            raise ValueError("live_units must be aligned with params")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = params
@@ -115,6 +127,12 @@ class Optimizer(ABC):
         self.lr = float(lr)
         self.max_grad_norm = max_grad_norm
         self.steps = 0
+        #: Per parameter, ``None`` or its owner's live-unit mask (see the
+        #: module docstring); held by reference, its contents are read
+        #: on every step.
+        self._live_units = (
+            list(live_units) if live_units is not None else [None] * len(params)
+        )
         self._bound: list[_BoundParam] = []
 
     def _bind(self, *slots: list[np.ndarray]) -> None:
@@ -125,9 +143,16 @@ class Optimizer(ABC):
         slots are only ever written in place.
         """
         self._bound = [
-            _BoundParam(arrays)
-            for arrays in zip(self.params, self.grads, *slots)
+            _BoundParam(arrays, units)
+            for arrays, units in zip(
+                zip(self.params, self.grads, *slots), self._live_units
+            )
         ]
+
+    #: True when a step honours ``live_units``: every unit outside a
+    #: parameter's live set keeps its bits, so whatever is derived from
+    #: a dead unit's weights stays valid.
+    skips_dead_units = False
 
     def _mark_live(self) -> None:
         """Hook: narrow ``bound.live`` to the blocks this step changes.
@@ -139,14 +164,21 @@ class Optimizer(ABC):
     def _clip(self) -> None:
         if self.max_grad_norm is None:
             return
+        # The norm stays one dot over every gradient entry, dead rows
+        # included.  At the paper's shape the clip fires on every learn
+        # step, so the norm's bits are the scale's bits; a dot over only
+        # the live rows sums in another order: over 301 learn steps of
+        # train_paper one dot over the gathered live rows matched the
+        # full dot on 156 (seed 3) and 143 (seed 5), and per-row dots
+        # summed on none.
         total = np.sqrt(sum(b.grad_sq_norm() for b in self._bound))
         if total > self.max_grad_norm and total > 0:
             scale = self.max_grad_norm / total
             for bound in self._bound:
                 # Gradients outside the live blocks are all zero, which
                 # scaling would leave as they are.
-                for block in bound.live:
-                    g = block[1]
+                for u in bound.live:
+                    g = bound.blocks[u][1]
                     g *= scale
 
     def step(self) -> None:
@@ -241,16 +273,26 @@ class RMSprop(Optimizer):
     **Live-unit update.**  Where a gradient entry is zero the rule
     reduces to ``s *= rho``: ``g * g`` adds nothing to the running
     average and the parameter moves by ``lr * 0 / (sqrt(s) + eps)``.
-    For a blocked unit-major parameter (see the module docstring) the
-    step therefore decays the whole squared average in one flat pass
-    and runs the remaining ops only on the unit rows whose gradient has
-    a non-zero entry, found by one OR-reduction over the gradient's
-    bit patterns (sign bits masked, so ``-0.0`` counts as zero).  With
-    ``eps > 0`` the result equals the dense rule's value for value; the
-    single representable difference is a weight stored as ``-0.0``
-    under a ``-0.0`` gradient, which the dense rule rewrites as
-    ``+0.0``.  At the paper's shape ~120 of the 135 first-layer units
-    are dead on a typical minibatch.
+    For a blocked unit-major parameter with a live-unit mask (see the
+    module docstring) a step therefore runs the rule only on the unit
+    rows the mask marks and leaves every other row untouched.  At the
+    paper's shape ~120 of the 135 first-layer units are dead on a
+    typical minibatch.  With ``eps > 0`` the result equals the dense
+    rule's value for value; the single representable difference is a
+    weight stored as ``-0.0`` under a ``-0.0`` gradient, which the
+    dense rule rewrites as ``+0.0``.
+
+    **Lazy decay.**  A dead row still owes the dense rule its
+    ``s *= rho``.  Each such row carries a stamp, the step through
+    which its decays have been applied; the missed multiplies are
+    replayed one at a time (the dense rule's own float32 op, so the
+    same bits) when the row next goes live -- this step's decay
+    included -- and whenever the slots are read (:attr:`_sq`,
+    :meth:`state_dict`).  A replay stops once a multiply would leave
+    the row unchanged: every later one is then a no-op too.  Subnormal
+    averages settle at 1-9 ulp, where ``k * rho`` rounds back to ``k``,
+    so a replay is at most ~2,300 multiplies however long the row was
+    dead, and a row that stays dead costs nothing.
     """
 
     def __init__(
@@ -267,30 +309,70 @@ class RMSprop(Optimizer):
             raise ValueError("rho must lie in (0, 1)")
         self.rho = rho
         self.eps = eps
-        self._sq = [np.zeros_like(p) for p in params]
-        self._bind(self._sq)
+        self._square_avg = [np.zeros_like(p) for p in params]
+        self._bind(self._square_avg)
+        #: Per parameter, per block: the step through which the block's
+        #: decays have been applied (behind ``steps`` only for skipped
+        #: unit rows).
+        self._stamps = [
+            np.zeros(len(b.blocks), dtype=np.int64) for b in self._bound
+        ]
+
+    @property
+    def skips_dead_units(self) -> bool:
+        # With eps == 0, 0 / (sqrt(0) + 0) is NaN: a zero gradient can
+        # still move p, so nothing may be skipped.
+        return self.eps > 0
+
+    @property
+    def _sq(self) -> list[np.ndarray]:
+        """The squared averages, every pending decay applied."""
+        for bound, stamp in zip(self._bound, self._stamps):
+            for u in np.flatnonzero(stamp != self.steps):
+                _, _, s, ws = bound.blocks[u]
+                self._decay(s, self.steps - int(stamp[u]), ws)
+            stamp[:] = self.steps
+        return self._square_avg
+
+    def _decay(self, s: np.ndarray, k: int, ws: np.ndarray) -> int:
+        """Apply ``k`` of the dense rule's ``s *= rho`` to the row ``s``.
+
+        Stops at the first multiply that would change nothing and
+        returns how many it applied.  The fixed points of
+        ``x -> x * rho`` (zero and the smallest subnormals) form an
+        interval around zero and the map is monotone, so the row is
+        fixed exactly when its largest magnitude is: that one value's
+        trajectory, followed in scalar float32, says how many
+        multiplies the row needs.
+        """
+        if k > 1:
+            x = np.abs(s, out=ws).max()
+            r = x.dtype.type(self.rho)
+            for i in range(k):
+                y = x * r
+                if y == x and np.isfinite(x):
+                    k = i
+                    break
+                x = y
+        for _ in range(k):
+            s *= self.rho
+        return k
 
     def _mark_live(self) -> None:
-        if self.eps <= 0:
-            return  # 0 / (sqrt(0) + 0): a zero gradient can still move p
-        for bound in self._bound:
-            if bound.unit_rows is not None:
-                bits = np.bitwise_or.reduce(bound.unit_rows, axis=1)
-                bits &= np.iinfo(bits.dtype).max >> 1  # drop the sign bit
-                bound.live = [bound.blocks[u] for u in np.flatnonzero(bits)]
+        if self.skips_dead_units:
+            for bound in self._bound:
+                if bound.units is not None:
+                    bound.live = np.flatnonzero(bound.units).tolist()
 
     def _apply(self) -> None:
         rho, eps, lr = self.rho, self.eps, self.lr
-        for bound in self._bound:
-            skipping = bound.live is not bound.blocks
-            if skipping:
-                # Dead rows need only this; live rows skip it below.
-                s_flat = bound.flat[2]
-                s_flat *= rho
-            for p, g, s, ws in bound.live:
+        t = self.steps
+        for bound, stamp in zip(self._bound, self._stamps):
+            for u in bound.live:
+                p, g, s, ws = bound.blocks[u]
+                self._decay(s, t - int(stamp[u]), ws)
+                stamp[u] = t
                 np.multiply(g, g, out=ws)
-                if not skipping:
-                    s *= rho
                 ws *= 1.0 - rho
                 s += ws
                 np.sqrt(s, out=ws)
@@ -301,6 +383,13 @@ class RMSprop(Optimizer):
 
     def _state_slots(self) -> dict:
         return {"square_avg": self._sq}
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        # The restored averages are the dense rule's values at the
+        # restored step: nothing is pending.
+        for stamp in self._stamps:
+            stamp[:] = self.steps
 
 
 class Adam(Optimizer):

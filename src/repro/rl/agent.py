@@ -230,6 +230,7 @@ class DQNAgent:
             self.q_net.grads(),
             config.learning_rate,
             max_grad_norm=config.max_grad_norm,
+            live_units=self.q_net.live_units(),
         )
         self.loss_fn = make_loss(config.loss)
         if config.prioritized:
@@ -482,7 +483,11 @@ class DQNAgent:
             # cost of the whole forward pass).
             self.q_net.backward(grad_out, need_input_grad=False)
             self.optimizer.step()
-            self.q_net.weights_changed()
+            # A step that skipped the dead units left their weights, and
+            # the prefix bias entries derived from them, as they were.
+            self.q_net.weights_changed(
+                live_only=self.optimizer.skips_dead_units
+            )
         self.learn_steps += 1
 
         if isinstance(self.replay, PrioritizedReplayMemory):
