@@ -34,7 +34,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.config import ci_scale_config, recorded_observation_mode
+from repro.config import VARIANTS, ci_scale_config, recorded_observation_mode
 from repro.version import __version__
 
 
@@ -75,10 +75,12 @@ def _add_trainer(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scoring_method(p: argparse.ArgumentParser) -> None:
+    from repro.scoring.scorers import SCORING_METHODS
+
     p.add_argument(
         "--scoring-method",
         default="exact",
-        choices=["exact", "cutoff", "incremental", "field"],
+        choices=SCORING_METHODS,
         help="pose-scoring kernel (incremental = Verlet-list scorer, "
         "field = hybrid precomputed-field scorer; see "
         "docs/PERFORMANCE.md, 'Scoring kernels')",
@@ -93,8 +95,7 @@ def _open_telemetry(args, command: str, config=None):
     threads lineage through the private ``_parent_run_id`` /
     ``_resume_step`` namespace attributes.
     """
-    log_dir = getattr(args, "log_dir", None)
-    if not log_dir:
+    if not args.log_dir:
         return None
     from repro.telemetry import TelemetryRun
 
@@ -102,12 +103,12 @@ def _open_telemetry(args, command: str, config=None):
         k: v for k, v in vars(args).items() if not k.startswith("_")
     }
     return TelemetryRun(
-        log_dir,
+        args.log_dir,
         command=command,
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
         config=config,
-        parent_run_id=getattr(args, "_parent_run_id", None),
-        resume_step=getattr(args, "_resume_step", None),
+        parent_run_id=args._parent_run_id,
+        resume_step=args._resume_step,
         extra={"cli_args": cli_args},
     )
 
@@ -143,7 +144,7 @@ def _telemetered(args, command: str, config, work) -> int:
     guard = ShutdownGuard()
     runtime = RuntimeContext(
         telemetry.dir,
-        checkpoint_every=getattr(args, "checkpoint_every", 0) or 0,
+        checkpoint_every=args.checkpoint_every,
         guard=guard,
         telemetry=telemetry,
     )
@@ -180,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
+    # Lineage of a run continued by ``repro resume``, which sets both.
+    parser.set_defaults(_parent_run_id=None, _resume_step=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="print the Table 1 hyperparameters")
@@ -193,14 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--episodes", type=int, default=60)
     p.add_argument("--max-steps", type=int, default=60)
-    p.add_argument(
-        "--variant",
-        default="dqn",
-        choices=[
-            "dqn", "ddqn", "dueling", "dueling-ddqn",
-            "distributional", "rainbow",
-        ],
-    )
+    p.add_argument("--variant", default="dqn", choices=VARIANTS)
     p.add_argument("--learning-rate", type=float, default=0.002)
     p.add_argument(
         "--observation-mode",
@@ -380,11 +376,10 @@ def _cmd_figure4(args) -> int:
             max_steps=args.max_steps,
             learning_rate=args.learning_rate,
             variant=args.variant,
-            # getattr: manifests from before the flags existed resume fine.
-            scoring_method=getattr(args, "scoring_method", "exact"),
-            observation_mode=getattr(args, "observation_mode", "raw"),
-            trainer=getattr(args, "trainer", "sync"),
-            num_actors=getattr(args, "num_actors", 2),
+            scoring_method=args.scoring_method,
+            observation_mode=args.observation_mode,
+            trainer=args.trainer,
+            num_actors=args.num_actors,
         )
     except ValueError as exc:
         print(f"figure4: {exc}", file=sys.stderr)
@@ -437,17 +432,16 @@ def _cmd_screen(args) -> int:
 
     cfg = ci_scale_config(episodes=1, seed=args.seed).complex
     try:
-        # getattr: manifests from before these flags existed resume fine.
         screen_cfg = ScreeningConfig(
             strategy=args.strategy,
             budget=args.budget,
             seed=args.seed,
-            workers=getattr(args, "workers", 1) or 1,
-            shard_size=getattr(args, "shard_size", 4) or 4,
-            top_k=getattr(args, "top_k", None),
-            scoring_method=getattr(args, "scoring_method", "exact"),
-            policy_path=getattr(args, "policy", None),
-            policy_max_steps=getattr(args, "policy_max_steps", 120) or 120,
+            workers=args.workers,
+            shard_size=args.shard_size,
+            top_k=args.top_k,
+            scoring_method=args.scoring_method,
+            policy_path=args.policy,
+            policy_max_steps=args.policy_max_steps,
         )
     except ValueError as exc:
         print(f"repro screen: {exc}", file=sys.stderr)
@@ -511,8 +505,8 @@ def _cmd_curriculum(args) -> int:
         episodes=args.episodes,
         seed=args.seed,
         learning_rate=0.002,
-        scoring_method=getattr(args, "scoring_method", "exact"),
-        trainer=getattr(args, "trainer", "sync"),
+        scoring_method=args.scoring_method,
+        trainer=args.trainer,
         # One actor per training complex; keeps config validation happy
         # and makes the broadcast alignment explicit in the manifest.
         num_actors=max(1, args.complexes),
@@ -607,15 +601,30 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _command_defaults(command: str) -> dict:
+    """What ``command``'s parser fills in for every flag left out."""
+    (sub,) = (
+        a.choices[command] for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        a.dest: sub.get_default(a.dest)
+        for a in sub._actions if a.default is not argparse.SUPPRESS
+    }
+
+
 def _cmd_resume(args) -> int:
     """Re-dispatch an interrupted run from its recorded CLI arguments.
 
     The run directory's manifest stores the original argument vector
     (``extra.cli_args``); we rebuild the namespace, point ``--log-dir``
     back at the same directory (checkpoints and result memos live
-    there), and re-run the original command.  The new manifest records
-    lineage: ``parent_run_id`` is the interrupted run's id and
-    ``resume_step`` the global step of the newest checkpoint.
+    there), and re-run the original command.  Flags the manifest lacks
+    (runs recorded before the flag existed) take the parser's own
+    defaults, so every command reads ``args`` directly.  The new
+    manifest records lineage: ``parent_run_id`` is the interrupted
+    run's id and ``resume_step`` the global step of the newest
+    checkpoint.
     """
     import json
     from pathlib import Path
@@ -651,7 +660,7 @@ def _cmd_resume(args) -> int:
             resume_step = read_meta(latest).get("global_step")
         except CheckpointReadError as exc:
             print(f"warning: {exc}", file=sys.stderr)
-    ns = argparse.Namespace(**cli_args)
+    ns = argparse.Namespace(**{**_command_defaults(command), **cli_args})
     if "observation_mode" in cli_args:
         # Runs started with the removed --compact-states flag recorded
         # it next to observation_mode="raw".

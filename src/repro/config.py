@@ -21,6 +21,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+#: Algorithmic variants of the agent: "dqn" (paper), "ddqn", "dueling",
+#: "dueling-ddqn", "distributional" (C51), or "rainbow" (double +
+#: dueling + prioritized + 3-step) -- the Section 5 future-work list.
+VARIANTS: tuple[str, ...] = (
+    "dqn", "ddqn", "dueling", "dueling-ddqn", "distributional", "rainbow",
+)
+
+
 @dataclass(frozen=True)
 class ComplexConfig:
     """Parameters of the synthetic receptor-ligand complex.
@@ -120,9 +128,7 @@ class DQNDockingConfig:
     low_score_threshold: float = -100000.0
 
     # --- Engine / reproduction knobs (not in Table 1) ----------------------
-    #: Algorithmic variant: "dqn" (paper), "ddqn", "dueling",
-    #: "dueling-ddqn", "distributional", or "rainbow" (double + dueling +
-    #: prioritized + 3-step) -- the Section 5 future-work list.
+    #: Algorithmic variant, one of :data:`VARIANTS`.
     variant: str = "dqn"
     #: Use the 18-action flexible-ligand environment (Section 5 future work).
     flexible_ligand: bool = False
@@ -134,9 +140,8 @@ class DQNDockingConfig:
     #: behaviour), "compact" (the env emits only the dynamic ligand
     #: tail in float32, the replay stores the constant receptor block
     #: once and the agent reconstructs full states on demand -- see
-    #: docs/PERFORMANCE.md; not available with the "distributional"
-    #: variant), or "descriptor" (pocket-relative ligand features,
-    #: ~270 dims; see :mod:`repro.env.observation` and
+    #: docs/PERFORMANCE.md), or "descriptor" (pocket-relative ligand
+    #: features, ~270 dims; see :mod:`repro.env.observation` and
     #: docs/OBSERVATIONS.md).
     observation_mode: str = "raw"
     #: Pose-scoring kernel: "exact" (full Eq. 1, the correctness
@@ -183,14 +188,7 @@ class DQNDockingConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.replay_capacity < self.minibatch_size:
             raise ValueError("replay capacity smaller than a minibatch")
-        if self.variant not in {
-            "dqn",
-            "ddqn",
-            "dueling",
-            "dueling-ddqn",
-            "distributional",
-            "rainbow",
-        }:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.comm_mode not in {"ram", "file"}:
             raise ValueError(f"unknown comm_mode {self.comm_mode!r}")
@@ -200,15 +198,6 @@ class DQNDockingConfig:
         if self.observation_mode not in {"raw", "compact", "descriptor"}:
             raise ValueError(
                 f"unknown observation_mode {self.observation_mode!r}"
-            )
-        if (
-            self.observation_mode == "compact"
-            and self.variant == "distributional"
-        ):
-            raise ValueError(
-                "observation_mode='compact' is not supported with the "
-                "distributional variant (C51 keeps the dense float64 "
-                "replay)"
             )
         # Validate scoring_method / scoring_kwargs against the scorer
         # registry so an unknown method or a typo fails here rather
@@ -229,12 +218,6 @@ class DQNDockingConfig:
             raise ValueError("actor_sync_every must be >= 1")
         if self.actor_ring_capacity < 1:
             raise ValueError("actor_ring_capacity must be >= 1")
-        if self.trainer == "actor-learner" and self.variant == "distributional":
-            raise ValueError(
-                "trainer='actor-learner' does not support the "
-                "distributional variant (the actor sidecar replicates "
-                "plain Q-networks only)"
-            )
         if self.loss not in {"mse", "huber"}:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.activation not in {"relu", "tanh", "sigmoid", "linear"}:

@@ -18,7 +18,6 @@ from repro.chem.builders import build_complex
 from repro.config import DQNDockingConfig
 from repro.env.factory import make_env
 from repro.rl.agent import AgentConfig, DQNAgent
-from repro.rl.distributional import DistributionalDQNAgent
 from repro.rl.trainer import Trainer, TrainingHistory
 
 
@@ -115,19 +114,14 @@ def build_agent(
     """Agent factory honouring the config's ``variant``.
 
     ``static_state`` (the constant receptor prefix from a compact-mode
-    environment) switches the DQN agent to compact replay; ``state_dim``
+    environment) switches the agent to compact replay; ``state_dim``
     must then be the paper-shaped *full* dimension, not the emitted
     tail length.
     """
-    agent_cfg = AgentConfig.from_run_config(cfg, state_dim, n_actions)
-    if cfg.variant == "distributional":
-        if static_state is not None:
-            raise ValueError(
-                "compact states are not supported with the "
-                "distributional variant"
-            )
-        return DistributionalDQNAgent(agent_cfg)
-    return DQNAgent(agent_cfg, static_state=static_state)
+    return DQNAgent(
+        AgentConfig.from_run_config(cfg, state_dim, n_actions),
+        static_state=static_state,
+    )
 
 
 def build_agent_for_env(cfg: DQNDockingConfig, env):
@@ -213,8 +207,7 @@ def run_figure4_experiment(
         # gets the full paper-shaped dimension plus the constant
         # receptor prefix and reconstructs states on demand.
         agent = build_agent_for_env(cfg, env)
-        if tracer is not None:
-            agent.tracer = tracer
+        agent.tracer = tracer
         trainer = Trainer(
             env,
             agent,

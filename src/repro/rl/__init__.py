@@ -6,8 +6,8 @@
   (sum tree + importance weights), a Section 5 "newer variant" component;
 - :mod:`repro.rl.schedules` -- the linear epsilon annealing of Table 1;
 - :mod:`repro.rl.agent` -- :class:`DQNAgent` with the target network,
-  reward-clipped learning step, and the DDQN/dueling switches;
-- :mod:`repro.rl.distributional` -- categorical C51 agent;
+  reward-clipped learning step, and the DDQN/dueling/C51 switches;
+- :mod:`repro.rl.distributional` -- the categorical C51 value head;
 - :mod:`repro.rl.trainer` -- the episode loop of Algorithm 2 with the
   Figure 4 metric instrumentation.
 """
@@ -16,7 +16,7 @@ from repro.rl.replay import ReplayMemory, Transition
 from repro.rl.prioritized_replay import PrioritizedReplayMemory, SumTree
 from repro.rl.schedules import LinearSchedule, ConstantSchedule, EpsilonGreedy
 from repro.rl.agent import DQNAgent, AgentConfig
-from repro.rl.distributional import DistributionalDQNAgent
+from repro.rl.distributional import DistributionalConfig
 from repro.rl.trainer import Trainer, TrainingHistory, EpisodeStats
 from repro.rl.evaluation import (
     EvaluationResult,
@@ -38,7 +38,7 @@ __all__ = [
     "EpsilonGreedy",
     "DQNAgent",
     "AgentConfig",
-    "DistributionalDQNAgent",
+    "DistributionalConfig",
     "Trainer",
     "TrainingHistory",
     "EpisodeStats",

@@ -7,10 +7,9 @@ Section 5 variants behind flags:
   action, the target network evaluates it (van Hasselt et al.);
 - ``dueling=True`` -- dueling value/advantage head
   (:mod:`repro.nn.dueling`);
-- ``prioritized=True`` -- prioritized replay with importance weights.
-
-The distributional (C51) variant has different output semantics and
-lives in :mod:`repro.rl.distributional`.
+- ``prioritized=True`` -- prioritized replay with importance weights;
+- ``distributional=DistributionalConfig(...)`` -- the categorical C51
+  value head (:mod:`repro.rl.distributional`).
 """
 
 from __future__ import annotations
@@ -28,10 +27,15 @@ from repro.nn.layers import Dense
 from repro.nn.losses import make_loss
 from repro.nn.network import MLP, build_mlp
 from repro.nn.optimizers import make_optimizer
+from repro.rl.distributional import (
+    DistributionalConfig,
+    categorical_backward,
+    categorical_target,
+)
 from repro.rl.nstep import NStepTransitionBuffer
 from repro.rl.prioritized_replay import PrioritizedReplayMemory
 from repro.rl.replay import ReplayMemory
-from repro.rl.schedules import EpsilonGreedy, LinearSchedule
+from repro.rl.schedules import ConstantSchedule, EpsilonGreedy, LinearSchedule
 from repro.utils.rng import RngFactory
 
 
@@ -68,11 +72,14 @@ class AgentConfig:
     #: tracks ``tau * online + (1 - tau) * target`` after every learn
     #: step and explicit syncs become no-ops by default.
     target_update_tau: float | None = None
+    #: C51 value head (categorical distribution over a fixed support,
+    #: trained by cross-entropy); ``None`` keeps the scalar Q head.
+    distributional: DistributionalConfig | None = None
     max_grad_norm: float | None = 10.0
     #: Network compute precision.  float32 halves matmul bandwidth on
     #: the paper's 10,059-wide input layer with no measurable effect on
     #: docking behaviour (see docs/PERFORMANCE.md for the drift bound);
-    #: NoisyNet layers always run in float64.
+    #: NoisyNet layers and the C51 head always run in float64.
     dtype: str = "float32"
     seed: int = 0
 
@@ -85,6 +92,17 @@ class AgentConfig:
             raise ValueError("target_update_tau must lie in (0, 1]")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
+        if self.noisy and self.dueling:
+            raise ValueError(
+                "noisy + dueling is not supported; pick one head type"
+            )
+        if self.distributional is not None and (self.dueling or self.double):
+            # The categorical step has no dueling head and picks the
+            # bootstrap action with the target network only.
+            raise ValueError(
+                "the distributional (C51) head supports neither dueling "
+                "nor double"
+            )
 
     @staticmethod
     def from_run_config(
@@ -112,8 +130,22 @@ class AgentConfig:
             dueling=variant in ("dueling", "dueling-ddqn", "rainbow"),
             prioritized=variant == "rainbow",
             n_step=3 if variant == "rainbow" else 1,
+            distributional=(
+                DistributionalConfig() if variant == "distributional" else None
+            ),
             seed=cfg.seed,
         )
+
+
+class ScalarHead:
+    """The plain value head: a network's outputs are its Q-values."""
+
+    @staticmethod
+    def q_values(net, x: np.ndarray) -> np.ndarray:
+        return net.predict(x)
+
+
+SCALAR_HEAD = ScalarHead()
 
 
 @dataclass
@@ -132,7 +164,7 @@ class DQNAgent:
     ``network`` overrides the default MLP (e.g. with a CNN from
     :func:`repro.nn.conv.build_cnn` for image states); it must accept
     flat ``config.state_dim`` inputs and emit ``config.n_actions``
-    values.
+    values (``n_actions * n_atoms`` logits under the C51 head).
 
     ``static_state`` enables compact-state mode: it is the constant
     leading block of every state (the docking receptor).  The replay
@@ -157,14 +189,14 @@ class DQNAgent:
         self.config = config
         rngs = RngFactory(config.seed)
         net_rng = rngs.get("network")
-        if config.noisy and config.dueling:
-            raise ValueError(
-                "noisy + dueling is not supported; pick one head type"
-            )
-        # NoisyDense has no float32 path; keep noisy agents in float64.
-        self.dtype = np.dtype(
-            np.float64 if config.noisy else config.dtype
-        )
+        dist = config.distributional
+        # NoisyDense has no float32 path; C51 has always run in float64.
+        float64 = config.noisy or dist is not None
+        self.dtype = np.dtype(np.float64 if float64 else config.dtype)
+        #: Reads Q-values off a network's outputs (:meth:`predict_q`, the
+        #: actor sidecar): the outputs themselves, or C51's expectations.
+        self.head = SCALAR_HEAD if dist is None else dist
+        out_dim = config.n_actions * (1 if dist is None else dist.n_atoms)
         if network is not None:
             self.q_net = network
         elif config.noisy:
@@ -173,7 +205,7 @@ class DQNAgent:
             self.q_net = build_noisy_mlp(
                 config.state_dim,
                 config.hidden_sizes,
-                config.n_actions,
+                out_dim,
                 rng=net_rng,
             )
         elif config.dueling:
@@ -189,7 +221,7 @@ class DQNAgent:
             self.q_net = build_mlp(
                 config.state_dim,
                 config.hidden_sizes,
-                config.n_actions,
+                out_dim,
                 activation=config.activation,
                 rng=net_rng,
                 dtype=self.dtype,
@@ -233,42 +265,31 @@ class DQNAgent:
             live_units=self.q_net.live_units(),
         )
         self.loss_fn = make_loss(config.loss)
-        if config.prioritized:
-            self.replay: ReplayMemory = PrioritizedReplayMemory(
-                config.replay_capacity,
-                config.state_dim,
-                seed=rngs.get("replay"),
-                static_prefix=self._static,
-            )
-        else:
-            self.replay = ReplayMemory(
-                config.replay_capacity,
-                config.state_dim,
-                seed=rngs.get("replay"),
-                static_prefix=self._static,
-            )
-        if config.noisy:
-            # NoisyNet replaces epsilon-greedy: exploration comes from
-            # the learned parameter noise, so epsilon stays at zero.
-            from repro.rl.schedules import ConstantSchedule
-
-            self.policy = EpsilonGreedy(
-                ConstantSchedule(0.0),
-                config.n_actions,
-                exploration_steps=0,
-                rng=rngs.get("policy"),
-            )
-        else:
-            self.policy = EpsilonGreedy(
-                LinearSchedule(
-                    config.epsilon_start,
-                    config.epsilon_final,
-                    config.epsilon_decay,
-                ),
-                config.n_actions,
-                exploration_steps=config.initial_exploration_steps,
-                rng=rngs.get("policy"),
-            )
+        replay_cls = (
+            PrioritizedReplayMemory if config.prioritized else ReplayMemory
+        )
+        self.replay: ReplayMemory = replay_cls(
+            config.replay_capacity,
+            config.state_dim,
+            seed=rngs.get("replay"),
+            static_prefix=self._static,
+        )
+        # NoisyNet replaces epsilon-greedy: exploration comes from the
+        # learned parameter noise, so epsilon stays at zero.
+        self.policy = EpsilonGreedy(
+            ConstantSchedule(0.0)
+            if config.noisy
+            else LinearSchedule(
+                config.epsilon_start,
+                config.epsilon_final,
+                config.epsilon_decay,
+            ),
+            config.n_actions,
+            exploration_steps=(
+                0 if config.noisy else config.initial_exploration_steps
+            ),
+            rng=rngs.get("policy"),
+        )
         # One n-step window per transition source (env column, actor),
         # made on first use: a window must only ever span one
         # environment's own steps.
@@ -341,7 +362,7 @@ class DQNAgent:
         return buf
 
     def predict_q(self, state: np.ndarray) -> np.ndarray:
-        """Q-values from the online network.
+        """Q-values from the online network (expected values for C51).
 
         Accepts a single state or a (n, dim) batch; in compact mode,
         full states and bare dynamic tails are both accepted.
@@ -349,7 +370,7 @@ class DQNAgent:
         x = np.asarray(state)
         if self._static is not None:
             x = self._net_input(x)
-        return self.q_net.predict(x)
+        return self.head.q_values(self.q_net, x)
 
     def act(self, state: np.ndarray, global_step: int) -> tuple[int, np.ndarray]:
         """Epsilon-greedy (or noisy) action; returns (action, q_values).
@@ -428,8 +449,10 @@ class DQNAgent:
         return len(self.replay) >= self.config.minibatch_size
 
     def learn(self) -> LearnInfo:
-        """One Algorithm 2 gradient step on a sampled minibatch."""
+        """One Algorithm 2 gradient step on a sampled minibatch (the
+        categorical step of :mod:`repro.rl.distributional` for C51)."""
         cfg = self.config
+        dist = cfg.distributional
         if cfg.noisy:
             # Independent noise draws for the online and target networks
             # per update (Fortunato et al., section 3).
@@ -451,37 +474,49 @@ class DQNAgent:
             states = self._net_input(states)
             next_states = self._net_input(next_states)
 
-        q_next_target = self.target_net.predict(next_states)  # (b, k)
-        if cfg.double:
-            q_next_online = self.q_net.predict(next_states)
-            best_actions = np.argmax(q_next_online, axis=1)
-            next_values = q_next_target[rows, best_actions]
+        if dist is not None:
+            targets = categorical_target(
+                dist, self.target_net, batch, next_states
+            )
         else:
-            next_values = q_next_target.max(axis=1)
-        # Per-transition bootstrap discount: gamma for 1-step pushes,
-        # gamma^h for h-step accumulated transitions.
-        targets = batch.rewards + batch.discounts * next_values * (
-            ~batch.terminals
-        )
+            q_next_target = self.target_net.predict(next_states)  # (b, k)
+            if cfg.double:
+                q_next_online = self.q_net.predict(next_states)
+                best_actions = np.argmax(q_next_online, axis=1)
+                next_values = q_next_target[rows, best_actions]
+            else:
+                next_values = q_next_target.max(axis=1)
+            # Per-transition bootstrap discount: gamma for 1-step
+            # pushes, gamma^h for h-step accumulated transitions.
+            targets = batch.rewards + batch.discounts * next_values * (
+                ~batch.terminals
+            )
 
         with sp("grad-step"):
             self.q_net.zero_grad()
-            preds = self.q_net.forward(states, train=True)  # (b, k)
-            pred_chosen = preds[rows, batch.actions]
-            td_errors = pred_chosen - targets
-            loss_value, grad_chosen = self.loss_fn(
-                pred_chosen, targets, weights=batch.weights
-            )
-            if b == self._grad_out.shape[0]:
-                grad_out = self._grad_out
-                grad_out.fill(0.0)
+            if dist is not None:
+                loss_value, td_errors, preds = categorical_backward(
+                    dist, self.q_net, states, batch, targets
+                )
             else:
-                grad_out = np.zeros((b, preds.shape[1]), dtype=self.dtype)
-            grad_out[rows, batch.actions] = grad_chosen
-            # Nothing sits below the network: skip the first layer's
-            # input-grad matmul (at state_dim 10,059 it matches the
-            # cost of the whole forward pass).
-            self.q_net.backward(grad_out, need_input_grad=False)
+                preds = self.q_net.forward(states, train=True)  # (b, k)
+                pred_chosen = preds[rows, batch.actions]
+                td_errors = pred_chosen - targets
+                loss_value, grad_chosen = self.loss_fn(
+                    pred_chosen, targets, weights=batch.weights
+                )
+                if b == self._grad_out.shape[0]:
+                    grad_out = self._grad_out
+                    grad_out.fill(0.0)
+                else:
+                    grad_out = np.zeros(
+                        (b, preds.shape[1]), dtype=self.dtype
+                    )
+                grad_out[rows, batch.actions] = grad_chosen
+                # Nothing sits below the network: skip the first
+                # layer's input-grad matmul (at state_dim 10,059 it
+                # matches the cost of the whole forward pass).
+                self.q_net.backward(grad_out, need_input_grad=False)
             self.optimizer.step()
             # A step that skipped the dead units left their weights, and
             # the prefix bias entries derived from them, as they were.
@@ -505,6 +540,18 @@ class DQNAgent:
 
     # -- checkpointing --------------------------------------------------
 
+    def _shape(self) -> dict:
+        """What a checkpoint must match to load: input and head widths
+        (``n_atoms`` for C51 only) and the compute dtype."""
+        shape = {
+            "state_dim": self.config.state_dim,
+            "n_actions": self.config.n_actions,
+            "dtype": self.dtype.name,
+        }
+        if self.config.distributional is not None:
+            shape["n_atoms"] = self.config.distributional.n_atoms
+        return shape
+
     def state_dict(self) -> dict:
         """Everything needed to continue training bit-for-bit.
 
@@ -517,9 +564,7 @@ class DQNAgent:
         from repro.utils.rng import generator_state
 
         state: dict = {
-            "state_dim": self.config.state_dim,
-            "n_actions": self.config.n_actions,
-            "dtype": self.dtype.name,
+            **self._shape(),
             "q_net": network_arrays(self.q_net),
             "target_net": network_arrays(self.target_net),
             "optimizer": self.optimizer.state_dict(),
@@ -547,20 +592,13 @@ class DQNAgent:
         )
         from repro.utils.rng import restore_generator
 
-        for field_name in ("state_dim", "n_actions"):
-            if int(state.get(field_name, -1)) != getattr(
-                self.config, field_name
-            ):
+        shape = self._shape()
+        for key in ("state_dim", "n_actions", "dtype", "n_atoms"):
+            if state.get(key) != shape.get(key):
                 raise CheckpointMismatchError(
-                    f"agent {field_name} mismatch: checkpoint "
-                    f"{state.get(field_name)} vs config "
-                    f"{getattr(self.config, field_name)}"
+                    f"agent {key} mismatch: checkpoint {state.get(key)!r} "
+                    f"vs agent {shape.get(key)!r}"
                 )
-        if state.get("dtype") != self.dtype.name:
-            raise CheckpointMismatchError(
-                f"agent dtype mismatch: checkpoint {state.get('dtype')!r} "
-                f"vs agent {self.dtype.name!r}"
-            )
         has_nstep = "nstep" in state
         if has_nstep != (self._nstep is not None):
             raise CheckpointMismatchError(

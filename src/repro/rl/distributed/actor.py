@@ -52,11 +52,14 @@ class Sidecar:
     arrays in place, so every applied version must also drop what the
     network derived from the previous one (the prefix-bound layer's
     cached bias) -- otherwise the actor would keep acting on stale
-    weights for 9,792 of its 10,059 inputs.
+    weights for 9,792 of its 10,059 inputs.  ``head`` is the agent's
+    value head (``DQNAgent.head``): Q-values are read off the network
+    the way the learner reads them.
     """
 
-    def __init__(self, q_net, weights, actor_index: int):
+    def __init__(self, q_net, weights, actor_index: int, head):
         self.q_net = q_net
+        self.head = head
         self.version = -1
         self._params = q_net.params()
         self._weights = weights
@@ -76,7 +79,7 @@ class Sidecar:
 
     def predict(self, state) -> np.ndarray:
         """Q-values for one emitted state (a bare tail in compact mode)."""
-        return self.q_net.predict(np.asarray(state))
+        return self.head.q_values(self.q_net, np.asarray(state))
 
 
 def actor_worker(
@@ -88,6 +91,7 @@ def actor_worker(
     conn,
     q_net,
     *,
+    head,
     schedule,
     exploration_steps: int,
     n_actions: int,
@@ -98,7 +102,8 @@ def actor_worker(
     """Worker main: answer ``segment``/``close`` commands from the pipe.
 
     ``q_net`` is the sidecar network (cloned pre-fork, so the child
-    inherits the structure and overwrites the weights via fetches).
+    inherits the structure and overwrites the weights via fetches) and
+    ``head`` the agent's value head that reads Q-values off it.
     Each ``segment`` command carries ``{"quota", "start_local_step",
     "rng_state"}``; the reply is ``("done", {"rng_state", "pushed"})``.
     """
@@ -112,7 +117,7 @@ def actor_worker(
             exploration_steps=exploration_steps,
             rng=RngFactory(seed).get(policy_stream_name(index)),
         )
-        sidecar = Sidecar(q_net, weights, index)
+        sidecar = Sidecar(q_net, weights, index, head)
         conn.send(("ready", None))
         while True:
             cmd, data = conn.recv()

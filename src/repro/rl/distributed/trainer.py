@@ -68,8 +68,8 @@ class ActorLearnerTrainer:
         engine + scorer inside the child).
     agent:
         The learner-side :class:`~repro.rl.agent.DQNAgent` (owns replay,
-        optimizer, and both networks).  Distributional and noisy agents
-        are not supported -- the sidecar replicates plain Q-networks.
+        optimizer, and both networks).  NoisyNet agents are not
+        supported -- the sidecar cannot replicate their noise state.
     state_dim / state_dtype:
         Shape/dtype of the states the envs *emit* (the tail dimension in
         compact mode); sizes the per-actor transition rings.
@@ -116,12 +116,7 @@ class ActorLearnerTrainer:
             raise ValueError("ring_capacity must be >= 1")
         if max_steps_per_episode < 1:
             raise ValueError("max_steps_per_episode must be >= 1")
-        if type(agent).__name__ == "DistributionalDQNAgent":
-            raise ValueError(
-                "actor-learner training does not support the "
-                "distributional agent"
-            )
-        if getattr(agent.config, "noisy", False):
+        if agent.config.noisy:
             raise ValueError(
                 "actor-learner training does not support NoisyNet "
                 "exploration (sidecar noise state cannot be replicated)"
@@ -205,6 +200,7 @@ class ActorLearnerTrainer:
                     self.agent.q_net.clone(),
                 ),
                 kwargs=dict(
+                    head=self.agent.head,
                     schedule=policy.schedule,
                     exploration_steps=policy.exploration_steps,
                     n_actions=policy.n_actions,

@@ -163,8 +163,8 @@ class LearnerCore:
     agent:
         Any agent with ``remember()``, ``flush_episode()``,
         ``can_learn()``, ``learn()``, ``sync_target()``,
-        ``predict_q()`` and a ``policy`` (``repro.rl.agent.DQNAgent``
-        and the distributional agent both qualify).
+        ``predict_q()`` and a ``policy``
+        (:class:`repro.rl.agent.DQNAgent` in every variant).
     learning_start:
         Global transitions of pure experience collection before any
         gradient step (Algorithm 2's warm-up).

@@ -39,8 +39,7 @@ class Trainer:
     Parameters
     ----------
     env / agent:
-        See :class:`SupportsEnv` and :class:`repro.rl.agent.DQNAgent`
-        (the distributional agent satisfies the same protocol).
+        See :class:`SupportsEnv` and :class:`repro.rl.agent.DQNAgent`.
     episodes / max_steps_per_episode:
         Table 1's M and T.
     learning_start:

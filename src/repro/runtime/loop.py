@@ -215,8 +215,13 @@ def upgrade_checkpoint(ckpt: Checkpoint) -> Checkpoint:
       ``state["trainer"]["history"]``; both become the one
       ``meta["history"]`` every mode now writes;
     - checkpoints from before the observation codecs carry no
-      ``"observation"`` key, which reads as "spec-less" (no check).
+      ``"observation"`` key, which reads as "spec-less" (no check);
+    - C51 agents from before the categorical head joined ``DQNAgent``
+      record ``n_atoms`` but no ``dtype``; they computed in float64.
     """
+    agent = ckpt.state.get("agent")
+    if isinstance(agent, dict) and "n_atoms" in agent:
+        agent.setdefault("dtype", "float64")
     meta = ckpt.meta
     if "history" not in meta:
         stats = _from_jsonable(meta.get("stats") or {})

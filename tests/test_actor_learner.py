@@ -46,14 +46,6 @@ def counting_trainer(agent, n_actors=2, horizon=7, **kw):
 
 
 class TestValidation:
-    def test_config_rejects_distributional_actor_learner(self):
-        with pytest.raises(ValueError, match="distributional"):
-            ci_scale_config(
-                episodes=2,
-                trainer="actor-learner",
-                variant="distributional",
-            )
-
     def test_config_rejects_unknown_trainer_and_bad_counts(self):
         with pytest.raises(ValueError):
             ci_scale_config(episodes=2, trainer="bogus")
@@ -65,16 +57,6 @@ class TestValidation:
             ci_scale_config(episodes=2, actor_sync_every=0)
         with pytest.raises(ValueError):
             ci_scale_config(episodes=2, actor_ring_capacity=0)
-
-    def test_trainer_rejects_distributional_agent(self):
-        from repro.rl.distributional import DistributionalDQNAgent
-        from repro.rl.agent import AgentConfig
-
-        agent = DistributionalDQNAgent(
-            AgentConfig(state_dim=2, n_actions=2, hidden_sizes=(4,))
-        )
-        with pytest.raises(ValueError, match="distributional"):
-            counting_trainer(agent)
 
     def test_trainer_rejects_noisy_agent(self):
         agent = tiny_agent(noisy=True)
@@ -269,7 +251,7 @@ class TestSidecar:
         block = SharedWeightBlock(
             [p.shape for p in params], 1, dtype=params[0].dtype
         )
-        sidecar = Sidecar(agent.q_net.clone(), block, 0)
+        sidecar = Sidecar(agent.q_net.clone(), block, 0, agent.head)
         tails = rng.standard_normal((5, 6)).astype(np.float32)
 
         def q_values():
@@ -300,6 +282,30 @@ class TestSidecar:
         for tail, q in zip(tails, q1):
             np.testing.assert_array_equal(q, agent.predict_q(tail))
         assert block.applied_versions()[0] == 1
+
+    def test_sidecar_reads_q_through_the_agents_head(self):
+        from repro.rl.agent import AgentConfig, DQNAgent
+        from repro.rl.distributed.actor import Sidecar
+        from repro.rl.distributed.weights import SharedWeightBlock
+        from repro.rl.distributional import DistributionalConfig
+
+        agent = DQNAgent(
+            AgentConfig(
+                state_dim=5, n_actions=3, hidden_sizes=(8,),
+                distributional=DistributionalConfig(n_atoms=7),
+            )
+        )
+        params = agent.q_net.params()
+        block = SharedWeightBlock(
+            [p.shape for p in params], 1, dtype=params[0].dtype
+        )
+        sidecar = Sidecar(agent.q_net.clone(), block, 0, agent.head)
+        block.publish(0, params)
+        assert sidecar.refresh(0)
+        state = np.linspace(-1.0, 1.0, 5)
+        q = sidecar.predict(state)
+        assert q.shape == (3,)
+        np.testing.assert_array_equal(q, agent.predict_q(state))
 
     def test_trainer_rejects_compact_agent_without_dense_first_layer(self):
         from repro.nn.layers import Dense, Identity
@@ -361,20 +367,26 @@ class TestSignalMasking:
 class TestFigure4Integration:
     """End-to-end over the real docking stack (small complex)."""
 
-    def _cfg(self):
+    def _cfg(self, variant="dqn"):
         return ci_scale_config(episodes=4, seed=0, max_steps=10).replace(
             trainer="actor-learner",
             num_actors=2,
             actor_sync_every=5,
             actor_ring_capacity=32,
+            variant=variant,
         )
 
     def test_interrupt_resume_bit_exact(self, tmp_path):
+        self._interrupt_resume(self._cfg(), tmp_path)
+
+    def test_interrupt_resume_bit_exact_distributional(self, tmp_path):
+        # The C51 head: the actors' sidecars act on expected values.
+        self._interrupt_resume(self._cfg("distributional"), tmp_path)
+
+    def _interrupt_resume(self, cfg, tmp_path):
         from repro.experiments.figure4 import run_figure4_experiment
         from repro.runtime.loop import RunInterrupted, RuntimeContext
         from repro.runtime.signals import ShutdownGuard
-
-        cfg = self._cfg()
 
         # Reference: uninterrupted checkpointed run.
         ref_dir = tmp_path / "ref"
@@ -405,6 +417,7 @@ class TestFigure4Integration:
             cfg, runtime=RuntimeContext(run_dir, checkpoint_every=2)
         )
 
+        assert ref.agent.learn_steps > 0
         for a, b in zip(
             ref.agent.q_net.params(), resumed.agent.q_net.params()
         ):

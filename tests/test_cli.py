@@ -32,6 +32,19 @@ class TestParser:
         )
         assert args.observation_mode == "compact"
 
+    def test_choices_come_from_the_sources_of_truth(self):
+        from repro.config import VARIANTS
+        from repro.scoring.scorers import SCORING_METHODS
+
+        for flag, values in (
+            ("--variant", VARIANTS),
+            ("--scoring-method", SCORING_METHODS),
+        ):
+            for value in values:
+                build_parser().parse_args(["figure4", flag, value])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure4", "--variant", "c52"])
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
@@ -85,6 +98,14 @@ class TestCommands:
         )
         assert code == 0
         assert "LIG00000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "0"], ["--shard-size", "0"]]
+    )
+    def test_screen_rejects_zero_counts(self, capsys, flags):
+        argv = ["screen", "--ligands", "1", "--budget", "4", *flags]
+        assert main(argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_blind(self, capsys):
         code = main(["blind", "--spots", "3", "--budget", "40", "--workers", "1"])

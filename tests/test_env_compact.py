@@ -141,20 +141,17 @@ class TestCompactEnv:
 
 
 class TestConfigGating:
-    def test_distributional_compact_rejected(self):
-        with pytest.raises(ValueError, match="compact"):
-            DQNDockingConfig(
-                variant="distributional", observation_mode="compact"
-            )
-
-    def test_build_agent_rejects_distributional_static(self):
-        cfg = ci_scale_config(episodes=2)
-        cfg = cfg.replace(variant="distributional")
-        with pytest.raises(ValueError, match="distributional"):
-            build_agent(
-                cfg, 60, 12,
-                static_state=np.zeros(30, dtype=np.float32),
-            )
+    def test_distributional_compact_agent_consumes_tails(self):
+        cfg = ci_scale_config(
+            episodes=2, variant="distributional", observation_mode="compact"
+        )
+        agent = build_agent(
+            cfg, 60, 12, static_state=np.zeros(30, dtype=np.float32)
+        )
+        assert agent.consumes_tails
+        assert agent.head is agent.config.distributional
+        q = agent.predict_q(np.ones(30, dtype=np.float32))
+        assert q.shape == (12,)
 
     def test_factory_rejects_multi_complex_compact(self, small_complex):
         from repro.chem.builders import build_complex

@@ -869,7 +869,7 @@ class TestCompactAgent:
         actor_net = other.q_net.clone()
         actor_net.layers[0]._prefix_bias()
         agent.learn()
-        assert Sidecar(actor_net, Block(), 0).refresh(1)
+        assert Sidecar(actor_net, Block(), 0, agent.head).refresh(1)
         assert refreshes_all(actor_net.layers[0])
         _assert_same_bits(
             actor_net.layers[0]._prefix_bias(),

@@ -1,14 +1,18 @@
-"""DQN agent: learning mechanics, target network, variants."""
+"""DQN agent: learning mechanics, target network, variants.
+
+:class:`TestAgentContract` holds what every run-level ``variant``
+promises under both replay layouts (raw and compact): acting, finite
+learn steps, and a mid-run ``state_dict`` that resumes bit for bit.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import PAPER_CONFIG
+from repro.config import PAPER_CONFIG, VARIANTS, ci_scale_config
 from repro.rl.agent import AgentConfig, DQNAgent
-from repro.rl.distributional import (
-    DistributionalConfig,
-    DistributionalDQNAgent,
-)
+from repro.rl.distributional import DistributionalConfig, project_target
 from repro.rl.prioritized_replay import PrioritizedReplayMemory
 
 
@@ -184,7 +188,7 @@ class TestVariants:
 
 
 class TestDistributional:
-    def make(self) -> DistributionalDQNAgent:
+    def make(self) -> DQNAgent:
         cfg = AgentConfig(
             state_dim=6,
             n_actions=3,
@@ -194,15 +198,16 @@ class TestDistributional:
             initial_exploration_steps=0,
             epsilon_decay=0.01,
             learning_rate=0.01,
+            distributional=DistributionalConfig(
+                n_atoms=11, v_min=-2.0, v_max=2.0
+            ),
             seed=0,
         )
-        return DistributionalDQNAgent(
-            cfg, DistributionalConfig(n_atoms=11, v_min=-2.0, v_max=2.0)
-        )
+        return DQNAgent(cfg)
 
     def test_distribution_normalized(self):
         agent = self.make()
-        probs = agent._distribution(agent.q_net, np.zeros((4, 6)))
+        probs = agent.head.probabilities(agent.q_net.predict(np.zeros((4, 6))))
         assert probs.shape == (4, 3, 11)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
         assert (probs >= 0).all()
@@ -217,22 +222,26 @@ class TestDistributional:
         agent = self.make()
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(11), size=5)
-        m = agent._project_target(
+        m = project_target(
+            agent.head,
             rewards=rng.normal(size=5),
             terminals=np.array([True, False, True, False, False]),
             next_probs=probs,
+            discounts=np.full(5, 0.99),
         )
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
     def test_terminal_projection_is_reward_spike(self):
         agent = self.make()
-        m = agent._project_target(
+        m = project_target(
+            agent.head,
             rewards=np.array([1.0]),
             terminals=np.array([True]),
             next_probs=np.full((1, 11), 1 / 11),
+            discounts=np.array([0.99]),
         )
         # All mass concentrated around z = 1.0 (atoms at -2..2, step .4).
-        support = agent.dist.support
+        support = agent.head.support
         mean = float(m[0] @ support)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
@@ -268,3 +277,178 @@ class TestDistributional:
         np.testing.assert_allclose(
             agent.q_net.predict(s), agent.target_net.predict(s)
         )
+
+
+# ---------------------------------------------------------------------------
+# the agent contract: every variant, raw and compact
+
+STATE_DIM, PREFIX, N_ACTIONS = 14, 10, 3
+EPISODE = 6
+#: Steps before the mid-run snapshot (an episode boundary) and after.
+HALF = 5 * EPISODE
+
+CONTRACT_CASES = [
+    pytest.param(variant, compact, id=f"{variant}-{layout}")
+    for variant in VARIANTS
+    for compact, layout in ((False, "raw"), (True, "compact"))
+]
+
+
+def contract_agent(variant: str, compact: bool) -> DQNAgent:
+    """The ``variant`` agent a run builds, shrunk to a toy state."""
+    cfg = dataclasses.replace(
+        AgentConfig.from_run_config(
+            ci_scale_config(episodes=2, variant=variant),
+            STATE_DIM,
+            N_ACTIONS,
+        ),
+        hidden_sizes=(16,),
+        replay_capacity=64,
+        minibatch_size=8,
+        initial_exploration_steps=4,
+        epsilon_decay=0.02,
+        learning_rate=0.01,
+    )
+    static = (
+        np.linspace(-3.0, 3.0, PREFIX).astype(np.float32) if compact else None
+    )
+    return DQNAgent(cfg, static_state=static)
+
+
+def emitted_state(t: int, compact: bool) -> np.ndarray:
+    """What the env emits at step ``t``: a float32 tail in compact mode."""
+    x = np.random.default_rng([7, t]).standard_normal(STATE_DIM)
+    if compact:
+        x = x[PREFIX:].astype(np.float32)
+    return x
+
+
+def drive(agent: DQNAgent, compact: bool, start: int, stop: int) -> list:
+    """Steps ``start .. stop`` of a fixed-length-episode run; returns
+    every step's (action, q) and every learn step's loss."""
+    trace = []
+    for t in range(start, stop):
+        state = emitted_state(t, compact)
+        action, q = agent.act(state, t)
+        trace.append((action, q.copy()))
+        done = (t + 1) % EPISODE == 0
+        reward = 1.0 if action == t % N_ACTIONS else -1.0
+        agent.remember(
+            state, action, reward, emitted_state(t + 1, compact), done
+        )
+        if done:
+            agent.flush_episode()
+        if agent.can_learn():
+            trace.append(agent.learn().loss)
+        if (t + 1) % 10 == 0:
+            agent.sync_target()
+    return trace
+
+
+def _assert_tree_equal(a, b, path="agent"):
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert set(a) == set(b), path
+        for k in a:
+            _assert_tree_equal(a[k], b[k], f"{path}/{k}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype, path
+        assert np.array_equal(a, b, equal_nan=True), path
+    else:
+        assert a == b, path
+
+
+@pytest.mark.parametrize("variant,compact", CONTRACT_CASES)
+class TestAgentContract:
+    def test_act_returns_n_actions_values(self, variant, compact):
+        agent = contract_agent(variant, compact)
+        action, q = agent.act(emitted_state(0, compact), 0)
+        assert q.shape == (N_ACTIONS,)
+        assert 0 <= action < N_ACTIONS
+        assert agent.greedy_action(emitted_state(1, compact)) in range(
+            N_ACTIONS
+        )
+
+    def test_learn_steps_give_finite_loss(self, variant, compact):
+        agent = contract_agent(variant, compact)
+        losses = [
+            x for x in drive(agent, compact, 0, HALF) if isinstance(x, float)
+        ]
+        assert agent.learn_steps == len(losses) > 0
+        assert np.isfinite(losses).all()
+
+    def test_state_dict_resumes_bit_for_bit(self, variant, compact):
+        ref = contract_agent(variant, compact)
+        ref_trace = drive(ref, compact, 0, 2 * HALF)
+
+        first = contract_agent(variant, compact)
+        head_trace = drive(first, compact, 0, HALF)
+        resumed = contract_agent(variant, compact)
+        resumed.load_state_dict(first.state_dict())
+        trace = head_trace + drive(resumed, compact, HALF, 2 * HALF)
+
+        assert len(trace) == len(ref_trace)
+        for got, want in zip(trace, ref_trace):
+            if isinstance(want, float):
+                assert got == want
+            else:
+                assert got[0] == want[0]
+                np.testing.assert_array_equal(got[1], want[1])
+        _assert_tree_equal(resumed.state_dict(), ref.state_dict())
+
+
+class TestDistributionalHead:
+    @pytest.mark.parametrize("flag", ["dueling", "double"])
+    def test_rejects_heads_it_would_ignore(self, flag):
+        with pytest.raises(ValueError, match="distributional"):
+            AgentConfig(
+                state_dim=4,
+                n_actions=2,
+                distributional=DistributionalConfig(),
+                **{flag: True},
+            )
+
+    def test_runs_in_float64_and_records_atoms(self):
+        agent = contract_agent("distributional", compact=True)
+        assert agent.dtype == np.float64
+        assert agent.q_net.params()[0].dtype == np.float64
+        state = agent.state_dict()
+        assert state["n_atoms"] == 51 and state["dtype"] == "float64"
+        scalar = contract_agent("dqn", compact=True)
+        assert "n_atoms" not in scalar.state_dict()
+
+    def test_atom_count_is_checked_on_load(self):
+        from repro.nn.checkpoints import CheckpointMismatchError
+
+        state = contract_agent("distributional", compact=False).state_dict()
+        with pytest.raises(CheckpointMismatchError, match="n_atoms"):
+            contract_agent("dqn", compact=False).load_state_dict(
+                {**state, "dtype": "float32"}
+            )
+
+    def test_loads_pre_fold_checkpoint(self, tmp_path):
+        # C51 states written before the categorical head joined DQNAgent
+        # record n_atoms but no dtype; upgrade_checkpoint reads them as
+        # the float64 they were.
+        from repro.nn.checkpoints import CheckpointMismatchError
+        from repro.runtime import Checkpoint
+        from repro.runtime.loop import upgrade_checkpoint
+
+        agent = contract_agent("distributional", compact=False)
+        drive(agent, False, 0, HALF)
+        old = agent.state_dict()
+        del old["dtype"]
+        path = tmp_path / "old.npz"
+        Checkpoint(state={"agent": old}, meta={"global_step": HALF}).write(
+            path
+        )
+
+        with pytest.raises(CheckpointMismatchError, match="dtype"):
+            contract_agent("distributional", compact=False).load_state_dict(
+                Checkpoint.load(path).state["agent"]
+            )
+        fresh = contract_agent("distributional", compact=False)
+        fresh.load_state_dict(
+            upgrade_checkpoint(Checkpoint.load(path)).state["agent"]
+        )
+        _assert_tree_equal(fresh.state_dict(), agent.state_dict())

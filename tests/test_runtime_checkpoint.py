@@ -358,6 +358,7 @@ TRAINER_VARIANTS = [
     pytest.param("dqn", True, id="dqn-compact"),
     pytest.param("rainbow", False, id="rainbow-dense"),
     pytest.param("rainbow", True, id="rainbow-compact"),
+    pytest.param("distributional", True, id="distributional-compact"),
 ]
 
 
@@ -635,6 +636,46 @@ class TestCliResume:
         resumed = json.loads(manifest_path.read_text())
         assert resumed["config"]["observation_mode"] == "compact"
         assert "compact_states" not in resumed["config"]
+
+    @pytest.mark.parametrize(
+        "argv,newer_flags",
+        [
+            (
+                ["figure4", "--episodes", "2", "--max-steps", "8"],
+                ["scoring_method", "observation_mode", "trainer",
+                 "num_actors", "checkpoint_every"],
+            ),
+            (
+                ["screen", "--ligands", "2", "--budget", "20",
+                 "--strategy", "random"],
+                ["workers", "shard_size", "top_k", "scoring_method",
+                 "policy", "policy_max_steps", "checkpoint_every"],
+            ),
+        ],
+        ids=["figure4", "screen"],
+    )
+    def test_resume_fills_flags_the_manifest_lacks(
+        self, tmp_path, capsys, argv, newer_flags
+    ):
+        # Runs recorded before a flag existed resume with the parser's
+        # default for it.
+        from repro.cli import main
+
+        run_dir = tmp_path / "run"
+        assert main([*argv, "--log-dir", str(run_dir)]) == 0
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for name in newer_flags:
+            del manifest["extra"]["cli_args"][name]
+        manifest_path.write_text(json.dumps(manifest))
+
+        assert main(["resume", str(run_dir)]) == 0
+        capsys.readouterr()
+        resumed = json.loads(manifest_path.read_text())
+        assert resumed["status"] == "completed"
+        cli_args = resumed["extra"]["cli_args"]
+        assert cli_args["checkpoint_every"] == 0
+        assert cli_args["scoring_method"] == "exact"
 
     def test_resume_missing_manifest_errors(self, tmp_path, capsys):
         from repro.cli import main
