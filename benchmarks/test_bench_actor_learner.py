@@ -96,7 +96,7 @@ def test_bench_actor_learner_vs_sync():
         state_dtype = getattr(probe, "state_dtype", np.float64)
 
         # Single-process sync baseline: same agent geometry, same budget.
-        venv = make_vector_env(cfg, builts=[built], backend="sync")
+        venv = make_vector_env(cfg, builts=[built])
         try:
             sync_trainer = VectorTrainer(
                 venv,

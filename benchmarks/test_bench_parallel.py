@@ -120,7 +120,6 @@ def test_bench_vectorized_collection(benchmark, bench_complex):
                 )
             ]
             * 4,
-            backend="sync",
         )
         try:
             agent = DQNAgent(

@@ -35,7 +35,6 @@ from repro.chem.builders import (
     BuiltComplex,
 )
 from repro.chem.forcefield import assign_parameters
-from repro.chem.conformers import Conformer, generate_conformers
 from repro.chem.descriptors import (
     Descriptors,
     compute_descriptors,
@@ -60,8 +59,6 @@ __all__ = [
     "build_receptor",
     "BuiltComplex",
     "assign_parameters",
-    "Conformer",
-    "generate_conformers",
     "Descriptors",
     "compute_descriptors",
     "library_diversity",

@@ -10,8 +10,8 @@ reproducible without writing Python:
 - ``comm-ablation`` -- RAM vs file engine<->agent channel (limitation 1);
 - ``screen``        -- virtual-screen a synthetic ligand library;
 - ``blind``         -- blind docking over receptor surface spots;
-- ``curriculum``    -- multi-complex vectorized training (sync/async
-  backend via ``--backend``, see docs/PARALLELISM.md);
+- ``curriculum``    -- multi-complex vectorized training (multi-process
+  via ``--trainer actor-learner``, see docs/PARALLELISM.md);
 - ``inspect``       -- summarize a telemetry run directory;
 - ``resume``        -- continue an interrupted ``--log-dir`` run.
 
@@ -293,25 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "curriculum",
-        help="multi-complex curriculum over a vector env backend",
+        help="multi-complex curriculum over a vector env",
     )
     _add_common(p)
     p.add_argument("--complexes", type=int, default=3)
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--eval-episodes", type=int, default=2)
     p.add_argument(
-        "--backend",
-        default="sync",
-        choices=["sync", "async", "auto"],
-        help="vector-env backend (async = one worker process per env)",
-    )
-    p.add_argument(
         "--trainer",
         default="sync",
         choices=["sync", "actor-learner"],
         help="curriculum-phase runtime (actor-learner = one actor "
-        "process per training complex; --backend then only affects "
-        "the single-complex baseline)",
+        "process per training complex; the single-complex baseline "
+        "always runs in-process)",
     )
     _add_scoring_method(p)
 
@@ -428,7 +422,11 @@ def _cmd_comm_ablation(args) -> int:
 def _cmd_screen(args) -> int:
     from repro.chem.builders import build_complex
     from repro.metadock.library import generate_library
-    from repro.screening import ScreeningConfig, run_screening
+    from repro.screening import (
+        PolicyLoadError,
+        ScreeningConfig,
+        run_screening,
+    )
 
     cfg = ci_scale_config(episodes=1, seed=args.seed).complex
     try:
@@ -469,7 +467,11 @@ def _cmd_screen(args) -> int:
         print(text)
         return 0, text
 
-    return _telemetered(args, "screen", cfg, work)
+    try:
+        return _telemetered(args, "screen", cfg, work)
+    except PolicyLoadError as exc:
+        print(f"repro screen: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_blind(args) -> int:
@@ -517,7 +519,6 @@ def _cmd_curriculum(args) -> int:
             cfg,
             n_train_complexes=args.complexes,
             eval_episodes=args.eval_episodes,
-            backend=args.backend,
             telemetry=telemetry,
             runtime=runtime,
         )

@@ -16,7 +16,7 @@ limitation #1) and the RAM-based replacement they propose.
 """
 
 from repro.env.spaces import Box, Discrete
-from repro.env.comm import RamComm, FileComm, SharedSlotComm, make_comm
+from repro.env.comm import RamComm, FileComm, make_comm
 from repro.env.docking_env import DockingEnv
 from repro.env.flexible_env import FlexibleDockingEnv
 from repro.env.observation import (
@@ -33,17 +33,14 @@ from repro.env.wrappers import (
     ActionRepeat,
 )
 from repro.env.image_state import ImageStateEnv, render_projections
-from repro.env.protocol import VectorEnv, coerce_actions
-from repro.env.vectorized import SyncVectorEnv
-from repro.env.async_vectorized import AsyncVectorEnv, WorkerCrashError
-from repro.env.factory import make_env, make_vector_env, resolve_backend
+from repro.env.vectorized import SyncVectorEnv, coerce_actions
+from repro.env.factory import make_env, make_vector_env
 
 __all__ = [
     "Box",
     "Discrete",
     "RamComm",
     "FileComm",
-    "SharedSlotComm",
     "make_comm",
     "DockingEnv",
     "make_env",
@@ -59,11 +56,7 @@ __all__ = [
     "ActionRepeat",
     "ImageStateEnv",
     "render_projections",
-    "VectorEnv",
     "coerce_actions",
     "SyncVectorEnv",
-    "AsyncVectorEnv",
-    "WorkerCrashError",
     "make_vector_env",
-    "resolve_backend",
 ]

@@ -7,17 +7,13 @@ reads those files".  We implement exactly that (:class:`FileComm`) and
 the proposed in-memory replacement (:class:`RamComm`) behind one
 interface, so the ablation bench can quantify the cost the authors paid.
 
-Two shared-memory transports build on the same idea at different
-granularities:
-
-- :class:`SharedSlotComm` -- one (state, score) slot per worker, the
-  lock-step rendezvous used by ``AsyncVectorEnv``;
-- :class:`TransitionRing` -- a single-producer single-consumer ring of
-  full transition records, the decoupled transport used by the
-  actor/learner trainer (:mod:`repro.rl.distributed`): each actor
-  pushes at its own pace and the learner batch-drains, so neither side
-  blocks the other until a ring fills (backpressure) or empties
-  (starvation) -- both of which are counted.
+The cross-process transport builds on the same idea:
+:class:`TransitionRing` is a single-producer single-consumer ring of
+full transition records in shared memory, the decoupled transport used
+by the actor/learner trainer (:mod:`repro.rl.distributed`): each actor
+pushes at its own pace and the learner batch-drains, so neither side
+blocks the other until a ring fills (backpressure) or empties
+(starvation) -- both of which are counted.
 """
 
 from __future__ import annotations
@@ -103,46 +99,7 @@ class FileComm(CommChannel):
             self._tmp = None
 
 
-class SharedSlotComm(CommChannel):
-    """Hand-off through one slot of a preallocated shared-memory block.
-
-    The process-parallel :class:`repro.env.async_vectorized.
-    AsyncVectorEnv` gives each worker one row of an ``(n_envs,
-    state_dim)`` float64 block plus one cell of an ``(n_envs,)`` score
-    array; the worker delivers every (state, score) pair by writing it
-    in place -- zero-copy on the parent side, no per-step pickling of
-    state vectors.  Because it is just another :class:`CommChannel`,
-    it composes with the paper's file-comm ablation: the environment
-    *inside* the worker can still route its own engine<->agent
-    round-trip through :class:`FileComm` while the cross-process
-    hand-off stays shared-memory.
-    """
-
-    def __init__(self, state_slot: np.ndarray, score_slot: np.ndarray, index: int):
-        if state_slot.ndim != 1:
-            raise ValueError("state_slot must be a 1-D row view")
-        self.state_slot = state_slot
-        self.score_slot = score_slot
-        self.index = int(index)
-        self.round_trips = 0
-
-    def exchange(self, state: np.ndarray, score: float) -> tuple[np.ndarray, float]:
-        # Adopt the slot's dtype: float64 classically, float32 when the
-        # block carries compact dynamic tails.
-        state = np.asarray(state, dtype=self.state_slot.dtype)
-        if state.shape != self.state_slot.shape:
-            raise ValueError(
-                f"state shape {state.shape} does not fit slot "
-                f"{self.state_slot.shape}"
-            )
-        self.state_slot[:] = state
-        self.score_slot[self.index] = float(score)
-        self.round_trips += 1
-        return self.state_slot, float(score)
-
-
-#: dtype -> ctypes typecode for the shared state blocks (mirrors
-#: AsyncVectorEnv's supported set).
+#: dtype -> ctypes typecode for the ring's shared state blocks.
 _STATE_TYPECODES = {
     np.dtype(np.float64): "d",
     np.dtype(np.float32): "f",

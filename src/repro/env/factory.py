@@ -4,15 +4,10 @@
 from a run config -- rigid or flexible via ``kind=``, observation codec
 via ``cfg.observation_mode``.
 
-:func:`make_vector_env` is the one way to build a vector environment.
-Experiments, the CLI, and the benches used to construct
-``SyncVectorEnv([...])`` ad hoc; this factory replaces those call
-sites so backend selection (serial in-process vs process-parallel) is
-a config/flag decision, not a code change.  Everything it returns
-satisfies :class:`repro.env.protocol.VectorEnv`, which is all
-:class:`repro.rl.vector_trainer.VectorTrainer` requires.
-
-Two construction modes:
+:func:`make_vector_env` is the one way to build a
+:class:`~repro.env.vectorized.SyncVectorEnv`, the lockstep env that
+:class:`repro.rl.vector_trainer.VectorTrainer` drives.  Two
+construction modes:
 
 - **from a config** -- ``make_vector_env(cfg, n_envs=4)`` builds N
   docking environments over the config's complex (built once, shared);
@@ -20,24 +15,13 @@ Two construction modes:
   multi-complex curriculum);
 - **from thunks** -- ``make_vector_env(env_fns=[...])`` wraps
   arbitrary zero-arg environment constructors (tests, custom stacks).
-
-Backends: ``"sync"`` (default), ``"async"``, or ``"auto"`` (async when
-more than one env *and* more than one core *and* a fork-capable
-platform are available).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 from typing import Any, Callable, Sequence
 
-from repro.env.async_vectorized import AsyncVectorEnv
-from repro.env.protocol import VectorEnv
 from repro.env.vectorized import SyncVectorEnv
-
-#: Recognized backend names.
-BACKENDS = ("sync", "async", "auto")
 
 #: Recognized environment kinds for :func:`make_env`.
 ENV_KINDS = ("rigid", "flexible")
@@ -119,31 +103,15 @@ def make_env(
     )
 
 
-def resolve_backend(backend: str, n_envs: int) -> str:
-    """Map a backend request (possibly "auto") to "sync" or "async"."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown vector-env backend {backend!r}; choose from {BACKENDS}"
-        )
-    if backend != "auto":
-        return backend
-    multi_core = (os.cpu_count() or 1) > 1
-    forkable = "fork" in mp.get_all_start_methods()
-    return "async" if (n_envs > 1 and multi_core and forkable) else "sync"
-
-
 def make_vector_env(
     cfg=None,
     *,
     env_fns: Sequence[Callable[[], Any]] | None = None,
     n_envs: int = 1,
-    backend: str = "sync",
     builts: Sequence[Any] | None = None,
     tracer=None,
-    metrics=None,
-    **backend_options: Any,
-) -> VectorEnv:
-    """Build a :class:`VectorEnv` from a config or explicit env thunks.
+) -> SyncVectorEnv:
+    """Build a :class:`SyncVectorEnv` from a config or explicit env thunks.
 
     Parameters
     ----------
@@ -155,17 +123,12 @@ def make_vector_env(
         cfg-based construction; ``n_envs`` is then ``len(env_fns)``).
     n_envs:
         Number of environments to build from ``cfg``.
-    backend:
-        "sync", "async", or "auto" (see :func:`resolve_backend`).
     builts:
         Pre-built complexes (one per env) for cfg-based construction;
         defaults to building the config's complex once and sharing it.
-    tracer / metrics:
-        Telemetry hooks threaded into the backend (span per vector
-        step; ``vector_env/*`` metrics for the async backend).
-    backend_options:
-        Extra backend kwargs (async: ``step_timeout``,
-        ``spawn_timeout``, ``max_restarts``, ``context``).
+    tracer:
+        Optional span tracer; the env records a "vector-step" span per
+        batch step.
     """
     if env_fns is None:
         if cfg is None:
@@ -196,17 +159,4 @@ def make_vector_env(
                     "'descriptor' for multi-complex curricula)"
                 )
         env_fns = [(lambda b=b: make_env(cfg, b)) for b in builts]
-    else:
-        env_fns = list(env_fns)
-
-    chosen = resolve_backend(backend, len(env_fns))
-    if chosen == "async":
-        return AsyncVectorEnv(
-            env_fns, tracer=tracer, metrics=metrics, **backend_options
-        )
-    if backend_options:
-        raise ValueError(
-            f"backend options {sorted(backend_options)} are only "
-            "meaningful for the async backend"
-        )
-    return SyncVectorEnv(env_fns, tracer=tracer, metrics=metrics)
+    return SyncVectorEnv(list(env_fns), tracer=tracer)

@@ -2,9 +2,9 @@
 
 Every layer of the stack used to assume the paper's raw 16,599-float
 state implicitly -- the env emitted it, the replay stored it, the agent
-sized its input layer by it, the async backend allocated shared memory
-by it.  PR 3 carved out a compact fast path (static receptor prefix +
-dynamic ligand tail) but threaded it through as a boolean flag.  This
+sized its input layer by it, the transition rings allocated shared
+memory by it.  The compact fast path (static receptor prefix + dynamic
+ligand tail) was first threaded through as a boolean flag.  This
 module makes the contract explicit: a :class:`StateCodec` owns the
 engine-to-vector encoding, and an :class:`ObservationSpec` describes it
 to every consumer (dims, dtype, Q-network input width, checkpoint
@@ -51,7 +51,7 @@ OBSERVATION_MODES: tuple[str, ...] = ("raw", "compact", "descriptor")
 class ObservationSpec:
     """The emission contract of one environment's state codec.
 
-    Hashable and JSON-friendly (:meth:`as_dict`) so vector backends can
+    Hashable and JSON-friendly (:meth:`as_dict`) so the vector env can
     assert agreement across envs and checkpoints can record codec
     identity for resume-time validation.
     """

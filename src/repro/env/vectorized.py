@@ -9,10 +9,10 @@ states in one batched forward (see
 different seeds this doubles as a multi-complex curriculum -- the
 training-side half of the generalization story.
 
-Environment stepping itself stays serial here; for process-parallel
-stepping use :class:`repro.env.async_vectorized.AsyncVectorEnv`.  Both
-satisfy the :class:`repro.env.protocol.VectorEnv` contract and should
-be constructed through :func:`repro.env.factory.make_vector_env`.
+Environment stepping stays serial, in-process; the multi-process
+runtime is the actor/learner trainer (:mod:`repro.rl.distributed`, see
+docs/PARALLELISM.md).  Build instances through
+:func:`repro.env.factory.make_vector_env`.
 """
 
 from __future__ import annotations
@@ -21,19 +21,51 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.env.protocol import RESTARTS_METRIC, VectorEnv, coerce_actions
+
+def coerce_actions(actions, n_envs: int) -> np.ndarray:
+    """Validate and normalize a batch of actions to 1-D int64.
+
+    Accepts any 1-D integer array-like of length ``n_envs``.  Raises
+    :class:`TypeError` for non-integer dtypes (floats are *not*
+    silently truncated) and :class:`ValueError` for wrong shape or
+    length.
+    """
+    arr = np.asarray(actions)
+    if arr.ndim != 1:
+        raise ValueError(
+            f"actions must be 1-D (one action per env), got shape {arr.shape}"
+        )
+    if arr.shape[0] != n_envs:
+        raise ValueError(f"expected {n_envs} actions, got {arr.shape[0]}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(
+            f"actions must have an integer dtype, got {arr.dtype}; "
+            "cast explicitly if your actions really are whole numbers"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
-class SyncVectorEnv(VectorEnv):
+class SyncVectorEnv:
     """Lockstep wrapper over N gym-flavoured environments.
 
-    All environments must share state dimensionality and action count.
-    ``step`` consumes one action per env and returns stacked arrays;
-    environments that finish are reset immediately and their *fresh*
-    state is returned (the terminal transition's true next-state is
-    surfaced in ``infos[i]["terminal_state"]`` so replay stores the
-    correct tuple).  See :mod:`repro.env.protocol` for the full
-    contract shared with the async backend.
+    - ``reset()`` resets every env and returns the stacked fresh states,
+      shape ``(n_envs, state_dim)``.
+    - ``step(actions)`` takes one action per env (see
+      :func:`coerce_actions`) and returns ``(states, rewards, dones,
+      infos)``: ``states`` is ``(n_envs, state_dim)`` in
+      :attr:`state_dtype`, ``rewards`` ``(n_envs,)`` float64, ``dones``
+      ``(n_envs,)`` bool and ``infos`` a tuple of ``n_envs`` dicts.
+    - Auto-reset: an env that finishes is reset at once and its row of
+      ``states`` holds the *fresh* post-reset state;
+      ``infos[i]["terminal_state"]`` carries the true terminal
+      next-state (a copy) so replay stores the correct tuple.
+    - ``close()`` closes every wrapped env; it is idempotent as long as
+      the envs' own ``close`` is.
+
+    All environments must share ``state_dim``, ``n_actions``,
+    ``state_dtype`` (default float64; float32 for compact docking
+    states) and ``observation_spec``; construction raises
+    :class:`ValueError` otherwise.
     """
 
     def __init__(
@@ -41,20 +73,12 @@ class SyncVectorEnv(VectorEnv):
         env_fns: Sequence[Callable[[], Any]],
         *,
         tracer=None,
-        metrics=None,
     ):
         if not env_fns:
             raise ValueError("need at least one environment")
-        #: Optional :class:`repro.telemetry.spans.SpanTracer` /
-        #: :class:`repro.telemetry.metrics.MetricsRegistry`; the sync
-        #: backend records a "vector-step" span per batch step.
+        #: Optional :class:`repro.telemetry.spans.SpanTracer`; records
+        #: a "vector-step" span per batch step.
         self.tracer = tracer
-        self.metrics = metrics
-        self.worker_restarts = 0
-        if metrics is not None:
-            # In-process envs never restart, but registering the
-            # counter keeps telemetry output uniform across backends.
-            metrics.counter(RESTARTS_METRIC)
         self.envs = [fn() for fn in env_fns]
         dims = {e.state_dim for e in self.envs}
         acts = {e.n_actions for e in self.envs}
@@ -130,3 +154,9 @@ class SyncVectorEnv(VectorEnv):
             close = getattr(e, "close", None)
             if close is not None:
                 close()
+
+    def __enter__(self) -> "SyncVectorEnv":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

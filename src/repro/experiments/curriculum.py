@@ -8,9 +8,9 @@ same-size-class complexes stepped in lockstep
 (:func:`repro.env.factory.make_vector_env` +
 :class:`repro.rl.vector_trainer.VectorTrainer`) and evaluates on a
 held-out complex, against a single-complex baseline trained with the
-same total transition budget.  The ``backend`` knob selects the vector
-backend ("sync", "async", or "auto"); the process-parallel async
-backend steps the N complexes concurrently (see docs/PARALLELISM.md).
+same total transition budget.  ``cfg.trainer == "actor-learner"`` runs
+the curriculum phase on the multi-process actor/learner runtime instead,
+one actor process per complex (see docs/PARALLELISM.md).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from repro.chem.builders import build_complex
 from repro.config import DQNDockingConfig
-from repro.env.factory import make_env
-from repro.env.factory import make_vector_env
+from repro.env.factory import make_env, make_vector_env
 from repro.experiments.figure4 import (
     aligned_steps,
     build_agent,
@@ -82,7 +81,6 @@ def run_curriculum_experiment(
     n_train_complexes: int = 4,
     total_steps: int | None = None,
     eval_episodes: int = 3,
-    backend: str = "sync",
     telemetry=None,
     runtime=None,
 ) -> CurriculumResult:
@@ -92,13 +90,13 @@ def run_curriculum_experiment(
     Both regimes see exactly ``total_steps`` environment transitions
     (default: the config's episodes x max-steps budget; with the
     actor/learner runtime it rounds up to the broadcast cadence).
-    ``backend`` selects the vector-env backend for the curriculum
-    phase -- unless ``cfg.trainer == "actor-learner"``, which runs the
-    curriculum phase on the multi-process actor/learner runtime with
-    one actor per training complex (the single-complex baseline stays
-    on the sync vector path either way); a
+    The curriculum phase steps the complexes in lockstep in this
+    process -- unless ``cfg.trainer == "actor-learner"``, which runs it
+    on the multi-process actor/learner runtime with one actor per
+    training complex (the single-complex baseline stays on the
+    in-process vector env either way); a
     :class:`repro.telemetry.TelemetryRun` passed as ``telemetry``
-    receives the backend's spans and ``vector_env/*`` metrics.
+    receives the curriculum phase's telemetry.
 
     With a :class:`~repro.runtime.loop.RuntimeContext`, both training
     regimes run in checkpointed step segments (phases ``curriculum``
@@ -120,7 +118,6 @@ def run_curriculum_experiment(
             steps, n_train_complexes * cfg.actor_sync_every
         )
     tracer = telemetry.tracer if telemetry is not None else None
-    registry = telemetry.registry if telemetry is not None else None
 
     train_seeds = [
         cfg.complex.seed + 1000 * k for k in range(n_train_complexes)
@@ -146,9 +143,7 @@ def run_curriculum_experiment(
             cfg,
             builts=builts,
             n_envs=n_train_complexes,
-            backend=backend,
             tracer=tracer,
-            metrics=registry,
         )
         try:
             curriculum_agent = build_agent(
@@ -168,9 +163,7 @@ def run_curriculum_experiment(
 
     # Single-complex baseline at the same budget (serial: one env).
     single_built = builts[0]
-    single_venv = make_vector_env(
-        cfg, builts=[single_built], backend="sync"
-    )
+    single_venv = make_vector_env(cfg, builts=[single_built])
     try:
         single_agent = build_agent(
             cfg, single_venv.state_dim, single_venv.n_actions

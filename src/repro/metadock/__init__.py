@@ -42,11 +42,6 @@ from repro.metadock.montecarlo import MonteCarloOptimizer, MonteCarloResult
 from repro.metadock.library import generate_library
 from repro.metadock.screening import screen_library, ScreeningHit
 from repro.metadock.blind import blind_dock, BlindDockingResult, SpotResult
-from repro.metadock.ensemble import (
-    EnsembleHit,
-    consensus_rank,
-    screen_library_ensemble,
-)
 from repro.metadock.refinement import RefinementResult, refine_pose
 
 __all__ = [
@@ -71,9 +66,6 @@ __all__ = [
     "blind_dock",
     "BlindDockingResult",
     "SpotResult",
-    "EnsembleHit",
-    "consensus_rank",
-    "screen_library_ensemble",
     "RefinementResult",
     "refine_pose",
 ]

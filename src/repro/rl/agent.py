@@ -103,6 +103,12 @@ class AgentConfig:
                 "the distributional (C51) head supports neither dueling "
                 "nor double"
             )
+        if self.distributional is not None and self.loss != "mse":
+            # The categorical step always minimizes cross-entropy.
+            raise ValueError(
+                f"the distributional (C51) head ignores loss={self.loss!r}; "
+                "it trains on cross-entropy (leave loss at 'mse')"
+            )
 
     @staticmethod
     def from_run_config(

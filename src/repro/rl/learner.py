@@ -1,9 +1,10 @@
 """The learner-side sink: the one place a transition is consumed.
 
 Every trainer in the repo -- the sequential :class:`~repro.rl.trainer.
-Trainer`, the batched :class:`~repro.rl.vector_trainer.VectorTrainer`,
-and the multi-process :class:`~repro.rl.distributed.ActorLearnerTrainer`
--- differs only in how it *collects* transitions.  What happens once a
+Trainer`, the batched :class:`~repro.rl.vector_trainer.VectorTrainer`
+over the one in-process vector env, and
+:class:`~repro.rl.distributed.ActorLearnerTrainer`, the one
+multi-process runtime -- differs only in how it *collects* transitions.  What happens once a
 transition exists is Algorithm 2's single learner step, and
 :class:`LearnerCore` owns it: :meth:`~LearnerCore.consume` stores the
 transition and folds it into its source's open episode,

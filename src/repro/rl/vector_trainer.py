@@ -1,4 +1,4 @@
-"""Batched-acting trainer over any :class:`repro.env.protocol.VectorEnv`.
+"""Batched-acting trainer over a :class:`~repro.env.vectorized.SyncVectorEnv`.
 
 Algorithm 2 with the act step vectorized: one Q-network forward serves
 all N environments per step.  Learning stays identical (one gradient
@@ -6,19 +6,17 @@ step per ``train_interval`` *environment* transitions, same replay
 semantics), so results are comparable to the sequential trainer at equal
 transition counts while the wall-clock amortizes the network cost.
 
-The trainer is backend-agnostic: it only uses the ``VectorEnv``
-protocol (``reset``/``step``/``n_envs``), so the serial
-:class:`~repro.env.vectorized.SyncVectorEnv` and the process-parallel
-:class:`~repro.env.async_vectorized.AsyncVectorEnv` are
-interchangeable -- construct either via
-:func:`repro.env.factory.make_vector_env`.
+The N environments step serially in this process (build the vector
+env with :func:`repro.env.factory.make_vector_env`); the multi-process
+runtime, with one actor process per environment, is
+:class:`repro.rl.distributed.ActorLearnerTrainer`.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.env.protocol import VectorEnv
+from repro.env.vectorized import SyncVectorEnv
 from repro.rl.learner import LearnerCore, TrainingHistory
 from repro.telemetry.spans import SpanTracer
 
@@ -28,7 +26,7 @@ class VectorTrainer:
 
     def __init__(
         self,
-        venv: VectorEnv,
+        venv: SyncVectorEnv,
         agent,
         *,
         learning_start: int = 0,

@@ -21,15 +21,16 @@ INTERRUPT_EXIT_CODE = 130
 def mask_worker_signals() -> None:
     """Make a child worker immune to SIGINT/SIGTERM.
 
-    Forked workers (AsyncVectorEnv env workers, actor/learner actor
-    processes) inherit the parent's signal disposition -- including any
-    installed :class:`ShutdownGuard` handler, whose *second-signal*
-    escalation would raise ``KeyboardInterrupt`` mid shared-memory
-    write and race the parent's shutdown snapshot.  Workers call this
-    first thing: shutdown is then coordinated exclusively by the parent
-    through the command pipe (with ``terminate``/``kill`` as the
-    parent's last-resort path).  Off the main thread this degrades to a
-    no-op, matching :class:`ShutdownGuard`.
+    Forked workers (the actor processes of the actor/learner runtime,
+    the repo's one multi-process trainer) inherit the parent's signal
+    disposition -- including any installed :class:`ShutdownGuard`
+    handler, whose *second-signal* escalation would raise
+    ``KeyboardInterrupt`` mid shared-memory write and race the parent's
+    shutdown snapshot.  Workers call this first thing: shutdown is then
+    coordinated exclusively by the parent through the command pipe
+    (with ``terminate``/``kill`` as the parent's last-resort path).
+    Off the main thread this degrades to a no-op, matching
+    :class:`ShutdownGuard`.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)

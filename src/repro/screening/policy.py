@@ -18,6 +18,10 @@ Checkpoint flavours accepted by :func:`load_policy`:
 - a bare :func:`repro.nn.checkpoints.save_network` ``.npz``
   (``p0``, ``p1``, ... keys).
 
+A runtime checkpoint whose agent records ``n_atoms`` (the
+distributional C51 head) is refused: its last layer holds
+``n_actions x n_atoms`` logits, not Q-values.
+
 The MLP architecture is reconstructed from the weight shapes alone
 (:func:`repro.nn.checkpoints.mlp_from_arrays`), so no config object has
 to travel with the weights.
@@ -117,6 +121,14 @@ def _q_net_arrays(path: Path) -> Dict[str, np.ndarray]:
             if "__meta__" in files:
                 # Runtime checkpoint: arrays live at slash-joined tree
                 # paths; the Q-network is the agent/q_net subtree.
+                payload = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+                agent = (payload.get("state") or {}).get("agent") or {}
+                if "n_atoms" in agent:
+                    raise PolicyLoadError(
+                        f"{path}: the agent has a distributional (C51) "
+                        f"head ({agent['n_atoms']} atoms per action); "
+                        "policy screening needs a scalar Q head"
+                    )
                 prefix = "agent/q_net/"
                 arrays = {
                     k[len(prefix):]: np.array(data[k])

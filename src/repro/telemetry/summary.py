@@ -279,7 +279,6 @@ def _checkpoint_section(record: RunRecord) -> str:
 #: the run directory (each is a flat JSON object of named numbers).
 BENCH_ARTIFACTS = (
     "BENCH_train_step.json",
-    "BENCH_vector_env.json",
     "BENCH_score_step.json",
     "BENCH_screening.json",
     "BENCH_observation.json",

@@ -344,24 +344,6 @@ class TestSignalMasking:
             trainer.close()
         assert all(not p.is_alive() for p in trainer._procs or [])
 
-    def test_async_vector_workers_ignore_signals(self):
-        from repro.env.factory import make_vector_env
-
-        with make_vector_env(
-            env_fns=[lambda: CountingEnv(horizon=50)] * 2,
-            backend="async",
-            step_timeout=20.0,
-        ) as venv:
-            venv.reset()
-            venv.step([0, 0])
-            for proc in venv._procs:
-                os.kill(proc.pid, signal.SIGINT)
-                os.kill(proc.pid, signal.SIGTERM)
-            time.sleep(0.3)
-            states, _r, _d, _i = venv.step([0, 0])
-            np.testing.assert_array_equal(states, [[2, 2], [2, 2]])
-            assert venv.worker_restarts == 0
-
 
 @fork_required
 class TestFigure4Integration:

@@ -139,16 +139,15 @@ class TestCommands:
                 "--complexes", "2",
                 "--episodes", "2",
                 "--eval-episodes", "1",
-                "--backend", "auto",
                 "--log-dir", str(tmp_path / "run"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "Curriculum transfer" in out
-        # The vector backend's telemetry landed in the run directory.
+        # The vector env's per-step span landed in the run directory.
         metrics = (tmp_path / "run" / "metrics.csv").read_text()
-        assert "vector_env/worker_restarts" in metrics
+        assert "span/env-step/vector-step" in metrics
 
     def test_sweep_value_parsing(self):
         from repro.cli import _parse_value

@@ -5,8 +5,7 @@ actor/learner runtime: a lock-free SPSC ring whose correctness rests on
 the write-payload-then-bump-head discipline.  These tests pin its
 contract at the boundaries -- zero-length payloads, wraparound, full
 rings (backpressure), timeout-then-recover sequences, and cross-process
-visibility -- plus the :class:`SharedSlotComm` slot-reuse guarantee
-after an ``AsyncVectorEnv`` worker respawn.
+visibility.
 """
 
 import multiprocessing as mp
@@ -15,10 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.env.comm import SharedSlotComm, TransitionRing
-from repro.env.factory import make_vector_env
-
-from tests.test_rl_trainer import CountingEnv
+from repro.env.comm import TransitionRing
 
 fork_required = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -208,64 +204,3 @@ class TestTransitionRingCrossProcess:
             np.testing.assert_array_equal(rec.state, [k, 2 * k])
             assert rec.done is (k % 3 == 0)
             assert rec.score == 1000 + k
-
-
-class TestSharedSlotComm:
-    def test_slot_roundtrip_and_validation(self):
-        block = np.zeros((2, 3))
-        scores = np.zeros(2)
-        comm = SharedSlotComm(block[1], scores, index=1)
-        state, score = comm.exchange(np.array([1.0, 2.0, 3.0]), 7.5)
-        np.testing.assert_array_equal(block[1], [1.0, 2.0, 3.0])
-        assert scores[1] == 7.5 and score == 7.5
-        with pytest.raises(ValueError):
-            comm.exchange(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(ValueError):
-            SharedSlotComm(block, scores, index=0)
-
-
-class _CrashOnNine(CountingEnv):
-    """Counting env that hard-kills its own worker process on action 9."""
-
-    def __init__(self):
-        super().__init__(horizon=100)
-        self.n_actions = 10
-
-    def step(self, action):
-        if action == 9:
-            import os
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().step(action)
-
-
-@fork_required
-class TestSlotReuseAfterRespawn:
-    def test_respawned_worker_reuses_its_state_slot(self):
-        # The respawned worker inherits the *same* shared-memory slot
-        # as its predecessor; post-respawn steps must land in it with
-        # correct values (no stale payload from the dead worker, no
-        # cross-slot bleed into healthy neighbours).
-        with make_vector_env(
-            env_fns=[_CrashOnNine, _CrashOnNine],
-            backend="async",
-            step_timeout=20.0,
-        ) as venv:
-            venv.reset()
-            venv.step([0, 0])  # both at t=1
-            states, _r, dones, infos = venv.step([9, 0])
-            assert venv.worker_restarts == 1
-            assert dones[0] and infos[0]["worker_restarted"]
-            # Slot 0: the respawned env's reset state, not the dead
-            # worker's last payload.  Slot 1: untouched neighbour.
-            np.testing.assert_array_equal(states[0], [0.0, 0.0])
-            np.testing.assert_array_equal(states[1], [2.0, 2.0])
-            # Timeout-then-recover at the vector level: the replacement
-            # worker keeps writing through the reused slot.
-            for t in range(1, 4):
-                states, _r, dones, _i = venv.step([0, 0])
-                assert not dones.any()
-                np.testing.assert_array_equal(
-                    states[0], [float(t), float(t)]
-                )

@@ -238,7 +238,7 @@ class TestBitEqualityPins:
             ]
 
         agent_new = tiny_agent()
-        venv = make_vector_env(env_fns=fns(), backend="sync")
+        venv = make_vector_env(env_fns=fns())
         try:
             VectorTrainer(agent=agent_new, venv=venv, **CADENCE).run(
                 total_steps=60
@@ -247,7 +247,7 @@ class TestBitEqualityPins:
             venv.close()
 
         agent_ref = tiny_agent()
-        venv = make_vector_env(env_fns=fns(), backend="sync")
+        venv = make_vector_env(env_fns=fns())
         try:
             _reference_vector_run(
                 venv, agent_ref, total_steps=60, **CADENCE

@@ -265,7 +265,7 @@ class TestFactory:
     def test_sync_vector_env_exposes_spec(self, small_complex):
         cfg = ci_scale_config(4, observation_mode="descriptor")
         venv = make_vector_env(
-            cfg, n_envs=2, backend="sync", builts=[small_complex] * 2
+            cfg, n_envs=2, builts=[small_complex] * 2
         )
         try:
             spec = venv.observation_spec
@@ -284,4 +284,4 @@ class TestFactory:
             lambda: make_env(cfg_desc, small_complex),
         ]
         with pytest.raises(ValueError, match="environments disagree"):
-            make_vector_env(env_fns=fns, backend="sync")
+            make_vector_env(env_fns=fns)

@@ -101,7 +101,7 @@ def _make_trainer(cfg, on_episode_end=None):
 
 
 def _vector_train(cfg, total=48):
-    venv = make_vector_env(cfg, n_envs=2, backend="sync")
+    venv = make_vector_env(cfg, n_envs=2)
     agent = build_agent(cfg, venv.state_dim, venv.n_actions)
     vtrainer = VectorTrainer(
         venv,
@@ -230,7 +230,7 @@ class TestDescriptorTraining:
         total, segment = 48, 24
 
         def make(ctx):
-            venv = make_vector_env(cfg, n_envs=2, backend="sync")
+            venv = make_vector_env(cfg, n_envs=2)
             agent = build_agent(cfg, venv.state_dim, venv.n_actions)
             vt = VectorTrainer(
                 venv,

@@ -408,6 +408,15 @@ class TestDistributionalHead:
                 **{flag: True},
             )
 
+    def test_rejects_a_loss_it_would_ignore(self):
+        with pytest.raises(ValueError, match="distributional.*huber"):
+            AgentConfig(
+                state_dim=4,
+                n_actions=2,
+                distributional=DistributionalConfig(),
+                loss="huber",
+            )
+
     def test_runs_in_float64_and_records_atoms(self):
         agent = contract_agent("distributional", compact=True)
         assert agent.dtype == np.float64

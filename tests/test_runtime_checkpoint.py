@@ -97,7 +97,7 @@ def _make_trainer(cfg, on_episode_end=None):
 
 
 def _make_vector(cfg, n_envs=2):
-    venv = make_vector_env(cfg, n_envs=n_envs, backend="sync")
+    venv = make_vector_env(cfg, n_envs=n_envs)
     agent = build_agent(cfg, venv.state_dim, venv.n_actions)
     vtrainer = VectorTrainer(
         venv,
@@ -676,6 +676,58 @@ class TestCliResume:
         cli_args = resumed["extra"]["cli_args"]
         assert cli_args["checkpoint_every"] == 0
         assert cli_args["scoring_method"] == "exact"
+
+    def test_resume_ignores_recorded_async_backend(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Curricula started with the removed ``--backend async`` recorded
+        # it in their manifest; they resume on the in-process vector env
+        # and end with the weights of an uninterrupted run.
+        import repro.runtime
+        from repro.cli import main
+        from repro.runtime import INTERRUPT_EXIT_CODE
+
+        argv = [
+            "curriculum", "--complexes", "2", "--episodes", "4",
+            "--eval-episodes", "1", "--checkpoint-every", "60",
+        ]
+        full_dir, run_dir = tmp_path / "full", tmp_path / "run"
+        assert main([*argv, "--log-dir", str(full_dir)]) == 0
+
+        class StopMidCurriculum:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            @property
+            def stop_requested(self):
+                path = run_dir / CHECKPOINT_DIR_NAME / "curriculum.npz"
+                return path.exists() and read_meta(path)["global_step"] >= 120
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.runtime, "ShutdownGuard", StopMidCurriculum)
+            code = main([*argv, "--log-dir", str(run_dir)])
+        assert code == INTERRUPT_EXIT_CODE
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["status"] == "interrupted"
+        manifest["extra"]["cli_args"]["backend"] = "async"
+        manifest_path.write_text(json.dumps(manifest))
+
+        assert main(["resume", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert json.loads(manifest_path.read_text())["status"] == "completed"
+        for phase in ("curriculum", "single"):
+            name = f"{phase}.npz"
+            with np.load(run_dir / CHECKPOINT_DIR_NAME / name) as got, \
+                    np.load(full_dir / CHECKPOINT_DIR_NAME / name) as want:
+                keys = [k for k in want.files if k.startswith("agent/")]
+                assert keys
+                assert [k for k in got.files if k.startswith("agent/")] == keys
+                for k in keys:
+                    np.testing.assert_array_equal(got[k], want[k], err_msg=k)
 
     def test_resume_missing_manifest_errors(self, tmp_path, capsys):
         from repro.cli import main

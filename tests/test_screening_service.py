@@ -395,6 +395,21 @@ def test_load_policy_missing_and_unusable(tmp_path):
         load_policy(bad)
 
 
+def _c51_checkpoint(net, path):
+    Checkpoint(
+        state={"agent": {"n_atoms": 51, "q_net": network_arrays(net)}},
+        meta={"phase": "figure4"},
+    ).write(path)
+    return path
+
+
+def test_load_policy_refuses_distributional_head(policy_net, tmp_path):
+    path = _c51_checkpoint(policy_net, tmp_path / "figure4.npz")
+    with pytest.raises(PolicyLoadError, match="distributional") as info:
+        load_policy(path)
+    assert "\n" not in str(info.value)
+
+
 def test_policy_screen_deterministic_across_workers(
     built, library, policy_net, tmp_path
 ):
@@ -568,6 +583,23 @@ def test_cli_screen_policy_without_checkpoint_errors(capsys):
     code = main(["screen", "--strategy", "policy", "--ligands", "2"])
     assert code == 2
     assert "policy_path" in capsys.readouterr().err
+
+
+def test_cli_screen_policy_load_error_exits_2(
+    policy_net, tmp_path, capsys
+):
+    from repro.cli import main
+
+    ckpt = _c51_checkpoint(policy_net, tmp_path / "figure4.npz")
+    run_dir = tmp_path / "run"
+    argv = ["screen", "--strategy", "policy", "--ligands", "2"]
+    code = main([*argv, "--policy", str(ckpt), "--log-dir", str(run_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro screen: ") and "distributional" in err
+    assert "Traceback" not in err
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_cli_screen_policy_mode_end_to_end(tmp_path, capsys):

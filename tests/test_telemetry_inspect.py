@@ -180,9 +180,9 @@ class TestRenderSummary:
 
     def test_unreadable_bench_artifact_noted(self, tmp_path):
         d = make_golden_run(tmp_path)
-        (d / "BENCH_vector_env.json").write_text("{not json")
+        (d / "BENCH_actor_learner.json").write_text("{not json")
         out = render_summary(d)
-        assert "(BENCH_vector_env.json: unreadable)" in out
+        assert "(BENCH_actor_learner.json: unreadable)" in out
 
 
 class TestLoadRun:

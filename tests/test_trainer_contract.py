@@ -61,7 +61,7 @@ class Collector:
             )
         if self.kind == "vector":
             return VectorTrainer(
-                make_vector_env(env_fns=fns, backend="sync"), agent, **CADENCE
+                make_vector_env(env_fns=fns), agent, **CADENCE
             )
         return ActorLearnerTrainer(
             fns,
@@ -278,7 +278,7 @@ def test_nstep_windows_never_mix_environments(kind, tags, total):
     gamma = agent.config.gamma
     fns = [(lambda tag=tag: TaggedEnv(tag)) for tag in tags]
     if kind == "vector":
-        venv = make_vector_env(env_fns=fns, backend="sync")
+        venv = make_vector_env(env_fns=fns)
         trainer = VectorTrainer(venv, agent)
     else:
         trainer = ActorLearnerTrainer(
