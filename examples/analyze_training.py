@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Training diagnostics: what does the agent actually do in the pocket?
 
-Trains DQN-Docking with an episode recorder and a periodic frozen-policy
-evaluator attached, then prints the full diagnostic stack: the Figure 4
-curve, action-usage histogram, termination breakdown, visitation
-summary, and the evaluation-score trajectory.  The run record is saved
-to JSON so it can be re-analyzed without retraining.
+Trains DQN-Docking with a periodic frozen-policy evaluator attached,
+then prints the Figure 4 curve, the termination breakdown and the
+evaluation-score trajectory.  The run record is saved to JSON so it can
+be re-analyzed without retraining.
 
 Run:
     python examples/analyze_training.py [--episodes N] [--out run.json]
@@ -14,14 +13,11 @@ Run:
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 
-import numpy as np
-
-from repro.analysis.trajectories import analyze_recorder
 from repro.chem.builders import build_complex
 from repro.config import ci_scale_config
 from repro.env.factory import make_env
-from repro.env.wrappers import EpisodeRecorder
 from repro.experiments.figure4 import build_agent
 from repro.rl.evaluation import PeriodicEvaluator
 from repro.rl.trainer import Trainer
@@ -40,7 +36,7 @@ def main() -> None:
         episodes=args.episodes, seed=args.seed, learning_rate=0.002
     )
     built = build_complex(cfg.complex)
-    env = EpisodeRecorder(make_env(cfg, built), keep_episodes=args.episodes)
+    env = make_env(cfg, built)
     eval_env = make_env(cfg, built)
     try:
         agent = build_agent(cfg, env.state_dim, env.n_actions)
@@ -69,10 +65,12 @@ def main() -> None:
             f"{history.docking_success_rate(2.0):.1%}"
         )
         print()
-        report = analyze_recorder(
-            env, history, action_labels=env.engine.action_labels()
+        print(history.figure4_plot())
+        terminations = Counter(e.termination for e in history.episodes)
+        print(
+            "\nterminations: "
+            + ", ".join(f"{k}: {v}" for k, v in sorted(terminations.items()))
         )
-        print(report.summary())
         if evaluator.results:
             print(
                 "\nfrozen-policy eval (mean best score): "

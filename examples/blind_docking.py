@@ -2,28 +2,20 @@
 """Blind docking: find the binding site with no prior knowledge.
 
 Decomposes the receptor surface into spots (the METADOCK/BINDSURF
-pattern), runs an independent pose search at each in parallel, refines
-the winner with deterministic pattern search, and reports how close the
-result lands to the true pocket -- plus an exported multi-MODEL PDB of
-the top poses for molecular viewers.
+pattern), runs an independent pose search at each in parallel, and
+reports how close the best pose lands to the true pocket.
 
 Run:
-    python examples/blind_docking.py [--spots N] [--budget E] [--out FILE]
+    python examples/blind_docking.py [--spots N] [--budget E] [--workers W]
 """
 
 from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro.chem.builders import build_complex
-from repro.chem.pdb import write_pdb_trajectory
 from repro.config import ComplexConfig
 from repro.metadock.blind import blind_dock
-from repro.metadock.engine import MetadockEngine
-from repro.metadock.pose import apply_pose
-from repro.metadock.refinement import refine_pose
 
 
 def main() -> None:
@@ -32,7 +24,6 @@ def main() -> None:
     parser.add_argument("--budget", type=int, default=200)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="PDB trajectory output")
     args = parser.parse_args()
 
     cfg = ComplexConfig(
@@ -59,33 +50,10 @@ def main() -> None:
         n_workers=args.workers,
     )
     print(result.summary())
-
-    print("\nRefining the winning pose (pattern search) ...")
-    engine = MetadockEngine(built)
-    refined = refine_pose(engine, result.best.best_pose)
     print(
-        f"  {result.best.best_score:.2f} -> {refined.score:.2f} "
-        f"(+{refined.improvement:.2f} in {refined.evaluations} evaluations)"
+        f"\nbest pose sits {result.best.pocket_distance:.1f} A from the "
+        f"true pocket center (score {result.best.best_score:.2f})"
     )
-    final_dist = float(
-        np.linalg.norm(refined.pose.translation - built.pocket_center)
-    )
-    print(
-        f"  refined pose sits {final_dist:.1f} A from the true pocket "
-        f"center (spot search: {result.best.pocket_distance:.1f} A)"
-    )
-
-    if args.out:
-        frames = [
-            apply_pose(engine.template, r.best_pose)
-            for r in result.spots[:5]
-        ]
-        frames.append(apply_pose(engine.template, refined.pose))
-        write_pdb_trajectory(frames, engine.template, args.out)
-        print(
-            f"\ntop-5 spot poses + refined pose written to {args.out} "
-            f"(multi-MODEL PDB)"
-        )
 
 
 if __name__ == "__main__":

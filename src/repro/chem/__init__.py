@@ -1,4 +1,4 @@
-"""Molecular substrate: atoms, molecules, force-field parameters, I/O.
+"""Molecular substrate: atoms, molecules, transforms, synthetic complexes.
 
 The paper's METADOCK environment operates on a receptor-ligand pair with
 per-atom partial charges, Lennard-Jones parameters and hydrogen-bond
@@ -8,10 +8,10 @@ roles.  This subpackage provides:
 - :mod:`repro.chem.molecule` -- the structure-of-arrays :class:`Molecule`;
 - :mod:`repro.chem.topology` -- bond graphs and rotatable-bond detection;
 - :mod:`repro.chem.transforms` -- rotations, quaternions, rigid moves;
-- :mod:`repro.chem.forcefield` -- MMFF94-flavoured parameter assignment;
 - :mod:`repro.chem.builders` -- deterministic synthetic 2BSM-scale
   complexes (the substitution for the wwPDB crystal structure);
-- :mod:`repro.chem.pdb` / :mod:`repro.chem.xyz` -- file I/O.
+- :mod:`repro.chem.descriptors` -- physicochemical descriptors for
+  ligand libraries.
 """
 
 from repro.chem.elements import Element, ELEMENTS, vdw_parameters
@@ -34,7 +34,6 @@ from repro.chem.builders import (
     build_receptor,
     BuiltComplex,
 )
-from repro.chem.forcefield import assign_parameters
 from repro.chem.descriptors import (
     Descriptors,
     compute_descriptors,
@@ -58,7 +57,6 @@ __all__ = [
     "build_ligand",
     "build_receptor",
     "BuiltComplex",
-    "assign_parameters",
     "Descriptors",
     "compute_descriptors",
     "library_diversity",

@@ -28,8 +28,6 @@ from repro.env.observation import (
 from repro.env.wrappers import (
     TimeLimit,
     StateNormalizer,
-    RewardScale,
-    EpisodeRecorder,
     ActionRepeat,
 )
 from repro.env.image_state import ImageStateEnv, render_projections
@@ -51,8 +49,6 @@ __all__ = [
     "make_codec",
     "TimeLimit",
     "StateNormalizer",
-    "RewardScale",
-    "EpisodeRecorder",
     "ActionRepeat",
     "ImageStateEnv",
     "render_projections",

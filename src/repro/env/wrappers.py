@@ -87,18 +87,6 @@ class StateNormalizer(Wrapper):
         return self._normalize(state), reward, done, info
 
 
-class RewardScale(Wrapper):
-    """Multiply rewards by a constant (reward-shaping ablations)."""
-
-    def __init__(self, env, scale: float):
-        super().__init__(env)
-        self.scale = float(scale)
-
-    def step(self, action: int):
-        state, reward, done, info = self.env.step(action)
-        return state, reward * self.scale, done, info
-
-
 class ActionRepeat(Wrapper):
     """Repeat each agent action ``k`` times (DQN's frame-skip analogue).
 
@@ -132,36 +120,4 @@ class ActionRepeat(Wrapper):
             total_delta = info["score"] - start_score
             reward = float(np.sign(total_delta))
             info = dict(info, score_delta=total_delta)
-        return state, reward, done, info
-
-
-class EpisodeRecorder(Wrapper):
-    """Record per-step (action, reward, score) traces for analysis."""
-
-    def __init__(self, env, keep_episodes: int = 16):
-        super().__init__(env)
-        if keep_episodes < 1:
-            raise ValueError("keep_episodes must be >= 1")
-        self.keep_episodes = int(keep_episodes)
-        self.episodes: list[list[dict]] = []
-        self._current: list[dict] = []
-
-    def reset(self) -> np.ndarray:
-        if self._current:
-            self.episodes.append(self._current)
-            if len(self.episodes) > self.keep_episodes:
-                self.episodes.pop(0)
-        self._current = []
-        return self.env.reset()
-
-    def step(self, action: int):
-        state, reward, done, info = self.env.step(action)
-        self._current.append(
-            {
-                "action": int(action),
-                "reward": float(reward),
-                "score": float(info.get("score", float("nan"))),
-                "com_distance": float(info.get("com_distance", float("nan"))),
-            }
-        )
         return state, reward, done, info

@@ -42,7 +42,6 @@ from repro.metadock.montecarlo import MonteCarloOptimizer, MonteCarloResult
 from repro.metadock.library import generate_library
 from repro.metadock.screening import screen_library, ScreeningHit
 from repro.metadock.blind import blind_dock, BlindDockingResult, SpotResult
-from repro.metadock.refinement import RefinementResult, refine_pose
 
 __all__ = [
     "Pose",
@@ -66,6 +65,4 @@ __all__ = [
     "blind_dock",
     "BlindDockingResult",
     "SpotResult",
-    "RefinementResult",
-    "refine_pose",
 ]

@@ -5,8 +5,7 @@ at lr 2.5e-4 and minibatch 32 (Table 1, DL block).  No deep-learning
 framework is available offline, so this subpackage implements the needed
 subset: dense layers with backprop, MSE/Huber losses, SGD/RMSprop/Adam,
 He/Glorot initialization, a dueling value-advantage head for the
-Section 5 extension, npz checkpointing, and finite-difference gradient
-checking used by the tests.
+Section 5 extension, and npz checkpointing.
 """
 
 from repro.nn.init import he_init, glorot_init
@@ -23,7 +22,6 @@ from repro.nn.noisy import (
     zero_network_noise,
 )
 from repro.nn.checkpoints import save_network, load_network
-from repro.nn.gradcheck import numerical_gradient, check_gradients
 
 __all__ = [
     "he_init",
@@ -56,6 +54,4 @@ __all__ = [
     "zero_network_noise",
     "save_network",
     "load_network",
-    "numerical_gradient",
-    "check_gradients",
 ]

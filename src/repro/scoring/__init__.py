@@ -1,9 +1,10 @@
 """The METADOCK scoring function (paper Equation 1) and accelerators.
 
-Three physical terms, each its own module so the benches can cost them
-separately:
+Three physical terms:
 
-- :mod:`repro.scoring.electrostatics` -- Coulomb term ``k q_i q_j / r``;
+- the Coulomb term ``k q_i q_j / r``, evaluated inside
+  :class:`~repro.scoring.composite.Eq1Kernel` (its stand-alone
+  reference definition is test-only);
 - :mod:`repro.scoring.lennard_jones` -- 12-6 van-der-Waals (MMFF94-style);
 - :mod:`repro.scoring.hbond` -- 12-10 hydrogen-bond term with the
   ``cos/sin`` angular mixing of Eq. 1.
@@ -28,7 +29,6 @@ from repro.scoring.composite import (
     interaction_score,
     score_pose_batch,
 )
-from repro.scoring.electrostatics import electrostatic_energy
 from repro.scoring.lennard_jones import lennard_jones_energy
 from repro.scoring.neighborlist import CellList
 from repro.scoring.field import FieldMaps, FieldScorer, score_field_group
@@ -53,7 +53,6 @@ __all__ = [
     "interaction_energy",
     "interaction_score",
     "score_pose_batch",
-    "electrostatic_energy",
     "lennard_jones_energy",
     "CellList",
     "FieldMaps",

@@ -143,7 +143,7 @@ class Eq1Kernel:
     on first use and dropped by pickle / ``deepcopy``.
 
     Each elementwise operation, clamp and reduction is the one
-    :mod:`~repro.scoring.pairwise`, :mod:`~repro.scoring.electrostatics`,
+    :mod:`~repro.scoring.pairwise`, the Coulomb term of Eq. 1,
     :mod:`~repro.scoring.lennard_jones` and :mod:`~repro.scoring.hbond`
     define, in their order; ``tests/frozen_eq1.py`` pins the bits.  The
     (n, k) passes run through ``out=``, and H-bond angles and the

@@ -300,7 +300,7 @@ class IncrementalScorer:
         calls in batch order would produce.  Poses within skin/2 of the
         current reference are scored off the cached list; a pose farther
         away triggers a rebuild centered on it.  Batches of *nearby*
-        candidate poses -- vector-env steps, local pose refinement --
+        candidate poses -- vector-env steps, a metaheuristic's local moves --
         therefore share one pair list; scattered batches degrade
         gracefully to one list build per pose.
         """

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.chem.builders import (
     POCKET_AXIS,
@@ -12,11 +13,12 @@ from repro.chem.builders import (
     build_receptor,
 )
 from repro.chem.topology import connected_components, rotatable_bonds
-from repro.chem.validate import validate_complex, validate_molecule
 from repro.config import ComplexConfig
 from repro.scoring.composite import interaction_score
 
 from tests.conftest import SMALL_COMPLEX_CFG
+from tests.strategies import complex_configs
+from tests.validate import validate_complex, validate_molecule
 
 
 class TestBuildReceptor:
@@ -66,9 +68,11 @@ class TestBuildReceptor:
         # sites somewhere on the surface.
         assert (small_complex.receptor.charges >= 0.4).any()
 
-    def test_molecule_validates(self, small_complex):
-        report = validate_molecule(small_complex.receptor)
-        assert report.ok, report.errors
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=complex_configs())
+    def test_molecule_validates(self, cfg):
+        report = validate_molecule(build_receptor(cfg))
+        assert report.ok, (cfg, report.errors)
 
 
 class TestBuildLigand:
@@ -106,15 +110,19 @@ class TestBuildLigand:
         var = build_ligand_variant(SMALL_COMPLEX_CFG, 1)
         assert not np.array_equal(base.coords, var.coords)
 
-    def test_validates(self, small_complex):
-        report = validate_molecule(small_complex.ligand_crystal)
-        assert report.ok, report.errors
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=complex_configs())
+    def test_validates(self, cfg):
+        report = validate_molecule(build_ligand(cfg))
+        assert report.ok, (cfg, report.errors)
 
 
 class TestBuildComplex:
-    def test_validated(self, small_complex):
-        report = validate_complex(small_complex)
-        assert report.ok, report.errors
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=complex_configs())
+    def test_validated(self, cfg):
+        report = validate_complex(build_complex(cfg))
+        assert report.ok, (cfg, report.errors)
 
     def test_crystal_outscores_initial(self, small_complex):
         s_crystal = interaction_score(

@@ -1,6 +1,4 @@
-"""Molecular descriptors and trajectory PDB I/O."""
-
-import io
+"""Molecular descriptors."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from repro.chem.descriptors import (
     library_diversity,
 )
 from repro.chem.molecule import Molecule
-from repro.chem.pdb import read_pdb_models, write_pdb_trajectory
 
 
 class TestComputeDescriptors:
@@ -70,43 +67,3 @@ class TestLibraryDiversity:
 
     def test_singleton_zero(self, small_complex):
         assert library_diversity([small_complex.ligand_crystal]) == 0.0
-
-
-class TestPdbTrajectory:
-    def _template(self):
-        return Molecule.from_symbols(
-            ["C", "N"], [[0.0, 0, 0], [1.4, 0, 0]], name="traj"
-        )
-
-    def test_roundtrip(self):
-        template = self._template()
-        frames = [
-            template.coords + k * np.array([0.0, 1.0, 0.0])
-            for k in range(4)
-        ]
-        buf = io.StringIO()
-        write_pdb_trajectory(frames, template, buf)
-        back = read_pdb_models(io.StringIO(buf.getvalue()))
-        assert len(back) == 4
-        for orig, rt in zip(frames, back):
-            np.testing.assert_allclose(rt, orig, atol=1e-3)
-
-    def test_frame_shape_validated(self):
-        template = self._template()
-        with pytest.raises(ValueError):
-            write_pdb_trajectory([np.zeros((5, 3))], template, io.StringIO())
-
-    def test_no_models_rejected(self):
-        with pytest.raises(ValueError):
-            read_pdb_models(io.StringIO("END\n"))
-
-    def test_engine_episode_export(self, engine, tmp_path):
-        # Record a short trajectory from the engine and export it.
-        engine.reset()
-        frames = [engine.ligand_coords().copy()]
-        for a in [5, 5, 7, 5]:
-            engine.apply_action(a)
-            frames.append(engine.ligand_coords().copy())
-        path = tmp_path / "episode.pdb"
-        write_pdb_trajectory(frames, engine.template, path)
-        assert len(read_pdb_models(path)) == 5

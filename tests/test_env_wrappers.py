@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.env.comm import FileComm, RamComm, make_comm
-from repro.env.wrappers import (
-    EpisodeRecorder,
-    RewardScale,
-    StateNormalizer,
-    TimeLimit,
-)
+from repro.env.wrappers import StateNormalizer, TimeLimit
 
 
 class FakeEnv:
@@ -91,32 +86,6 @@ class TestStateNormalizer:
         env.reset()
         s, *_ = env.step(0)
         assert np.isfinite(s).all()
-
-
-class TestRewardScale:
-    def test_scales(self):
-        env = RewardScale(FakeEnv(), 0.5)
-        env.reset()
-        _s, r, _d, _i = env.step(0)
-        assert r == 0.5
-
-
-class TestEpisodeRecorder:
-    def test_records_episodes(self):
-        env = EpisodeRecorder(FakeEnv(horizon=3), keep_episodes=2)
-        for _ in range(3):
-            env.reset()
-            for _ in range(3):
-                env.step(1)
-        env.reset()  # flushes the last episode
-        assert len(env.episodes) == 2  # capped
-        assert len(env.episodes[-1]) == 3
-        entry = env.episodes[-1][0]
-        assert set(entry) == {"action", "reward", "score", "com_distance"}
-
-    def test_invalid_keep(self):
-        with pytest.raises(ValueError):
-            EpisodeRecorder(FakeEnv(), 0)
 
 
 class TestCommChannels:

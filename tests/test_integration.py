@@ -6,7 +6,7 @@ import pytest
 from repro import ci_scale_config, quick_training_run
 from repro.chem.builders import build_complex
 from repro.env.factory import make_env
-from repro.env.wrappers import EpisodeRecorder, StateNormalizer, TimeLimit
+from repro.env.wrappers import StateNormalizer, TimeLimit
 from repro.experiments.figure4 import build_agent
 from repro.metadock.metaheuristic import MetaheuristicSchema
 from repro.metadock.strategies import scatter_search_params
@@ -42,18 +42,17 @@ class TestFullStackTraining:
         finally:
             env.close()
 
-    def test_recorder_captures_docking_trace(self, tiny_run_config):
+    def test_docking_trace_reports_finite_scores(self, tiny_run_config):
+        # Every step of a docking episode reports a finite score and
+        # receptor-ligand distance in its info dict.
         built = build_complex(tiny_run_config.complex)
-        env = EpisodeRecorder(make_env(tiny_run_config, built))
+        env = make_env(tiny_run_config, built)
         try:
             env.reset()
-            for a in [0, 5, 5, 5]:
-                env.step(a)
-            env.reset()
-            assert len(env.episodes) == 1
-            trace = env.episodes[0]
+            trace = [env.step(a)[3] for a in [0, 5, 5, 5]]
             assert len(trace) == 4
             assert all(np.isfinite(t["score"]) for t in trace)
+            assert all(np.isfinite(t["com_distance"]) for t in trace)
         finally:
             env.close()
 

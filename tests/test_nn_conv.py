@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn.conv import Conv2D, Flatten, MaxPool2D, Reshape, build_cnn
-from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.losses import MSELoss
+
+from tests.gradcheck import check_gradients, numerical_gradient
 
 
 class TestReshapeFlatten:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.nn.dueling import DuelingHead, DuelingMLP
-from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.init import glorot_init, he_init
 from repro.nn.layers import Dense, Identity, ReLU, Sigmoid, Tanh
 from repro.nn.losses import HuberLoss, MSELoss
 from repro.nn.network import MLP, build_mlp
+
+from tests.gradcheck import check_gradients, numerical_gradient
 
 
 class TestInit:

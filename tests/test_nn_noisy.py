@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import numerical_gradient
 from repro.nn.noisy import (
     NoisyDense,
     build_noisy_mlp,
@@ -11,6 +10,8 @@ from repro.nn.noisy import (
     zero_network_noise,
 )
 from repro.rl.agent import AgentConfig, DQNAgent
+
+from tests.gradcheck import numerical_gradient
 
 
 class TestNoisyDense:

@@ -36,12 +36,12 @@ from hypothesis import strategies as st
 
 import repro.nn.optimizers as optimizers
 from repro.nn.checkpoints import load_network_arrays, network_arrays
-from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import Dense
 from repro.nn.losses import make_loss
 from repro.nn.network import build_mlp
 from repro.nn.optimizers import Adam, Optimizer, RMSprop, SGD
 from repro.rl.agent import AgentConfig, DQNAgent
+from tests.gradcheck import check_gradients
 from tests.test_nn_float32 import DRIFT_BOUND, relative_drift
 
 

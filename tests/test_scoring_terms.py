@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
-from repro.scoring.electrostatics import (
-    coulomb_pair,
-    electrostatic_energy,
-    electrostatic_energy_matrix,
-)
 from repro.scoring.hbond import (
     HBOND_DEPTH,
     HBOND_R0,
@@ -30,6 +25,12 @@ from repro.scoring.lennard_jones import (
 from repro.scoring.pairwise import (
     direction_vectors,
     pairwise_distances,
+)
+
+from tests.electrostatics import (
+    coulomb_pair,
+    electrostatic_energy,
+    electrostatic_energy_matrix,
 )
 
 
@@ -82,6 +83,24 @@ class TestElectrostatics:
 
     def test_pair_helper_clamps(self):
         assert coulomb_pair(1.0, 1.0, 0.0) == coulomb_pair(1.0, 1.0, MIN_DISTANCE)
+
+    @pytest.mark.parametrize("distance_dependent", [False, True])
+    def test_live_kernel_matches_reference(
+        self, small_complex, distance_dependent
+    ):
+        from repro.scoring.composite import interaction_breakdown
+
+        rec, lig = small_complex.receptor, small_complex.ligand_crystal
+        live = interaction_breakdown(
+            rec, lig, distance_dependent_dielectric=distance_dependent
+        ).electrostatic
+        ref = electrostatic_energy(
+            rec.charges,
+            lig.charges,
+            pairwise_distances(rec.coords, lig.coords),
+            distance_dependent=distance_dependent,
+        )
+        assert live == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestLennardJones:
