@@ -86,7 +86,8 @@ def test_bench_target_update_sweep(benchmark):
     print("\n" + result.summary())
     assert len(result.results) == 3
     # Every setting must still learn (rising Q).
-    for value, shape in result.shapes().items():
+    for value, run in result.results.items():
+        shape = run.shape()
         assert shape.peak >= shape.first, f"C={value}"
 
 
@@ -139,40 +140,6 @@ def test_bench_cnn_image_state_training(benchmark):
 
     history = benchmark.pedantic(run, rounds=1, iterations=1)
     assert history.total_steps > 0
-
-
-def test_bench_action_repeat_ablation(benchmark):
-    """Step-granularity ablation: repeat k actions per decision."""
-    import numpy as np
-
-    from repro.env.factory import make_env
-    from repro.env.wrappers import ActionRepeat
-
-    cfg = ABLATION_CFG
-    built = build_complex(cfg.complex)
-
-    def run():
-        out = {}
-        rng = np.random.default_rng(cfg.seed)
-        for k in (1, 4):
-            env = ActionRepeat(make_env(cfg, built), k) if k > 1 else make_env(cfg, built)
-            try:
-                env.reset()
-                deltas = []
-                for _ in range(60):
-                    _s, _r, done, info = env.step(int(rng.integers(12)))
-                    deltas.append(abs(info.get("score_delta", 0.0)))
-                    if done:
-                        env.reset()
-                out[k] = float(np.mean(deltas))
-            finally:
-                env.close()
-        return out
-
-    deltas = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nmean |score delta|: repeat1={deltas[1]:.3f} repeat4={deltas[4]:.3f}")
-    # Coarser decisions see larger score changes on average.
-    assert deltas[4] > deltas[1]
 
 
 def test_bench_comm_ablation_table(benchmark):

@@ -40,14 +40,14 @@ def test_classical_optimizers_near_crystal(comparison):
     score under the budget (the paper's 'state of the art' bar)."""
     print("\n" + comparison.summary())
     for name in ("montecarlo", "metaheuristic-local"):
-        r = comparison.result_for(name)
+        (r,) = [r for r in comparison.results if r.method == name]
         assert r.best_score > 0.5 * comparison.crystal_score, name
 
 
 def test_dqn_is_early_stage(comparison):
     """The paper's honest result: the DQN does not yet beat the best
     classical optimizer under an equal budget."""
-    dqn = comparison.result_for("dqn-docking")
+    (dqn,) = [r for r in comparison.results if r.method == "dqn-docking"]
     best_classical = max(
         r.best_score
         for r in comparison.results
@@ -62,7 +62,7 @@ def test_dqn_is_early_stage(comparison):
 def test_dqn_better_than_nothing(comparison):
     """The agent must still find positive-score poses (it learns
     *something* -- Figure 4's rising phase)."""
-    dqn = comparison.result_for("dqn-docking")
+    (dqn,) = [r for r in comparison.results if r.method == "dqn-docking"]
     assert dqn.best_score > 0.0
 
 

@@ -1,10 +1,9 @@
 """Bench: METADOCK's parallel evaluation patterns.
 
 - spot decomposition of the receptor surface;
-- batched-vectorized pose scoring vs per-pose loops (data parallelism);
-- process-pool fan-out for large pose sets (task parallelism);
+- batched-vectorized pose scoring (data parallelism);
 - the metaheuristic schema and Monte Carlo under a fixed budget;
-- virtual screening of a ligand library.
+- virtual screening of a ligand library through the screening driver.
 """
 
 import numpy as np
@@ -13,10 +12,10 @@ import pytest
 from repro.metadock.library import generate_library
 from repro.metadock.metaheuristic import MetaheuristicSchema
 from repro.metadock.montecarlo import MonteCarloConfig, MonteCarloOptimizer
-from repro.metadock.parallel import score_coords_parallel
-from repro.metadock.screening import screen_library
 from repro.metadock.spots import surface_spots
 from repro.metadock.strategies import STRATEGY_PRESETS
+from repro.scoring.composite import score_pose_batch
+from repro.screening.driver import ScreeningConfig, run_screening
 
 from benchmarks.conftest import BENCH_COMPLEX_CFG
 
@@ -31,40 +30,12 @@ def test_bench_pose_batch_1024(benchmark, bench_complex):
     lig = bench_complex.ligand_crystal
     batch = lig.coords[None] + rng.normal(scale=3.0, size=(1024, 1, 3))
     scores = benchmark.pedantic(
-        score_coords_parallel,
+        score_pose_batch,
         args=(bench_complex.receptor, lig, batch),
-        kwargs={"n_workers": 1},
         rounds=3,
         iterations=1,
     )
     assert scores.shape == (1024,)
-
-
-def test_bench_pose_batch_multiprocess(benchmark, bench_complex):
-    rng = np.random.default_rng(0)
-    lig = bench_complex.ligand_crystal
-    batch = lig.coords[None] + rng.normal(scale=3.0, size=(2048, 1, 3))
-    scores = benchmark.pedantic(
-        score_coords_parallel,
-        args=(bench_complex.receptor, lig, batch),
-        kwargs={"n_workers": 4, "chunk": 256},
-        rounds=2,
-        iterations=1,
-    )
-    assert scores.shape == (2048,)
-
-
-def test_parallel_matches_serial(bench_complex):
-    rng = np.random.default_rng(1)
-    lig = bench_complex.ligand_crystal
-    batch = lig.coords[None] + rng.normal(scale=3.0, size=(600, 1, 3))
-    serial = score_coords_parallel(
-        bench_complex.receptor, lig, batch, n_workers=1
-    )
-    par = score_coords_parallel(
-        bench_complex.receptor, lig, batch, n_workers=4, chunk=128
-    )
-    np.testing.assert_allclose(par, serial, rtol=1e-10)
 
 
 @pytest.mark.parametrize("strategy", ["ga", "local", "scatter"])
@@ -92,9 +63,8 @@ def test_bench_virtual_screening(benchmark, bench_complex):
     library = generate_library(BENCH_COMPLEX_CFG, 4, seed=0)
 
     def run():
-        return screen_library(
-            bench_complex, library, strategy="local", budget=150, seed=0
-        )
+        config = ScreeningConfig(strategy="local", budget=150, seed=0)
+        return run_screening(bench_complex, library, config).hits
 
     hits = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(hits) == 4

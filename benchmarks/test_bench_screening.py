@@ -113,10 +113,10 @@ def test_bench_screening(paper_complex, tmp_path):
     # reference loop over field-scored engines sharing one FieldMaps
     # (the same sharing the screening workers set up), then a real
     # policy-strategy screen for the batching counters.
-    from repro.metadock.screening import _engine_for
     from repro.nn.checkpoints import save_network
     from repro.nn.network import build_mlp
     from repro.scoring.field import FieldMaps
+    from repro.screening.driver import _engine_for
     from repro.screening.policy import _greedy_rollout_loop, greedy_rollout
 
     maps = FieldMaps(paper_complex.receptor)

@@ -17,7 +17,7 @@ import argparse
 from repro.config import ci_scale_config
 from repro.env.factory import make_env
 from repro.experiments.figure4 import build_agent, run_figure4_experiment
-from repro.rl.trainer import greedy_rollout
+from repro.rl.evaluation import evaluate_policy
 
 
 def main() -> None:
@@ -43,16 +43,15 @@ def main() -> None:
     env = make_env(cfg)
     try:
         untrained = build_agent(cfg, env.state_dim, env.n_actions)
-        best_untrained, _ = greedy_rollout(
-            env, untrained, cfg.max_steps_per_episode
+        greedy = dict(
+            episodes=1, max_steps=cfg.max_steps_per_episode, epsilon=0.0
         )
-        best_trained, trace = greedy_rollout(
-            env, result.agent, cfg.max_steps_per_episode
-        )
-        print(f"  untrained agent best score: {best_untrained:10.2f}")
+        before = evaluate_policy(env, untrained, **greedy)
+        after = evaluate_policy(env, result.agent, **greedy)
+        print(f"  untrained agent best score: {before.max_best_score:10.2f}")
         print(
-            f"  trained agent best score:   {best_trained:10.2f}  "
-            f"({len(trace)} steps)"
+            f"  trained agent best score:   {after.max_best_score:10.2f}  "
+            f"({after.mean_episode_length:.0f} steps)"
         )
     finally:
         env.close()

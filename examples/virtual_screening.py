@@ -19,7 +19,7 @@ import time
 from repro.chem.builders import build_complex
 from repro.config import ComplexConfig
 from repro.metadock.library import generate_library
-from repro.metadock.screening import screen_library
+from repro.screening.driver import ScreeningConfig, run_screening
 from repro.utils.tables import render_table
 
 
@@ -54,9 +54,10 @@ def main() -> None:
         f"Screening with strategy={args.strategy!r}, "
         f"budget={args.budget} evaluations/compound ..."
     )
-    hits = screen_library(
-        built, library, strategy=args.strategy, budget=args.budget, seed=7
+    config = ScreeningConfig(
+        strategy=args.strategy, budget=args.budget, seed=7
     )
+    hits = run_screening(built, library, config).hits
     elapsed = time.perf_counter() - t0
 
     rows = [

@@ -7,26 +7,21 @@ roles.  This subpackage provides:
 - :mod:`repro.chem.elements` -- element data and parameter tables;
 - :mod:`repro.chem.molecule` -- the structure-of-arrays :class:`Molecule`;
 - :mod:`repro.chem.topology` -- bond graphs and rotatable-bond detection;
-- :mod:`repro.chem.transforms` -- rotations, quaternions, rigid moves;
+- :mod:`repro.chem.transforms` -- rotation matrices and quaternions;
 - :mod:`repro.chem.builders` -- deterministic synthetic 2BSM-scale
   complexes (the substitution for the wwPDB crystal structure);
 - :mod:`repro.chem.descriptors` -- physicochemical descriptors for
   ligand libraries.
 """
 
-from repro.chem.elements import Element, ELEMENTS, vdw_parameters
+from repro.chem.elements import Element, ELEMENTS
 from repro.chem.molecule import Molecule
 from repro.chem.topology import (
-    bonds_from_distance,
-    connected_components,
     rotatable_bonds,
 )
 from repro.chem.transforms import (
     Quaternion,
-    rotation_matrix,
     axis_angle_matrix,
-    random_rotation,
-    rigid_transform,
 )
 from repro.chem.builders import (
     build_complex,
@@ -37,27 +32,19 @@ from repro.chem.builders import (
 from repro.chem.descriptors import (
     Descriptors,
     compute_descriptors,
-    library_diversity,
 )
 
 __all__ = [
     "Element",
     "ELEMENTS",
-    "vdw_parameters",
     "Molecule",
-    "bonds_from_distance",
-    "connected_components",
     "rotatable_bonds",
     "Quaternion",
-    "rotation_matrix",
     "axis_angle_matrix",
-    "random_rotation",
-    "rigid_transform",
     "build_complex",
     "build_ligand",
     "build_receptor",
     "BuiltComplex",
     "Descriptors",
     "compute_descriptors",
-    "library_diversity",
 ]

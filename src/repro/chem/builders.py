@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.molecule import Molecule
-from repro.chem.topology import bonds_from_distance, rotatable_bonds
+from repro.chem.topology import rotatable_bonds
 from repro.config import ComplexConfig
 from repro.utils.rng import as_generator
 
@@ -363,16 +363,3 @@ def build_complex(cfg: ComplexConfig) -> BuiltComplex:
         pocket_center=pocket_center,
         config=cfg,
     )
-
-
-def build_ligand_variant(
-    cfg: ComplexConfig, variant_seed: int
-) -> Molecule:
-    """A ligand drawn with a different seed but the same size class.
-
-    Used by the virtual-screening library generator to emulate a
-    ZINC-like collection of chemically diverse candidates.
-    """
-    import dataclasses
-
-    return build_ligand(dataclasses.replace(cfg, seed=cfg.seed + 7919 * (variant_seed + 1)))

@@ -31,22 +31,6 @@ class Descriptors:
     radius_of_gyration: float
     max_extent: float
 
-    def lipinski_violations(self) -> int:
-        """Count of rule-of-five violations (adapted to available data).
-
-        Checks: MW <= 500, donors <= 5, acceptors <= 10.  (LogP is not
-        derivable without fragment contributions, so the classic fourth
-        rule is omitted -- documented deviation.)
-        """
-        violations = 0
-        if self.molecular_weight > 500.0:
-            violations += 1
-        if self.n_hbond_donors > 5:
-            violations += 1
-        if self.n_hbond_acceptors > 10:
-            violations += 1
-        return violations
-
     def as_vector(self) -> np.ndarray:
         """Numeric descriptor vector (for similarity/diversity math)."""
         return np.array(
@@ -143,24 +127,3 @@ def encode_pocket_features(
     d = com - receptor_com
     out[k + 4] = np.sqrt(d @ d)
     return out
-
-
-def library_diversity(mols: list[Molecule]) -> float:
-    """Mean pairwise z-scored descriptor distance across a library.
-
-    0 for libraries of identical compounds; grows with chemical spread.
-    Descriptors are standardized per dimension so no single unit
-    dominates.
-    """
-    if len(mols) < 2:
-        return 0.0
-    vecs = np.stack([compute_descriptors(m).as_vector() for m in mols])
-    std = vecs.std(axis=0)
-    std[std == 0] = 1.0
-    z = (vecs - vecs.mean(axis=0)) / std
-    total, count = 0.0, 0
-    for i in range(len(mols)):
-        for j in range(i + 1, len(mols)):
-            total += float(np.linalg.norm(z[i] - z[j]))
-            count += 1
-    return total / count

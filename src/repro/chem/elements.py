@@ -68,25 +68,8 @@ def element(symbol_or_number) -> Element:
         raise KeyError(f"no parameters for element {symbol_or_number!r}") from None
 
 
-def vdw_parameters(symbols) -> tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized (sigma, epsilon) lookup for a sequence of symbols."""
-    import numpy as np
-
-    elems = [element(s) for s in symbols]
-    sigma = np.array([e.sigma for e in elems], dtype=float)
-    eps = np.array([e.epsilon for e in elems], dtype=float)
-    return sigma, eps
-
-
 def masses(symbols) -> "np.ndarray":
     """Vectorized atomic-mass lookup."""
     import numpy as np
 
     return np.array([element(s).mass for s in symbols], dtype=float)
-
-
-def covalent_radii(symbols) -> "np.ndarray":
-    """Vectorized covalent-radius lookup."""
-    import numpy as np
-
-    return np.array([element(s).covalent_radius for s in symbols], dtype=float)

@@ -9,7 +9,7 @@ Coordinates are C-contiguous ``(n, 3)`` float64 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,29 +192,6 @@ class Molecule:
     def translated(self, vec) -> "Molecule":
         """Copy translated by ``vec``."""
         return self.with_coords(self.coords + np.asarray(vec, dtype=float))
-
-    def subset(self, indices: Iterable[int], name: str | None = None) -> "Molecule":
-        """Extract the sub-molecule over ``indices`` (bonds remapped)."""
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_atoms):
-            raise IndexError("subset indices out of range")
-        remap = -np.ones(self.n_atoms, dtype=np.int64)
-        remap[idx] = np.arange(idx.size)
-        keep = np.all(remap[self.bonds] >= 0, axis=1) if self.bonds.size \
-            else np.zeros(0, dtype=bool)
-        new_bonds = remap[self.bonds[keep]] if self.bonds.size \
-            else np.empty((0, 2), dtype=np.int64)
-        return Molecule(
-            symbols=[self.symbols[i] for i in idx],
-            coords=self.coords[idx].copy(),
-            charges=self.charges[idx].copy(),
-            sigma=self.sigma[idx].copy(),
-            epsilon=self.epsilon[idx].copy(),
-            hbond_donor=self.hbond_donor[idx].copy(),
-            hbond_acceptor=self.hbond_acceptor[idx].copy(),
-            bonds=new_bonds,
-            name=self.name if name is None else name,
-        )
 
     @staticmethod
     def concatenate(mols: Sequence["Molecule"], name: str = "") -> "Molecule":

@@ -1,9 +1,9 @@
-"""Bond topology: distance-based bond perception, components, rotatable bonds.
+"""Bond topology: adjacency, rings, rotatable bonds and torsion partitions.
 
 The paper's state vector includes "the position of the atoms of the ligand
 and receptor and their respective bonds", and the flexible-ligand extension
 (Section 5) needs the ligand's rotatable bonds (2BSM's ligand "can fold in
-6 bonds").  This module derives all of that from geometry.
+6 bonds").  This module derives all of that from the bond graph.
 """
 
 from __future__ import annotations
@@ -11,55 +11,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-
-from repro.chem.elements import covalent_radii
-
-
-def bonds_from_distance(
-    symbols,
-    coords: np.ndarray,
-    tolerance: float = 0.45,
-    max_coordination: int | None = None,
-) -> np.ndarray:
-    """Perceive bonds: i-j bonded iff ``d_ij <= r_i + r_j + tolerance``.
-
-    Vectorized over all pairs.  ``max_coordination`` optionally drops the
-    longest bonds of over-coordinated atoms (useful for dense synthetic
-    receptors where the distance criterion alone over-connects).
-    Returns an ``(m, 2)`` int64 array with ``i < j``.
-    """
-    pts = np.asarray(coords, dtype=float)
-    n = pts.shape[0]
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    radii = covalent_radii(symbols)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    limit = radii[:, None] + radii[None, :] + tolerance
-    mask = np.triu(dist <= limit, k=1)
-    ii, jj = np.nonzero(mask)
-    bonds = np.stack([ii, jj], axis=1).astype(np.int64)
-    if max_coordination is not None and bonds.size:
-        bonds = _prune_coordination(bonds, dist, n, max_coordination)
-    return bonds
-
-
-def _prune_coordination(
-    bonds: np.ndarray, dist: np.ndarray, n: int, max_coord: int
-) -> np.ndarray:
-    """Greedily keep shortest bonds until no atom exceeds ``max_coord``."""
-    lengths = dist[bonds[:, 0], bonds[:, 1]]
-    order = np.argsort(lengths)
-    degree = np.zeros(n, dtype=np.int64)
-    keep = []
-    for k in order:
-        i, j = bonds[k]
-        if degree[i] < max_coord and degree[j] < max_coord:
-            keep.append(k)
-            degree[i] += 1
-            degree[j] += 1
-    keep_idx = np.sort(np.asarray(keep, dtype=np.int64))
-    return bonds[keep_idx]
 
 
 def adjacency(n_atoms: int, bonds: np.ndarray) -> list[list[int]]:
@@ -69,28 +20,6 @@ def adjacency(n_atoms: int, bonds: np.ndarray) -> list[list[int]]:
         adj[int(i)].append(int(j))
         adj[int(j)].append(int(i))
     return adj
-
-
-def connected_components(n_atoms: int, bonds: np.ndarray) -> list[list[int]]:
-    """Connected components of the bond graph (BFS), sorted by first atom."""
-    adj = adjacency(n_atoms, bonds)
-    seen = np.zeros(n_atoms, dtype=bool)
-    comps: list[list[int]] = []
-    for start in range(n_atoms):
-        if seen[start]:
-            continue
-        comp = []
-        q = deque([start])
-        seen[start] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
 
 
 def ring_bonds(n_atoms: int, bonds: np.ndarray) -> set[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Rigid-body transforms: rotation matrices, quaternions, rigid moves.
+"""Rotations: axis-angle matrices and unit quaternions.
 
 METADOCK explores translational and rotational degrees of freedom of the
 ligand (paper Section 2.1).  The engine composes per-step rotations about
@@ -41,15 +41,6 @@ def axis_angle_matrix(axis, angle_rad: float) -> np.ndarray:
         [[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]]
     )
     return np.eye(3) + s * k + (1 - c) * (k @ k)
-
-
-def rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
-    """Composite rotation Rz @ Ry @ Rx from Euler angles in radians."""
-    return (
-        axis_angle_matrix("z", rz)
-        @ axis_angle_matrix("y", ry)
-        @ axis_angle_matrix("x", rx)
-    )
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,6 @@ class Quaternion:
             raise ValueError("cannot normalize zero quaternion")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def conjugate(self) -> "Quaternion":
-        """Inverse rotation (for unit quaternions)."""
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product: ``self * other`` applies ``other`` first."""
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
@@ -148,84 +135,6 @@ class Quaternion:
             ]
         )
 
-    def rotate(self, points: np.ndarray) -> np.ndarray:
-        """Rotate an ``(n, 3)`` point array (or single 3-vector)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.to_matrix().T
-
     def to_array(self) -> np.ndarray:
         """(w, x, y, z) as a length-4 array."""
         return np.array([self.w, self.x, self.y, self.z])
-
-    def angle(self) -> float:
-        """Rotation angle in radians, in [0, pi]."""
-        q = self.normalized()
-        return 2.0 * math.acos(max(-1.0, min(1.0, abs(q.w))))
-
-    def approx_equal(self, other: "Quaternion", tol: float = 1e-9) -> bool:
-        """Equality as *rotations* (q and -q are the same rotation)."""
-        d = abs(
-            self.w * other.w + self.x * other.x
-            + self.y * other.y + self.z * other.z
-        )
-        return abs(d - 1.0) <= tol
-
-
-def random_rotation(rng: SeedLike = None) -> np.ndarray:
-    """Uniformly random 3x3 rotation matrix."""
-    return Quaternion.random(rng).to_matrix()
-
-
-def rigid_transform(
-    points: np.ndarray,
-    rotation: np.ndarray | Quaternion | None = None,
-    translation: np.ndarray | None = None,
-    center: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply rotation about ``center`` followed by ``translation``.
-
-    ``center`` defaults to the centroid of ``points`` -- the paper rotates
-    the ligand about its own center of mass, so a rotation action never
-    moves the center.
-    """
-    pts = np.asarray(points, dtype=float)
-    out = pts
-    if rotation is not None:
-        mat = rotation.to_matrix() if isinstance(rotation, Quaternion) \
-            else np.asarray(rotation, dtype=float)
-        if mat.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix or Quaternion")
-        c = pts.mean(axis=0) if center is None else np.asarray(center, float)
-        out = (pts - c) @ mat.T + c
-    if translation is not None:
-        out = out + np.asarray(translation, dtype=float)
-    return out
-
-
-def kabsch_rmsd(a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum RMSD between point sets after optimal superposition.
-
-    Used to measure how close a found pose is to the crystallographic one
-    (the paper's success criterion for "discovering the solution").
-    """
-    p = np.asarray(a, dtype=float)
-    q = np.asarray(b, dtype=float)
-    if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError("point sets must share shape (n, 3)")
-    pc = p - p.mean(axis=0)
-    qc = q - q.mean(axis=0)
-    h = pc.T @ qc
-    u, _s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    diff = pc @ rot.T - qc
-    return float(np.sqrt((diff**2).sum() / p.shape[0]))
-
-
-def rmsd(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain coordinate RMSD without superposition (pose-space distance)."""
-    p = np.asarray(a, dtype=float)
-    q = np.asarray(b, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("point sets must share shape")
-    return float(np.sqrt(((p - q) ** 2).sum(axis=-1).mean()))

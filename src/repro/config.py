@@ -63,6 +63,16 @@ class ComplexConfig:
             raise ValueError("pocket_depth must be non-negative")
         if self.rotatable_bonds < 0:
             raise ValueError("rotatable_bonds must be non-negative")
+        # The builder grows at most ligand_atoms - 1 heavy atoms and
+        # needs rotatable_bonds + 3 of them to place that many rotatable
+        # bonds.
+        needed = self.rotatable_bonds + 4
+        if self.rotatable_bonds and self.ligand_atoms < needed:
+            raise ValueError(
+                f"a ligand of {self.ligand_atoms} atoms cannot carry "
+                f"{self.rotatable_bonds} rotatable bonds (needs at least "
+                f"{needed} atoms)"
+            )
 
 
 @dataclass(frozen=True)
@@ -295,28 +305,6 @@ def recorded_observation_mode(data: dict) -> str | None:
     if data.get("compact_states") and mode in (None, "raw"):
         return "compact"
     return mode
-
-
-def config_from_dict(data: dict) -> DQNDockingConfig:
-    """Rebuild a :class:`DQNDockingConfig` from its dict form.
-
-    The inverse of ``dataclasses.asdict`` as stored in run manifests:
-    the exact config of any archived run directory loads back with
-    ``config_from_dict(json.load(open("manifest.json"))["config"])``.
-    Unknown keys are ignored so manifests written by newer versions
-    still load; see :func:`recorded_observation_mode` for older ones.
-    """
-    names = {f.name for f in dataclasses.fields(DQNDockingConfig)}
-    kwargs = {k: v for k, v in data.items() if k in names}
-    mode = recorded_observation_mode(data)
-    if mode is not None:
-        kwargs["observation_mode"] = mode
-    if isinstance(kwargs.get("complex"), dict):
-        cnames = {f.name for f in dataclasses.fields(ComplexConfig)}
-        kwargs["complex"] = ComplexConfig(
-            **{k: v for k, v in kwargs["complex"].items() if k in cnames}
-        )
-    return DQNDockingConfig(**kwargs)
 
 
 #: The exact configuration of the paper's Section 4 experiment.  Every

@@ -27,10 +27,8 @@ from repro.env.observation import (
 )
 from repro.env.wrappers import (
     TimeLimit,
-    StateNormalizer,
-    ActionRepeat,
 )
-from repro.env.image_state import ImageStateEnv, render_projections
+from repro.env.image_state import ImageStateEnv
 from repro.env.vectorized import SyncVectorEnv, coerce_actions
 from repro.env.factory import make_env, make_vector_env
 
@@ -48,10 +46,7 @@ __all__ = [
     "StateCodec",
     "make_codec",
     "TimeLimit",
-    "StateNormalizer",
-    "ActionRepeat",
     "ImageStateEnv",
-    "render_projections",
     "coerce_actions",
     "SyncVectorEnv",
     "make_vector_env",

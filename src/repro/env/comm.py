@@ -208,11 +208,6 @@ class TransitionRing:
         return int(self._head.value)
 
     @property
-    def drained(self) -> int:
-        """Total transitions ever drained."""
-        return int(self._tail.value)
-
-    @property
     def full_waits(self) -> int:
         """Pushes that had to block on a full ring (backpressure)."""
         return int(self._full_waits.value)

@@ -186,22 +186,9 @@ class DockingEnv:
         """Dtype of emitted states (float64 raw, float32 otherwise)."""
         return self.observation_spec.np_dtype.type
 
-    @property
-    def full_state_dim(self) -> int:
-        """Paper-shaped state length, independent of emission mode."""
-        return self.engine.state_dim()
-
     def static_state(self) -> np.ndarray | None:
         """Constant state prefix (float32) in compact mode, else None."""
         return self._codec.static_state()
-
-    def full_state(self) -> np.ndarray:
-        """Paper-shaped full state of the current pose (fresh float64).
-
-        Available in both modes -- checkpoints and external consumers
-        use this regardless of what the hot loop emits.
-        """
-        return self.engine.state_vector()
 
     @property
     def n_actions(self) -> int:

@@ -60,7 +60,7 @@ def make_env(
     from repro.metadock.engine import MetadockEngine
 
     if kind is None:
-        kind = "flexible" if getattr(cfg, "flexible_ligand", False) else "rigid"
+        kind = "flexible" if cfg.flexible_ligand else "rigid"
     if kind not in ENV_KINDS:
         raise ValueError(
             f"unknown env kind {kind!r}; choose from {ENV_KINDS}"
@@ -68,8 +68,8 @@ def make_env(
     if built is None:
         built = build_complex(cfg.complex)
     if comm is None:
-        comm = make_comm(getattr(cfg, "comm_mode", "ram"))
-    mode = getattr(cfg, "observation_mode", "raw")
+        comm = make_comm(cfg.comm_mode)
+    mode = cfg.observation_mode
 
     if kind == "flexible":
         return FlexibleDockingEnv(
@@ -146,7 +146,7 @@ def make_vector_env(
                 raise ValueError(
                     f"got {len(builts)} built complexes for n_envs={n_envs}"
                 )
-        if getattr(cfg, "observation_mode", "raw") == "compact":
+        if cfg.observation_mode == "compact":
             # Compact replay factors out ONE constant receptor prefix;
             # distinct complexes have distinct prefixes, so the
             # multi-complex curriculum must use the dense pipeline

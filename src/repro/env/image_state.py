@@ -50,19 +50,6 @@ def render_density(
     return np.tanh(out / 2.0)
 
 
-def render_projections(
-    receptor_coords: np.ndarray,
-    ligand_coords: np.ndarray,
-    center: np.ndarray,
-    extent: float,
-    resolution: int = 32,
-) -> np.ndarray:
-    """(6, res, res) stack: receptor channels 0-2, ligand channels 3-5."""
-    rec = render_density(receptor_coords, center, extent, resolution)
-    lig = render_density(ligand_coords, center, extent, resolution)
-    return np.concatenate([rec, lig], axis=0)
-
-
 class ImageStateEnv(Wrapper):
     """Replace the coordinate state with the 6-channel image stack.
 

@@ -20,7 +20,6 @@ from repro.experiments.baselines import (
 from repro.experiments.ablations import (
     AblationResult,
     run_comm_ablation,
-    run_variant_ablation,
 )
 from repro.experiments.reward_ablation import (
     RewardAblationResult,
@@ -50,7 +49,6 @@ __all__ = [
     "run_baseline_comparison",
     "AblationResult",
     "run_comm_ablation",
-    "run_variant_ablation",
     "RewardAblationResult",
     "RewardScheme",
     "run_reward_ablation",

@@ -1,12 +1,9 @@
-"""Ablations over the paper's design choices and future-work variants.
+"""Communication-layer ablation: RAM vs file engine<->agent channels.
 
-Two families:
-
-- :func:`run_comm_ablation` -- RAM vs file engine<->agent communication
-  (the paper's limitation #1): steps/sec with each channel;
-- :func:`run_variant_ablation` -- DQN vs DDQN vs dueling vs
-  distributional (Section 5's list), trained identically and compared on
-  final performance and curve shape.
+:func:`run_comm_ablation` measures the paper's limitation #1 as
+steps/sec with each channel.  The algorithm-variant comparison
+(Section 5) is ``repro sweep variant ...``
+(:func:`repro.experiments.sweep.run_sweep`).
 """
 
 from __future__ import annotations
@@ -20,10 +17,6 @@ from repro.chem.builders import build_complex
 from repro.config import DQNDockingConfig
 from repro.env.comm import FileComm, RamComm
 from repro.env.factory import make_env
-from repro.experiments.figure4 import (
-    Figure4Result,
-    run_figure4_experiment,
-)
 from repro.utils.tables import render_table
 
 
@@ -77,36 +70,3 @@ def run_comm_ablation(
         headers=("channel", "steps/sec", "ms/step"),
         rows=rows,
     )
-
-
-def run_variant_ablation(
-    cfg: DQNDockingConfig,
-    variants: tuple[str, ...] = ("dqn", "ddqn", "dueling", "dueling-ddqn"),
-) -> tuple[AblationResult, dict[str, Figure4Result]]:
-    """Train each algorithmic variant with identical settings.
-
-    Returns the comparison table and the per-variant results (so callers
-    can inspect curves).  Variants see identical seeds, environments and
-    budgets; differences are purely algorithmic.
-    """
-    rows = []
-    details: dict[str, Figure4Result] = {}
-    for variant in variants:
-        result = run_figure4_experiment(cfg.replace(variant=variant))
-        details[variant] = result
-        shape = result.shape()
-        rows.append(
-            (
-                variant,
-                f"{result.history.best_score:.2f}",
-                f"{shape.peak:.3f}",
-                f"{shape.last:.3f}",
-                "yes" if shape.paper_shape else "no",
-            )
-        )
-    table = AblationResult(
-        title="Algorithm-variant ablation (Section 5 future work)",
-        headers=("variant", "best score", "peak avg-max-Q", "final avg-max-Q", "rise+decline"),
-        rows=rows,
-    )
-    return table, details

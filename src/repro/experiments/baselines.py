@@ -20,7 +20,8 @@ from repro.metadock.engine import MetadockEngine
 from repro.metadock.metaheuristic import MetaheuristicSchema
 from repro.metadock.montecarlo import MonteCarloConfig, MonteCarloOptimizer
 from repro.metadock.strategies import STRATEGY_PRESETS
-from repro.rl.trainer import Trainer, greedy_rollout
+from repro.rl.evaluation import evaluate_policy
+from repro.rl.trainer import Trainer
 from repro.scoring.composite import interaction_score
 from repro.utils.tables import render_table
 
@@ -44,13 +45,6 @@ class BaselineComparison:
     def best_method(self) -> MethodResult:
         """The winner by best score."""
         return max(self.results, key=lambda r: r.best_score)
-
-    def result_for(self, method: str) -> MethodResult:
-        """Look up one method's row."""
-        for r in self.results:
-            if r.method == method:
-                return r
-        raise KeyError(f"no result for method {method!r}")
 
     def summary(self) -> str:
         """Ranked comparison table."""
@@ -157,10 +151,14 @@ def run_baseline_comparison(
             )
 
             def run_rollout() -> MethodResult:
-                rollout_best, _trace = greedy_rollout(
-                    env, agent, dqn_rollout_steps
+                rollout = evaluate_policy(
+                    env,
+                    agent,
+                    episodes=1,
+                    max_steps=dqn_rollout_steps,
+                    epsilon=0.0,
                 )
-                best = max(history.best_score, rollout_best)
+                best = max(history.best_score, rollout.max_best_score)
                 return MethodResult(
                     "dqn-docking",
                     best,

@@ -3,7 +3,9 @@
 Table 1 annotates several values as empirical choices (target-network
 period C, activation, learning rate).  This driver sweeps one knob at a
 time with everything else pinned, reporting the training-curve shape and
-docking outcomes per setting -- the study the paper defers.
+docking outcomes per setting -- the study the paper defers.  Sweeping
+``variant`` (``repro sweep variant dqn ddqn dueling ...``) is Section
+5's algorithm-variant comparison.
 """
 
 from __future__ import annotations
@@ -11,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.config import DQNDockingConfig
-from repro.experiments.figure4 import (
-    CurveShape,
-    Figure4Result,
-    run_figure4_experiment,
-)
+from repro.experiments.figure4 import Figure4Result, run_figure4_experiment
 from repro.utils.tables import render_table
 
 
@@ -28,10 +24,6 @@ class SweepResult:
 
     parameter: str
     results: dict[Any, Figure4Result] = field(default_factory=dict)
-
-    def shapes(self) -> dict[Any, CurveShape]:
-        """Curve-shape metrics per setting."""
-        return {v: r.shape() for v, r in self.results.items()}
 
     def best_setting(self) -> Any:
         """The swept value with the highest best docking score."""
@@ -52,13 +44,21 @@ class SweepResult:
                     f"{s.peak:.2f}",
                     f"{s.last:.2f}",
                     f"{h.docking_success_rate(2.0):.0%}",
+                    "yes" if s.paper_shape else "no",
                 )
             )
         return render_table(
-            (self.parameter, "best score", "peak Q", "final Q", "success@2A"),
+            (
+                self.parameter,
+                "best score",
+                "peak Q",
+                "final Q",
+                "success@2A",
+                "rise+decline",
+            ),
             rows,
             title=f"Sweep over {self.parameter}",
-            align=("l", "r", "r", "r", "r"),
+            align=("l", "r", "r", "r", "r", "l"),
         )
 
 

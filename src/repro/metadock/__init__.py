@@ -19,9 +19,9 @@ Modules:
   instantiations of the schema;
 - :mod:`repro.metadock.montecarlo` -- Metropolis Monte Carlo baseline
   (the "traditional model" METADOCK is contrasted with);
-- :mod:`repro.metadock.parallel` -- multiprocessing pose evaluation;
-- :mod:`repro.metadock.library` / :mod:`repro.metadock.screening` --
-  ZINC-like synthetic ligand libraries and the screening driver.
+- :mod:`repro.metadock.library` -- ZINC-like synthetic ligand
+  libraries (screened by :mod:`repro.screening.driver`);
+- :mod:`repro.metadock.blind` -- blind docking over every surface spot.
 """
 
 from repro.metadock.pose import Pose, apply_pose
@@ -40,7 +40,6 @@ from repro.metadock.strategies import (
 )
 from repro.metadock.montecarlo import MonteCarloOptimizer, MonteCarloResult
 from repro.metadock.library import generate_library
-from repro.metadock.screening import screen_library, ScreeningHit
 from repro.metadock.blind import blind_dock, BlindDockingResult, SpotResult
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "MonteCarloOptimizer",
     "MonteCarloResult",
     "generate_library",
-    "ScreeningHit",
-    "screen_library",
     "blind_dock",
     "BlindDockingResult",
     "SpotResult",

@@ -10,6 +10,7 @@ are merged into a ranked list of candidate sites.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,11 +22,15 @@ from repro.metadock.metaheuristic import (
     MetaheuristicParams,
     MetaheuristicSchema,
 )
-from repro.metadock.parallel import default_workers
 from repro.metadock.pose import Pose
 from repro.metadock.spots import Spot, surface_spots
 from repro.metadock.strategies import STRATEGY_PRESETS
 from repro.utils.rng import RngFactory
+
+
+def default_workers() -> int:
+    """Worker count: physical-ish core count, capped for test machines."""
+    return max(1, min(8, (os.cpu_count() or 2)))
 
 
 @dataclass(frozen=True)

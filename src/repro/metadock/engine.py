@@ -203,17 +203,6 @@ class MetadockEngine:
         """12 rigid actions plus 2 per driven torsion."""
         return 12 + 2 * self.n_torsions
 
-    def action_labels(self) -> list[str]:
-        """Human-readable action names, index-aligned with apply_action."""
-        labels = [
-            "+shift-x", "-shift-x", "+shift-y", "-shift-y",
-            "+shift-z", "-shift-z",
-            "+rot-x", "-rot-x", "+rot-y", "-rot-y", "+rot-z", "-rot-z",
-        ]
-        for k in range(self.n_torsions):
-            labels += [f"+twist-{k}", f"-twist-{k}"]
-        return labels
-
     def apply_action(self, action: int) -> None:
         """Mutate the current pose by discrete action ``action``."""
         a = int(action)
@@ -251,11 +240,6 @@ class MetadockEngine:
         self.pose = self._initial_pose if pose is None else pose
         self._invalidate()
         return self.observe() if observe else None
-
-    def set_pose(self, pose: Pose) -> None:
-        """Replace the current pose (used by optimizers)."""
-        self.pose = pose
-        self._invalidate()
 
     def _invalidate(self) -> None:
         self._coords_cache = None

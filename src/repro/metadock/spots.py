@@ -102,12 +102,3 @@ def surface_spots(
             )
         )
     return spots
-
-
-def spot_containing(spots: list[Spot], point: np.ndarray) -> int | None:
-    """Index of the first spot whose ball contains ``point`` (or None)."""
-    p = np.asarray(point, dtype=float)
-    for k, s in enumerate(spots):
-        if np.linalg.norm(p - s.center) <= s.radius:
-            return k
-    return None

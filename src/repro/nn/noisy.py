@@ -112,12 +112,6 @@ class NoisyDense(Layer):
     def grads(self) -> list[np.ndarray]:
         return [self.d_mu_w, self.d_sigma_w, self.d_mu_b, self.d_sigma_b]
 
-    def mean_sigma(self) -> float:
-        """Average |sigma| -- the network's current exploration appetite."""
-        return float(
-            (np.abs(self.sigma_w).mean() + np.abs(self.sigma_b).mean()) / 2
-        )
-
 
 def resample_network_noise(net) -> None:
     """Resample every NoisyDense layer in an MLP (no-op for others)."""

@@ -110,10 +110,6 @@ class SharedWeightBlock:
             row[lo:hi] = np.asarray(p, dtype=self.dtype).ravel()
         self._slot_version[j] = version
 
-    def applied_versions(self) -> np.ndarray:
-        """Per-actor last-applied version (copy; -1 = never fetched)."""
-        return self._applied.copy()
-
     # -- actor side -------------------------------------------------------
     def fetch(
         self,

@@ -83,10 +83,6 @@ class TrainingHistory:
         """Best engine score reached in each episode."""
         return np.asarray([e.best_score for e in self.episodes])
 
-    def reward_series(self) -> np.ndarray:
-        """Total clipped reward per episode."""
-        return np.asarray([e.total_reward for e in self.episodes])
-
     def rmsd_series(self) -> np.ndarray:
         """Minimum crystal RMSD per episode (NaN where unavailable)."""
         return np.asarray([e.min_crystal_rmsd for e in self.episodes])

@@ -158,19 +158,9 @@ class ReplayMemory:
     # -- compact-layout helpers -----------------------------------------
 
     @property
-    def is_compact(self) -> bool:
-        """True when states are stored as static prefix + dynamic tail."""
-        return self._compact
-
-    @property
     def prefix_len(self) -> int:
         """Length of the shared static prefix (0 for dense storage)."""
         return self._prefix_len if self._compact else 0
-
-    @property
-    def tail_dim(self) -> int:
-        """Length of the per-transition dynamic tail."""
-        return self._tail_dim if self._compact else self.state_dim
 
     def _tail_of(self, arr) -> np.ndarray:
         """Dynamic tail of ``arr`` (accepts full states or bare tails)."""
@@ -348,11 +338,6 @@ class ReplayMemory:
             next_state=next_state,
             terminal=bool(self._terminals[index]),
         )
-
-    @property
-    def is_full(self) -> bool:
-        """True once the ring has wrapped."""
-        return self._size == self.capacity
 
     # -- checkpointing --------------------------------------------------
 

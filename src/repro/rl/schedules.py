@@ -38,12 +38,6 @@ class LinearSchedule:
         lo, hi = sorted((self.start, self.final))
         return float(np.clip(value, lo, hi))
 
-    def steps_to_final(self) -> float:
-        """Steps until the schedule saturates (inf when decay is 0)."""
-        if self.decay == 0:
-            return float("inf")
-        return abs(self.start - self.final) / self.decay
-
 
 class EpsilonGreedy:
     """Epsilon-greedy action selection over a Q-value callable.

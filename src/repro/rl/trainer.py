@@ -182,25 +182,3 @@ class Trainer:
             cb.on_train_end(history)
         return history
 
-
-def greedy_rollout(
-    env: SupportsEnv, agent, max_steps: int
-) -> tuple[float, list[float]]:
-    """Deploy a trained agent greedily; returns (best score, score trace).
-
-    This is the paper's end goal: once the NN is trained, docking is a
-    cheap greedy walk instead of a costly stochastic search.
-    """
-    state = env.reset()
-    scores: list[float] = []
-    best = float("-inf")
-    for _ in range(max_steps):
-        action = agent.greedy_action(state)
-        state, _reward, done, info = env.step(action)
-        s = info.get("score", float("nan"))
-        if np.isfinite(s):
-            scores.append(s)
-            best = max(best, s)
-        if done:
-            break
-    return best, scores

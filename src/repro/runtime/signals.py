@@ -56,7 +56,6 @@ class ShutdownGuard:
     def __init__(self, signals=(signal.SIGINT, signal.SIGTERM)):
         self.signals = tuple(signals)
         self._stop = False
-        self._received: Optional[int] = None
         self._previous: dict = {}
         self._installed = False
 
@@ -64,11 +63,6 @@ class ShutdownGuard:
     def stop_requested(self) -> bool:
         """True once a signal has been received (or stop was forced)."""
         return self._stop
-
-    @property
-    def signal_number(self) -> Optional[int]:
-        """The first signal received, if any."""
-        return self._received
 
     def request_stop(self) -> None:
         """Set the flag programmatically (tests, embedding hosts)."""
@@ -79,7 +73,6 @@ class ShutdownGuard:
             # Second signal: the user really means it.
             raise KeyboardInterrupt(f"second signal {signum}")
         self._stop = True
-        self._received = signum
 
     def install(self) -> "ShutdownGuard":
         """Install handlers (idempotent; no-op off the main thread)."""

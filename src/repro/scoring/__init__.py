@@ -25,7 +25,6 @@ over :mod:`repro.scoring.neighborlist` -- the Verlet-list scorer
 
 from repro.scoring.composite import (
     ScoreBreakdown,
-    interaction_energy,
     interaction_score,
     score_pose_batch,
 )
@@ -50,7 +49,6 @@ from repro.scoring.scorers import (
 
 __all__ = [
     "ScoreBreakdown",
-    "interaction_energy",
     "interaction_score",
     "score_pose_batch",
     "lennard_jones_energy",

@@ -270,11 +270,6 @@ def interaction_breakdown(
     )
 
 
-def interaction_energy(receptor: Molecule, ligand: Molecule, **kw) -> float:
-    """Total Eq. 1 energy (kcal/mol; lower = better)."""
-    return interaction_breakdown(receptor, ligand, **kw).energy
-
-
 def interaction_score(receptor: Molecule, ligand: Molecule, **kw) -> float:
     """The METADOCK score: negated Eq. 1 energy (higher = better)."""
     return interaction_breakdown(receptor, ligand, **kw).score

@@ -1,11 +1,12 @@
 """Sharded, resumable virtual-screening driver.
 
-The service layer over :mod:`repro.metadock.screening`: a ligand
-library is planned into deterministic shards (:mod:`repro.screening.
-plan`), shards fan out across worker processes that each receive the
-receptor complex **once** via the pool initializer (the
-:mod:`repro.metadock.parallel` pattern), and per-shard results stream
-into the run directory as they land:
+Each compound of a ligand library gets its pose optimized by one
+metaheuristic strategy (:func:`screen_ligand`) or by a trained policy,
+and compounds are ranked by best score.  The library is planned into
+deterministic shards (:mod:`repro.screening.plan`), shards fan out
+across worker processes that each receive the receptor complex
+**once** via the pool initializer, and per-shard results stream into
+the run directory as they land:
 
 - ``hits.jsonl`` -- one fsynced JSON line per screened ligand;
 - ``screen_ranking.json`` -- the final atomic ranking artefact;
@@ -50,11 +51,14 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.chem.builders import BuiltComplex
+from repro.chem.molecule import Molecule
+from repro.metadock.engine import MetadockEngine
 from repro.metadock.library import LibraryEntry
-from repro.metadock.screening import ScreeningHit, _engine_for, screen_ligand
+from repro.metadock.metaheuristic import MetaheuristicSchema
+from repro.metadock.montecarlo import MonteCarloConfig, MonteCarloOptimizer
 from repro.metadock.strategies import STRATEGY_PRESETS
 from repro.runtime.loop import RunInterrupted, RuntimeContext
-from repro.screening.plan import ShardPlan, plan_shards, ranking_key
+from repro.screening.plan import plan_shards, ranking_key
 from repro.screening.policy import PolicyBundle, greedy_rollout, load_policy
 from repro.scoring.scorers import receptor_cache, validate_scoring_kwargs
 from repro.telemetry.sinks import JsonlEventSink
@@ -72,6 +76,83 @@ HITS_NAME = "hits.jsonl"
 
 #: Final atomic ranking artefact (what CI compares for bit-equality).
 RANKING_NAME = "screen_ranking.json"
+
+
+@dataclass(frozen=True)
+class ScreeningHit:
+    """One ranked screening result."""
+
+    compound_id: str
+    best_score: float
+    evaluations: int
+    n_atoms: int
+
+
+def _engine_for(
+    built: BuiltComplex,
+    ligand: Molecule,
+    *,
+    scoring_method: str = "exact",
+    scoring_kwargs: dict | None = None,
+) -> MetadockEngine:
+    """Engine over ``built``'s receptor with a substituted ligand."""
+    centered = ligand.with_coords(ligand.coords - ligand.centroid())
+    initial = centered.translated(
+        built.pocket_axis
+        * (built.config.receptor_radius + built.config.initial_offset)
+    )
+    initial.name = f"{ligand.name}-initial"
+    sub = dataclasses.replace(
+        built,
+        ligand_crystal=centered.translated(built.pocket_center),
+        ligand_initial=initial,
+    )
+    return MetadockEngine(
+        sub,
+        scoring_method=scoring_method,
+        scoring_kwargs=scoring_kwargs,
+    )
+
+
+def screen_ligand(
+    built: BuiltComplex,
+    entry: LibraryEntry,
+    *,
+    strategy: str = "scatter",
+    budget: int = 400,
+    seed: int = 0,
+    scoring_method: str = "exact",
+    scoring_kwargs: dict | None = None,
+) -> ScreeningHit:
+    """Optimize one compound's pose; return its best score."""
+    engine = _engine_for(
+        built,
+        entry.ligand,
+        scoring_method=scoring_method,
+        scoring_kwargs=scoring_kwargs,
+    )
+    if strategy == "montecarlo":
+        opt = MonteCarloOptimizer(
+            engine,
+            MonteCarloConfig(steps=budget, restarts=2),
+            seed=seed,
+        )
+        result = opt.run()
+    else:
+        try:
+            params = STRATEGY_PRESETS[strategy](budget)
+        except KeyError:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; options: "
+                f"{sorted(STRATEGY_PRESETS) + ['montecarlo']}"
+            ) from None
+        result = MetaheuristicSchema(engine, params, seed=seed).run()
+    return ScreeningHit(
+        compound_id=entry.compound_id,
+        best_score=float(result.best_score),
+        evaluations=int(result.evaluations),
+        n_atoms=entry.n_atoms,
+    )
 
 
 def _valid_strategies() -> list[str]:
@@ -260,9 +341,7 @@ def _run_shard(task: tuple) -> dict:
             worker["network"],
             engines,
             max_steps=config.policy_max_steps,
-            observation_mode=getattr(
-                worker["policy"], "observation_mode", "raw"
-            ),
+            observation_mode=worker["policy"].observation_mode,
         )
         forward_passes = stats.forward_passes
         score_batch_calls = stats.score_batch_calls
@@ -310,8 +389,8 @@ def run_screening(
 ) -> ScreeningResult:
     """Screen ``library`` against ``built`` per ``config``.
 
-    ``workers=1`` runs every shard in-process (semantics and ranking
-    bitwise identical to the legacy serial ``screen_library``);
+    ``workers=1`` runs every shard in-process (ranking bitwise
+    identical to calling :func:`screen_ligand` on each ligand in turn);
     ``workers>=2`` fans pending shards over a process pool.  With a
     ``runtime``, completed shards memoize and an interrupt surfaces as
     :class:`~repro.runtime.loop.RunInterrupted` at a shard boundary.

@@ -1,8 +1,8 @@
 """Deterministic shard planning for the virtual-screening service.
 
 A screening run is partitioned into contiguous shards of library
-entries.  The per-ligand seeds are derived exactly as the serial
-:func:`repro.metadock.screening.screen_library` derives them -- one
+entries.  The per-ligand seeds are derived exactly as a serial loop
+over the library would derive them -- one
 ``RngFactory(seed).seeds("screening", n_ligands)`` draw over the *whole*
 library, then sliced per shard -- so the work a ligand receives is a
 pure function of ``(master seed, library index)``, independent of the

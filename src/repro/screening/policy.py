@@ -68,11 +68,6 @@ class PolicyBundle:
     observation_mode: str = "raw"
 
     @property
-    def input_dim(self) -> int:
-        """Expected state-vector length (first weight's fan-in)."""
-        return int(self.arrays["p0"].shape[0])
-
-    @property
     def n_actions(self) -> int:
         """Q-head width (last bias length)."""
         last = max(

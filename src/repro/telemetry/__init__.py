@@ -9,8 +9,8 @@ wall-clock cost).  It has four layers, composable bottom-up:
 - :mod:`repro.telemetry.spans` -- nested wall-time spans with
   parent/child attribution;
 - :mod:`repro.telemetry.sinks` -- pluggable persistence
-  (:class:`JsonlEventSink`, :class:`CsvMetricsSink`,
-  :class:`MemorySink`) behind the :class:`TelemetrySink` protocol;
+  (:class:`JsonlEventSink`, :class:`CsvMetricsSink`) behind the
+  :class:`TelemetrySink` protocol;
 - :mod:`repro.telemetry.run` -- :class:`TelemetryRun` ties a run
   directory (manifest.json / events.jsonl / metrics.csv) together and
   exposes a :class:`TrainerCallback` for the training loops.
@@ -21,7 +21,6 @@ report from the emitted files alone.
 
 from repro.telemetry.callbacks import (
     CallbackList,
-    RecordingCallback,
     StepInfo,
     TrainerCallback,
 )
@@ -42,8 +41,6 @@ from repro.telemetry.run import (
 from repro.telemetry.sinks import (
     CsvMetricsSink,
     JsonlEventSink,
-    MemorySink,
-    NullSink,
     TelemetrySink,
     read_events,
     read_metrics_csv,
@@ -61,10 +58,7 @@ __all__ = [
     "JsonlEventSink",
     "MANIFEST_NAME",
     "METRICS_NAME",
-    "MemorySink",
     "MetricsRegistry",
-    "NullSink",
-    "RecordingCallback",
     "RunManifest",
     "RunRecord",
     "SNAPSHOT_COLUMNS",

@@ -15,7 +15,7 @@ Hook order per run::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,3 @@ class CallbackList(TrainerCallback):
     def on_train_end(self, history: Any) -> None:
         for c in self.callbacks:
             c.on_train_end(history)
-
-
-class RecordingCallback(TrainerCallback):
-    """Records ``(hook_name, payload)`` tuples; the test double."""
-
-    def __init__(self) -> None:
-        self.calls: List[Tuple[str, Any]] = []
-
-    def on_train_start(self, trainer: Any = None) -> None:
-        self.calls.append(("train_start", trainer))
-
-    def on_episode_start(self, episode: int) -> None:
-        self.calls.append(("episode_start", episode))
-
-    def on_step(self, info: StepInfo) -> None:
-        self.calls.append(("step", info))
-
-    def on_episode_end(self, stats: Any) -> None:
-        self.calls.append(("episode_end", stats))
-
-    def on_train_end(self, history: Any) -> None:
-        self.calls.append(("train_end", history))
-
-    def hook_sequence(self) -> List[str]:
-        """Just the hook names, in call order."""
-        return [name for name, _ in self.calls]

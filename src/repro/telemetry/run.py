@@ -224,13 +224,10 @@ class TelemetryCallback(TrainerCallback):
         self.run.flush()
 
     def on_train_end(self, history: Any) -> None:
-        payload: dict[str, Any] = {}
-        for name in ("total_steps", "wall_seconds"):
-            value = getattr(history, name, None)
-            if value is not None:
-                payload[name] = value
-        best = getattr(history, "best_score", None)
-        if best is not None:
-            payload["best_score"] = best
-        self.run.emit("train_end", **payload)
+        self.run.emit(
+            "train_end",
+            total_steps=history.total_steps,
+            wall_seconds=history.wall_seconds,
+            best_score=history.best_score,
+        )
         self.run.flush()

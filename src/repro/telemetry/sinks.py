@@ -1,13 +1,12 @@
 """Pluggable telemetry sinks with buffered, crash-safe flushing.
 
-A sink receives flat dict records and owns their persistence.  Three
-implementations cover the run/inspect/test triangle:
+A sink receives flat dict records and owns their persistence.  Two
+implementations back a run directory:
 
 - :class:`JsonlEventSink` -- append-only ``events.jsonl``, one JSON
   object per line (the structured event log);
 - :class:`CsvMetricsSink` -- rectangular ``metrics.csv`` in the
-  registry's snapshot schema;
-- :class:`MemorySink` -- in-process list for unit tests.
+  registry's snapshot schema.
 
 Producers never format records themselves; everything that reaches a
 sink is made JSON-safe here (NaN/Inf become ``null`` so every emitted
@@ -62,39 +61,6 @@ def json_safe(obj: Any) -> Any:
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-class MemorySink:
-    """Keeps records in a list; the test double."""
-
-    def __init__(self) -> None:
-        self.records: List[dict] = []
-        self.flush_calls = 0
-        self.closed = False
-
-    def emit(self, record: dict) -> None:
-        if self.closed:
-            raise RuntimeError("emit() on a closed sink")
-        self.records.append(json_safe(record))
-
-    def flush(self) -> None:
-        self.flush_calls += 1
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class NullSink:
-    """Discards everything (the disabled-telemetry fast path)."""
-
-    def emit(self, record: dict) -> None:  # noqa: D102 - protocol impl
-        pass
-
-    def flush(self) -> None:  # noqa: D102
-        pass
-
-    def close(self) -> None:  # noqa: D102
-        pass
 
 
 class JsonlEventSink:

@@ -157,21 +157,3 @@ class SpanTracer:
                 f"self={self.self_time(s.path):9.4f}s"
             )
         return "\n".join(lines)
-
-    def flat_report(self) -> str:
-        """Flat report aggregated by leaf name."""
-        totals = self.totals_by_name()
-        if not totals:
-            return "(no timed sections)"
-        counts = self.counts_by_name()
-        width = max(len(k) for k in totals)
-        lines = []
-        for name in sorted(totals, key=totals.get, reverse=True):
-            n = counts[name]
-            mean = totals[name] / n if n else 0.0
-            lines.append(
-                f"{name:<{width}}  total={totals[name]:9.4f}s  "
-                f"calls={n:>6}  "
-                f"mean={mean * 1e3:9.4f}ms"
-            )
-        return "\n".join(lines)

@@ -5,12 +5,12 @@ All stochastic components in the library take either an integer seed or a
 :class:`RngFactory` hands out independent child generators for subsystems
 (environment, agent, replay sampling, ...) so that changing how many random
 draws one subsystem makes never perturbs another -- a requirement for the
-reproducible parallel workers in :mod:`repro.metadock.parallel`.
+reproducible parallel workers of blind docking and screening.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,21 +28,6 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` statistically independent seed sequences from ``seed``."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        base = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-        if not isinstance(base, np.random.SeedSequence):  # pragma: no cover
-            base = np.random.SeedSequence(int(seed.integers(2**63)))
-    elif isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(seed)
-    return list(base.spawn(n))
 
 
 def generator_state(gen: np.random.Generator) -> dict:
@@ -121,29 +106,3 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(entropy={self._base_entropy[0]})"
-
-
-def sobol_like_grid(n: int, dims: int, rng: SeedLike = None) -> np.ndarray:
-    """Low-discrepancy-ish points in the unit cube via jittered lattice.
-
-    Used to seed metaheuristic populations with well-spread initial poses
-    without depending on scipy.stats.qmc internals.  Returns ``(n, dims)``.
-    """
-    if n <= 0:
-        return np.empty((0, dims))
-    gen = as_generator(rng)
-    # Kronecker (golden-ratio generalization) lattice + uniform jitter.
-    phis = _kronecker_alphas(dims)
-    idx = np.arange(1, n + 1)[:, None]
-    points = (idx * phis[None, :]) % 1.0
-    jitter = gen.uniform(-0.5 / n, 0.5 / n, size=(n, dims))
-    return np.mod(points + jitter, 1.0)
-
-
-def _kronecker_alphas(dims: int) -> np.ndarray:
-    """Irrational step vector for the Kronecker lattice (R_d sequence)."""
-    # Generalized golden ratio: unique positive root of x^(d+1) = x + 1.
-    g = 1.5
-    for _ in range(64):
-        g = (1.0 + g) ** (1.0 / (dims + 1))
-    return np.array([1.0 / g ** (k + 1) for k in range(dims)]) % 1.0

@@ -1,4 +1,4 @@
-"""Streaming statistics used by training metrics and normalizers."""
+"""Streaming statistics behind the telemetry histograms."""
 
 from __future__ import annotations
 
@@ -49,47 +49,3 @@ class RunningStats:
         """Population standard deviation."""
         v = self.variance
         return math.sqrt(v) if self._shape == () else np.sqrt(v)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return stats equivalent to having seen both streams (Chan et al.).
-
-        Used to combine per-worker statistics from parallel pose
-        evaluation without sharing state across processes.
-        """
-        if other._shape != self._shape:
-            raise ValueError("cannot merge stats of different shapes")
-        out = RunningStats(self._shape)
-        n = self.count + other.count
-        if n == 0:
-            return out
-        delta = other._mean - self._mean
-        out.count = n
-        out._mean = self._mean + delta * (other.count / n)
-        out._m2 = (
-            self._m2
-            + other._m2
-            + delta**2 * (self.count * other.count / n)
-        )
-        return out
-
-
-class ExponentialMovingAverage:
-    """EMA with bias correction, for smoothed training curves."""
-
-    def __init__(self, alpha: float = 0.1) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        self.alpha = alpha
-        self._value = 0.0
-        self._weight = 0.0
-
-    def update(self, x: float) -> float:
-        """Fold ``x`` in and return the corrected average."""
-        self._value = (1 - self.alpha) * self._value + self.alpha * float(x)
-        self._weight = (1 - self.alpha) * self._weight + self.alpha
-        return self.value
-
-    @property
-    def value(self) -> float:
-        """Bias-corrected average (0.0 before any update)."""
-        return self._value / self._weight if self._weight else 0.0

@@ -106,8 +106,3 @@ def decode_history(data):
         wall_seconds=raw["wall_seconds"],
         timer_report=raw.get("timer_report", ""),
     )
-
-
-def load_history(path: PathLike):
-    """Reconstruct a TrainingHistory saved by :func:`save_history`."""
-    return decode_history(load_json(path))

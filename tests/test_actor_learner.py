@@ -281,7 +281,7 @@ class TestSidecar:
         assert not np.array_equal(q1, q0)
         for tail, q in zip(tails, q1):
             np.testing.assert_array_equal(q, agent.predict_q(tail))
-        assert block.applied_versions()[0] == 1
+        assert block._applied[0] == 1
 
     def test_sidecar_reads_q_through_the_agents_head(self):
         from repro.rl.agent import AgentConfig, DQNAgent

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chem.descriptors import (
-    Descriptors,
-    compute_descriptors,
-    library_diversity,
-)
+from repro.chem.descriptors import compute_descriptors
 from repro.chem.molecule import Molecule
 
 
@@ -36,34 +32,6 @@ class TestComputeDescriptors:
         assert d.n_rotatable_bonds >= 2
         assert d.max_extent >= d.radius_of_gyration
 
-    def test_lipinski_small_molecule_zero_violations(self, small_complex):
-        d = compute_descriptors(small_complex.ligand_crystal)
-        assert d.lipinski_violations() == 0
-
-    def test_lipinski_violations_counted(self):
-        d = Descriptors(
-            n_atoms=100, n_heavy_atoms=60, molecular_weight=700.0,
-            net_charge=0.0, n_rotatable_bonds=10, n_hbond_donors=8,
-            n_hbond_acceptors=12, radius_of_gyration=6.0, max_extent=10.0,
-        )
-        assert d.lipinski_violations() == 3
-
     def test_vector_shape(self, small_complex):
         v = compute_descriptors(small_complex.ligand_crystal).as_vector()
         assert v.shape == (9,)
-
-
-class TestLibraryDiversity:
-    def test_identical_library_zero(self, small_complex):
-        lig = small_complex.ligand_crystal
-        assert library_diversity([lig, lig.copy()]) == 0.0
-
-    def test_diverse_library_positive(self):
-        from repro.metadock.library import generate_library
-        from tests.conftest import SMALL_COMPLEX_CFG
-
-        lib = generate_library(SMALL_COMPLEX_CFG, 4, seed=0)
-        assert library_diversity([e.ligand for e in lib]) > 0.0
-
-    def test_singleton_zero(self, small_complex):
-        assert library_diversity([small_complex.ligand_crystal]) == 0.0

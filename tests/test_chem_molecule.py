@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chem.elements import ELEMENTS, element, vdw_parameters
+from repro.chem.elements import ELEMENTS, element
 from repro.chem.molecule import Molecule
 
 
@@ -29,11 +29,6 @@ class TestElements:
             element("XX")
         with pytest.raises(KeyError):
             element(999)
-
-    def test_vdw_parameters_vectorized(self):
-        sigma, eps = vdw_parameters(["C", "O"])
-        assert sigma[0] == ELEMENTS["C"].sigma
-        assert eps[1] == ELEMENTS["O"].epsilon
 
     def test_donor_acceptor_flags_sensible(self):
         assert ELEMENTS["O"].hbond_acceptor and ELEMENTS["N"].hbond_acceptor
@@ -134,17 +129,6 @@ class TestEditing:
         c = w.copy()
         c.coords[0, 0] = 99.0
         assert w.coords[0, 0] == 0.0
-
-    def test_subset_remaps_bonds(self):
-        w = water()
-        sub = w.subset([0, 1])
-        assert sub.n_atoms == 2
-        assert sub.n_bonds == 1
-        np.testing.assert_array_equal(sub.bonds, [[0, 1]])
-
-    def test_subset_out_of_range(self):
-        with pytest.raises(IndexError):
-            water().subset([0, 7])
 
     def test_concatenate_offsets_bonds(self):
         w = water()

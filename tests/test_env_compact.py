@@ -75,10 +75,6 @@ class TestCompactEnv:
         assert state.dtype == np.float32
         assert state.shape == (compact_env.engine.dynamic_dim(),)
         assert compact_env.state_dtype == np.float32
-        assert (
-            compact_env.full_state_dim
-            == compact_env.engine.state_dim()
-        )
         assert compact_env.static_state() is not None
 
     def test_dense_env_contract_unchanged(self, env):
@@ -86,11 +82,10 @@ class TestCompactEnv:
         assert state.dtype == np.float64
         assert env.state_dtype == np.float64
         assert env.static_state() is None
-        assert env.full_state_dim == env.state_dim
 
     def test_full_state_is_prefix_plus_tail(self, compact_env):
         tail = compact_env.reset()
-        full = compact_env.full_state()
+        full = compact_env.engine.state_vector()
         p = compact_env.static_state().shape[0]
         np.testing.assert_array_equal(
             full[p:].astype(np.float32), tail
@@ -225,7 +220,7 @@ class TestEndToEnd:
         dense = run_figure4_experiment(dense_cfg)
         compact = run_figure4_experiment(compact_cfg)
         assert compact.agent.static_state is not None
-        assert compact.agent.replay.is_compact
+        assert compact.agent.replay.prefix_len > 0
         assert (
             dense.history.total_steps == compact.history.total_steps
         )
@@ -242,8 +237,8 @@ class TestEndToEnd:
     def test_build_agent_for_env_compact(self, compact_env):
         cfg = ci_scale_config(episodes=2, observation_mode="compact")
         agent = build_agent_for_env(cfg, compact_env)
-        assert agent.config.state_dim == compact_env.full_state_dim
-        assert agent.replay.is_compact
+        assert agent.config.state_dim == compact_env.engine.state_dim()
+        assert agent.replay.prefix_len > 0
         tail = compact_env.reset()
         action, q = agent.act(tail, 0)
         assert q.shape[-1] == compact_env.n_actions
@@ -259,7 +254,7 @@ class TestEndToEnd:
         try:
             agent = build_agent(
                 cfg,
-                venv.envs[0].full_state_dim,
+                venv.envs[0].engine.state_dim(),
                 venv.n_actions,
                 static_state=venv.envs[0].static_state(),
             )
@@ -299,7 +294,7 @@ class TestPaperWidth:
         assert env.observation_spec.full_dim == 10_059
         assert agent.config.state_dim == 10_059
         assert agent.q_net.params()[0].shape[0] == 10_059
-        assert agent.replay.is_compact
+        assert agent.replay.prefix_len > 0
         history = Trainer(
             env,
             agent,

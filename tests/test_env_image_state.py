@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.env.docking_env import DockingEnv
-from repro.env.image_state import (
-    ImageStateEnv,
-    render_density,
-    render_projections,
-)
+from repro.env.image_state import ImageStateEnv, render_density
 from repro.metadock.engine import MetadockEngine
 from repro.nn.conv import build_cnn
 from repro.rl.agent import AgentConfig, DQNAgent
@@ -52,16 +48,6 @@ class TestRenderDensity:
             render_density(np.zeros((1, 3)), np.zeros(3), 5.0, 1)
         with pytest.raises(ValueError):
             render_density(np.zeros((1, 3)), np.zeros(3), 0.0, 8)
-
-    def test_projections_stack(self, rng):
-        out = render_projections(
-            rng.normal(size=(20, 3)),
-            rng.normal(size=(5, 3)),
-            np.zeros(3),
-            10.0,
-            resolution=12,
-        )
-        assert out.shape == (6, 12, 12)
 
 
 class TestImageStateEnv:

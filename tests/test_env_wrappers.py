@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.env.comm import FileComm, RamComm, make_comm
-from repro.env.wrappers import StateNormalizer, TimeLimit
+from repro.env.wrappers import TimeLimit
 
 
 class FakeEnv:
@@ -62,30 +62,6 @@ class TestTimeLimit:
         env = TimeLimit(FakeEnv(), 5)
         assert env.n_actions == 2
         assert env.state_dim == 3
-
-
-class TestStateNormalizer:
-    def test_stabilizes_statistics(self):
-        env = StateNormalizer(FakeEnv())
-        env.reset()
-        states = [env.step(0)[0] for _ in range(200)]
-        tail = np.stack(states[-50:])
-        # z-scored growing sequence: magnitudes bounded, not exploding
-        assert np.abs(tail).max() < 10.0
-
-    def test_freeze_after(self):
-        env = StateNormalizer(FakeEnv(), freeze_after=5)
-        env.reset()
-        for _ in range(10):
-            env.step(0)
-        # Stats freeze once they hold exactly freeze_after observations.
-        assert env._stats.count == 5
-
-    def test_constant_dim_not_nan(self):
-        env = StateNormalizer(FakeEnv())
-        env.reset()
-        s, *_ = env.step(0)
-        assert np.isfinite(s).all()
 
 
 class TestCommChannels:

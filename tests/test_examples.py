@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.utils.serialization import load_history
+from repro.utils.serialization import decode_history, load_json
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -62,7 +62,7 @@ class TestExamples:
         assert "Figure 4: average max predicted Q" in out
         assert "terminations:" in out
         assert "frozen-policy eval" in out
-        assert len(load_history(out_file).episodes) == 6
+        assert len(decode_history(load_json(out_file)).episodes) == 6
 
     def test_blind_docking(self):
         out = run_example(

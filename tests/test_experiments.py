@@ -1,7 +1,6 @@
 """Experiment drivers: Table 1, Figure 4, geometry, baselines, ablations."""
 
 import numpy as np
-import pytest
 
 from repro.config import PAPER_CONFIG, ci_scale_config
 from repro.experiments.ablations import run_comm_ablation
@@ -141,8 +140,6 @@ class TestBaselineComparison:
             cfg, budget=100, strategies=("random",), include_dqn=False
         )
         assert "best score" in comp.summary()
-        with pytest.raises(KeyError):
-            comp.result_for("nonexistent")
 
     def test_optimizers_beat_untrained_exploration(self):
         # Classical optimizers should comfortably beat the random-walk
@@ -151,7 +148,9 @@ class TestBaselineComparison:
         comp = run_baseline_comparison(
             cfg, budget=250, strategies=("local",), include_dqn=True
         )
-        local = comp.result_for("metaheuristic-local")
+        (local,) = [
+            r for r in comp.results if r.method == "metaheuristic-local"
+        ]
         assert local.best_score > 0.3 * comp.crystal_score
 
 

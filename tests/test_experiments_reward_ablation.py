@@ -9,7 +9,18 @@ from repro.experiments.reward_ablation import (
     run_reward_ablation,
 )
 
-from tests.test_env_action_repeat import ScoreDeltaEnv
+from tests.test_env_wrappers import FakeEnv
+
+
+class ScoreDeltaEnv(FakeEnv):
+    """FakeEnv variant reporting score_delta like DockingEnv does."""
+
+    def step(self, action):
+        state, reward, done, info = super().step(action)
+        delta = 1.0 if action == 0 else -1.0
+        info["score_delta"] = delta
+        info["score"] = float(self.t) * delta
+        return state, reward, done, info
 
 
 class TestRewardSchemeWrapper:

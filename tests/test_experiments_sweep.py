@@ -19,7 +19,8 @@ class TestRunSweep:
         out = result.summary()
         assert "learning_rate" in out
         assert result.best_setting() in (0.001, 0.01)
-        assert len(result.shapes()) == 2
+        assert len(result.results) == 2
+        assert "rise+decline" in out
 
     def test_unknown_parameter_rejected(self, tiny_run_config):
         with pytest.raises(ValueError):

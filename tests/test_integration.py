@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import ci_scale_config, quick_training_run
+from repro import quick_training_run
 from repro.chem.builders import build_complex
 from repro.env.factory import make_env
-from repro.env.wrappers import StateNormalizer, TimeLimit
+from repro.env.wrappers import TimeLimit
 from repro.experiments.figure4 import build_agent
 from repro.metadock.metaheuristic import MetaheuristicSchema
 from repro.metadock.strategies import scatter_search_params
-from repro.rl.trainer import Trainer, greedy_rollout
+from repro.rl.evaluation import evaluate_policy
+from repro.rl.trainer import Trainer
 
 
 class TestQuickTrainingRun:
@@ -24,9 +25,7 @@ class TestFullStackTraining:
     def test_wrapped_env_training(self, tiny_run_config):
         cfg = tiny_run_config
         built = build_complex(cfg.complex)
-        env = TimeLimit(
-            StateNormalizer(make_env(cfg, built)), cfg.max_steps_per_episode
-        )
+        env = TimeLimit(make_env(cfg, built), cfg.max_steps_per_episode)
         try:
             agent = build_agent(cfg, env.state_dim, env.n_actions)
             history = Trainer(
@@ -93,9 +92,11 @@ class TestSearchVsEngineConsistency:
         env = make_env(tiny_run_config, built)
         try:
             agent = build_agent(tiny_run_config, env.state_dim, env.n_actions)
-            best, trace = greedy_rollout(env, agent, 15)
-            assert len(trace) <= 15
-            assert np.isfinite(best)
+            rollout = evaluate_policy(
+                env, agent, episodes=1, max_steps=15, epsilon=0.0
+            )
+            assert rollout.mean_episode_length <= 15
+            assert np.isfinite(rollout.max_best_score)
         finally:
             env.close()
 
@@ -110,5 +111,6 @@ class TestCrossSeedStability:
         a = quick_training_run(episodes=3, seed=0)
         b = quick_training_run(episodes=3, seed=1)
         assert not np.allclose(
-            a.history.reward_series(), b.history.reward_series()
+            [e.total_reward for e in a.history.episodes],
+            [e.total_reward for e in b.history.episodes],
         )

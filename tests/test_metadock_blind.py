@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metadock.blind import blind_dock
+from repro.metadock.blind import blind_dock, default_workers
 
 
 class TestBlindDock:
@@ -69,3 +69,6 @@ class TestBlindDock:
         assert engine.score_pose(best.best_pose) == pytest.approx(
             best.best_score, rel=1e-9
         )
+
+    def test_default_workers_positive(self):
+        assert 1 <= default_workers() <= 8

@@ -1,79 +1,16 @@
-"""Parallel pose evaluation and library/screening drivers."""
+"""Ligand libraries and the screening driver over them."""
 
 import numpy as np
 import pytest
 
 from repro.metadock.library import generate_library
-from repro.metadock.parallel import (
-    default_workers,
-    map_over_seeds,
-    score_coords_parallel,
-)
-from repro.metadock.screening import (
-    enrichment_factor,
-    ScreeningHit,
-    screen_library,
-)
-from repro.scoring.composite import score_pose_batch
+from repro.screening.driver import ScreeningConfig, run_screening
 
 from tests.conftest import SMALL_COMPLEX_CFG
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestScoreCoordsParallel:
-    def test_matches_serial(self, small_complex, rng):
-        lig = small_complex.ligand_crystal
-        batch = np.stack(
-            [lig.coords + rng.normal(scale=0.5, size=(lig.n_atoms, 3))
-             for _ in range(20)]
-        )
-        serial = score_pose_batch(small_complex.receptor, lig, batch)
-        par = score_coords_parallel(
-            small_complex.receptor, lig, batch, n_workers=2, chunk=5
-        )
-        np.testing.assert_allclose(par, serial, rtol=1e-10)
-
-    def test_small_batch_stays_in_process(self, small_complex):
-        lig = small_complex.ligand_crystal
-        batch = np.stack([lig.coords])
-        out = score_coords_parallel(
-            small_complex.receptor, lig, batch, n_workers=4, chunk=256
-        )
-        assert out.shape == (1,)
-
-    def test_single_worker_path(self, small_complex):
-        lig = small_complex.ligand_crystal
-        batch = np.stack([lig.coords, lig.coords + 1.0])
-        out = score_coords_parallel(
-            small_complex.receptor, lig, batch, n_workers=1
-        )
-        assert out.shape == (2,)
-
-    def test_bad_shape_rejected(self, small_complex):
-        with pytest.raises(ValueError):
-            score_coords_parallel(
-                small_complex.receptor,
-                small_complex.ligand_crystal,
-                np.zeros((4, 3)),
-            )
-
-    def test_default_workers_positive(self):
-        assert 1 <= default_workers() <= 8
-
-
-class TestMapOverSeeds:
-    def test_serial_path(self):
-        assert map_over_seeds(_square, [1, 2, 3], n_workers=1) == [1, 4, 9]
-
-    def test_parallel_path_order_preserved(self):
-        out = map_over_seeds(_square, list(range(8)), n_workers=2)
-        assert out == [x * x for x in range(8)]
-
-    def test_empty(self):
-        assert map_over_seeds(_square, [], n_workers=4) == []
+def _screen(built, library, **kw):
+    return run_screening(built, library, ScreeningConfig(**kw)).hits
 
 
 class TestLibrary:
@@ -116,7 +53,7 @@ class TestLibrary:
 class TestScreening:
     def test_ranked_descending(self, small_complex):
         lib = generate_library(SMALL_COMPLEX_CFG, 3, seed=5)
-        hits = screen_library(
+        hits = _screen(
             small_complex, lib, strategy="random", budget=60, seed=0
         )
         scores = [h.best_score for h in hits]
@@ -124,14 +61,14 @@ class TestScreening:
 
     def test_top_k(self, small_complex):
         lib = generate_library(SMALL_COMPLEX_CFG, 4, seed=6)
-        hits = screen_library(
+        hits = _screen(
             small_complex, lib, strategy="random", budget=50, seed=0, top_k=2
         )
         assert len(hits) == 2
 
     def test_montecarlo_strategy(self, small_complex):
         lib = generate_library(SMALL_COMPLEX_CFG, 2, seed=7)
-        hits = screen_library(
+        hits = _screen(
             small_complex, lib, strategy="montecarlo", budget=60, seed=0
         )
         assert len(hits) == 2
@@ -139,34 +76,10 @@ class TestScreening:
     def test_unknown_strategy_rejected(self, small_complex):
         lib = generate_library(SMALL_COMPLEX_CFG, 1, seed=8)
         with pytest.raises(ValueError):
-            screen_library(small_complex, lib, strategy="quantum", budget=10)
+            _screen(small_complex, lib, strategy="quantum", budget=10)
 
     def test_deterministic(self, small_complex):
         lib = generate_library(SMALL_COMPLEX_CFG, 2, seed=9)
-        a = screen_library(small_complex, lib, strategy="random", budget=50, seed=3)
-        b = screen_library(small_complex, lib, strategy="random", budget=50, seed=3)
+        a = _screen(small_complex, lib, strategy="random", budget=50, seed=3)
+        b = _screen(small_complex, lib, strategy="random", budget=50, seed=3)
         assert [h.best_score for h in a] == [h.best_score for h in b]
-
-
-class TestEnrichment:
-    def _hits(self, scores):
-        return [
-            ScreeningHit(f"L{i}", s, 10, 10) for i, s in enumerate(scores)
-        ]
-
-    def test_perfect_enrichment(self):
-        hits = self._hits([10, 9, 1, 0.5, 0.1, 0.0, -1, -2, -3, -4])
-        ef = enrichment_factor(hits, {"L0", "L1"}, top_fraction=0.2)
-        # both actives in top 20% of 10 -> EF = 2 / (0.2 * 2) = 5
-        assert ef == pytest.approx(5.0)
-
-    def test_no_actives(self):
-        assert enrichment_factor(self._hits([1, 2]), set()) == 0.0
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            enrichment_factor(self._hits([1]), {"L0"}, top_fraction=0.0)
-
-    def test_zero_when_actives_at_bottom(self):
-        hits = self._hits([10, 9, 8, 7, 6, 5, 4, 3, 2, 1])
-        assert enrichment_factor(hits, {"L9"}, top_fraction=0.1) == 0.0

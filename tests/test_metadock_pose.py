@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chem.molecule import Molecule
-from repro.chem.transforms import Quaternion
 from repro.metadock.pose import Pose, TorsionDriver, apply_pose, random_pose
 
 
@@ -33,7 +32,7 @@ class TestPoseMoves:
     def test_identity(self):
         p = Pose.identity()
         np.testing.assert_array_equal(p.translation, 0.0)
-        assert p.orientation.approx_equal(Quaternion.identity())
+        np.testing.assert_array_equal(p.orientation.to_matrix(), np.eye(3))
 
     def test_translated(self):
         p = Pose.identity().translated([1, 2, 3])
@@ -48,11 +47,15 @@ class TestPoseMoves:
         for _ in range(720):
             p = p.rotated("z", math.radians(0.5))
         # 720 x 0.5 deg = 360 deg = identity (no drift).
-        assert p.orientation.approx_equal(Quaternion.identity(), tol=1e-9)
+        np.testing.assert_allclose(
+            p.orientation.to_matrix(), np.eye(3), atol=1e-9
+        )
 
     def test_inverse_rotation_cancels(self):
         p = Pose.identity().rotated("x", 0.3).rotated("x", -0.3)
-        assert p.orientation.approx_equal(Quaternion.identity())
+        np.testing.assert_allclose(
+            p.orientation.to_matrix(), np.eye(3), atol=1e-12
+        )
 
     def test_twist_bounds_checked(self):
         p = Pose.identity(n_torsions=2)
@@ -83,7 +86,9 @@ class TestPoseVectorCodec:
         assert v.shape == (7 + n_torsions,)
         q = Pose.from_vector(v, n_torsions)
         np.testing.assert_allclose(q.translation, p.translation)
-        assert q.orientation.approx_equal(p.orientation, tol=1e-9)
+        np.testing.assert_allclose(
+            q.orientation.to_matrix(), p.orientation.to_matrix(), atol=1e-9
+        )
         np.testing.assert_allclose(q.torsions, p.torsions)
 
     def test_wrong_length_rejected(self):

@@ -11,7 +11,7 @@ from repro.metadock.montecarlo import (
     MonteCarloConfig,
     MonteCarloOptimizer,
 )
-from repro.metadock.spots import spot_containing, surface_atoms, surface_spots
+from repro.metadock.spots import surface_atoms, surface_spots
 from repro.metadock.strategies import STRATEGY_PRESETS
 
 
@@ -180,9 +180,3 @@ class TestSpots:
     def test_invalid_count(self, small_complex):
         with pytest.raises(ValueError):
             surface_spots(small_complex.receptor, 0)
-
-    def test_spot_containing(self, small_complex):
-        spots = surface_spots(small_complex.receptor, 4)
-        hit = spot_containing(spots, spots[0].center)
-        assert hit == 0
-        assert spot_containing(spots, np.array([999.0, 0, 0])) is None

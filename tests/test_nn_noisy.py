@@ -63,9 +63,6 @@ class TestNoisyDense:
         num_in = numerical_gradient(fx, x_var)
         np.testing.assert_allclose(analytic_in, num_in, rtol=1e-5, atol=1e-8)
 
-    def test_mean_sigma_positive(self):
-        assert NoisyDense(4, 3, rng=0).mean_sigma() > 0
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             NoisyDense(0, 3)

@@ -10,7 +10,7 @@ from repro.chem.descriptors import (
     compute_descriptors,
     pocket_feature_dim,
 )
-from repro.config import ci_scale_config, config_from_dict
+from repro.config import ci_scale_config, recorded_observation_mode
 from repro.env.docking_env import DockingEnv
 from repro.env.factory import make_env, make_vector_env
 from repro.env.flexible_env import FlexibleDockingEnv
@@ -193,27 +193,21 @@ class TestConfigKnob:
         with pytest.raises(ValueError, match="unknown observation_mode"):
             ci_scale_config(4, observation_mode="onehot")
 
-    def test_dict_roundtrip(self):
-        cfg = ci_scale_config(4, observation_mode="descriptor")
-        back = config_from_dict(dataclasses.asdict(cfg))
-        assert back.observation_mode == "descriptor"
-        assert back == cfg
-
     def test_pre_pr7_manifest_dict_still_loads(self):
         # Manifests written before the knob existed carry no
         # observation_mode key; their compact_states boolean (no longer
         # a config field) must still map to the compact codec.
         data = dataclasses.asdict(ci_scale_config(4))
         del data["observation_mode"]
-        assert config_from_dict(data).observation_mode == "raw"
+        assert recorded_observation_mode(data) is None
         data["compact_states"] = True
-        assert config_from_dict(data).observation_mode == "compact"
+        assert recorded_observation_mode(data) == "compact"
         # Later manifests carried both keys, normalised or not.
         for mode in ("raw", "compact"):
             data["observation_mode"] = mode
-            assert config_from_dict(data).observation_mode == "compact"
+            assert recorded_observation_mode(data) == "compact"
         data.update(compact_states=False, observation_mode="descriptor")
-        assert config_from_dict(data).observation_mode == "descriptor"
+        assert recorded_observation_mode(data) == "descriptor"
         with pytest.raises(TypeError):
             ci_scale_config(4, compact_states=True)
 
@@ -233,7 +227,7 @@ class TestEnvWiring:
         assert state.dtype == np.float32
         next_state, reward, done, info = env.step(0)
         assert next_state.shape == (spec.dim,)
-        assert env.full_state().shape == (spec.full_dim,)
+        assert env.engine.state_vector().shape == (spec.full_dim,)
         assert env.state_dtype is np.float32
 
 

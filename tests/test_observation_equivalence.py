@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import ci_scale_config, config_from_dict
+from repro.config import ci_scale_config, recorded_observation_mode
 from repro.env.factory import make_env, make_vector_env
 from repro.experiments.figure4 import build_agent, build_agent_for_env
 from repro.nn.checkpoints import CheckpointMismatchError
@@ -143,10 +143,10 @@ class TestRawEquivalence:
         explicit = ci_scale_config(
             episodes=4, seed=7, max_steps=12, observation_mode="compact"
         )
-        legacy = config_from_dict(
-            dict(
-                dataclasses.asdict(explicit.replace(observation_mode="raw")),
-                compact_states=True,
+        archived = dataclasses.asdict(explicit.replace(observation_mode="raw"))
+        legacy = explicit.replace(
+            observation_mode=recorded_observation_mode(
+                dict(archived, compact_states=True)
             )
         )
         assert legacy == explicit

@@ -114,7 +114,7 @@ class TestCompactVsDense:
         )
         _push_all(dense, traj)
         _push_all(compact, traj)
-        assert compact.is_full
+        assert len(compact) == compact.capacity
         _assert_contents_equal(dense, compact)
         for _ in range(20):
             _assert_batches_equal(dense.sample(8), compact.sample(8))
@@ -241,7 +241,7 @@ class TestNbytes:
         mem = ReplayMemory(400_000, 16599, static_prefix=static)
         assert mem.nbytes() < 2 * 1024**3
         assert mem.prefix_len == 16599 - 267
-        assert mem.tail_dim == 267
+        assert mem.state_dim - mem.prefix_len == 267
 
 
 class TestAgentLevel:

@@ -19,9 +19,9 @@ class TestReplayMemory:
     def test_grows_then_saturates(self):
         mem = ReplayMemory(10, 4, seed=0)
         fill(mem, 7)
-        assert len(mem) == 7 and not mem.is_full
+        assert len(mem) == 7
         fill(mem, 10)
-        assert len(mem) == 10 and mem.is_full
+        assert len(mem) == 10 == mem.capacity
 
     def test_ring_overwrites_oldest(self):
         mem = ReplayMemory(3, 2, seed=0)

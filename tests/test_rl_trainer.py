@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.rl.agent import AgentConfig, DQNAgent
-from repro.rl.trainer import (
-    EpisodeStats,
-    Trainer,
-    TrainingHistory,
-    greedy_rollout,
-)
+from repro.rl.evaluation import evaluate_policy
+from repro.rl.trainer import EpisodeStats, Trainer, TrainingHistory
 
 
 class CountingEnv:
@@ -147,8 +143,10 @@ class TestTrainer:
         Trainer(
             env, agent, episodes=30, max_steps_per_episode=8
         ).run()
-        best, trace = greedy_rollout(env, agent, max_steps=8)
-        assert best == pytest.approx(8.0)
+        rollout = evaluate_policy(
+            env, agent, episodes=1, max_steps=8, epsilon=0.0
+        )
+        assert rollout.max_best_score == pytest.approx(8.0)
 
 
 class TestTrainingHistory:
@@ -199,12 +197,16 @@ class TestGreedyRollout:
     def test_returns_best_and_trace(self):
         env = CountingEnv(horizon=5)
         agent = tiny_agent()
-        best, trace = greedy_rollout(env, agent, max_steps=5)
-        assert len(trace) == 5
-        assert best == max(trace)
+        rollout = evaluate_policy(
+            env, agent, episodes=1, max_steps=5, epsilon=0.0
+        )
+        assert rollout.mean_episode_length == 5
+        assert np.isfinite(rollout.max_best_score)
 
     def test_respects_done(self):
         env = CountingEnv(horizon=2)
         agent = tiny_agent()
-        _best, trace = greedy_rollout(env, agent, max_steps=100)
-        assert len(trace) == 2
+        rollout = evaluate_policy(
+            env, agent, episodes=1, max_steps=100, epsilon=0.0
+        )
+        assert rollout.mean_episode_length == 2

@@ -527,18 +527,6 @@ class TestPlumbing:
         env = make_env(cfg, small_complex, kind="flexible")
         assert isinstance(env.engine.scorer, IncrementalScorer)
 
-    def test_config_roundtrips_through_manifest_dict(self):
-        from repro.config import config_from_dict
-
-        cfg = ci_scale_config(
-            episodes=2,
-            scoring_method="incremental",
-            scoring_kwargs={"skin": 4.0},
-        )
-        back = config_from_dict(dataclasses.asdict(cfg))
-        assert back.scoring_method == "incremental"
-        assert back.scoring_kwargs == {"skin": 4.0}
-
     def test_cli_accepts_scoring_method(self):
         from repro.cli import build_parser
 

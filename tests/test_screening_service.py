@@ -9,13 +9,6 @@ import pytest
 
 from repro.chem.builders import build_complex
 from repro.metadock.library import generate_library
-from repro.metadock.screening import (
-    ScreeningHit,
-    _engine_for,
-    enrichment_factor,
-    screen_library,
-    screen_ligand,
-)
 from repro.nn.checkpoints import (
     CheckpointMismatchError,
     mlp_from_arrays,
@@ -34,6 +27,7 @@ from repro.screening import (
     ranking_key,
     run_screening,
 )
+from repro.screening.driver import _engine_for, screen_ligand
 from repro.utils.rng import RngFactory
 from tests.conftest import SMALL_COMPLEX_CFG
 
@@ -87,7 +81,7 @@ def test_ranking_key_breaks_ties_by_library_order():
 
 # -- sharded == serial ------------------------------------------------------
 def _legacy_serial(built, library, *, strategy, budget, seed):
-    """The pre-driver screen_library algorithm, verbatim."""
+    """The pre-driver serial screening algorithm, verbatim."""
     seeds = RngFactory(seed).seeds("screening", len(library))
     hits = [
         screen_ligand(built, e, strategy=strategy, budget=budget, seed=s)
@@ -119,35 +113,20 @@ def test_sharded_matches_serial_across_workers_and_shard_sizes(
             assert result.hits == expected, (workers, shard_size)
 
 
-def test_screen_library_default_matches_legacy(built, library):
-    hits = screen_library(
-        built, library, strategy="random", budget=40, seed=3
-    )
-    assert hits == _legacy_serial(
-        built, library, strategy="random", budget=40, seed=3
-    )
-
-
-def test_screen_library_top_k_and_workers(built, library):
-    full = screen_library(
-        built, library, strategy="random", budget=40, seed=3
-    )
-    top = screen_library(
+def test_top_k_and_workers(built, library):
+    config = dict(strategy="random", budget=40, seed=3)
+    full = run_screening(built, library, ScreeningConfig(**config)).hits
+    top = run_screening(
         built,
         library,
-        strategy="random",
-        budget=40,
-        seed=3,
-        top_k=2,
-        workers=2,
-        shard_size=2,
-    )
+        ScreeningConfig(**config, top_k=2, workers=2, shard_size=2),
+    ).hits
     assert top == full[:2]
 
 
-def test_unknown_strategy_raises(built, library):
+def test_unknown_strategy_raises():
     with pytest.raises(ValueError):
-        screen_library(built, library, strategy="quantum", budget=10)
+        ScreeningConfig(strategy="quantum", budget=10)
 
 
 def test_shared_cells_scoring_matches_per_ligand(built, library):
@@ -208,45 +187,6 @@ def test_generate_library_explicit_bounds_respected():
         SMALL_COMPLEX_CFG, 2, seed=1, min_atoms=8, max_atoms=8
     )
     assert all(e.n_atoms == 8 for e in entries)
-
-
-# -- enrichment_factor edge cases ------------------------------------------
-def _hits(scores):
-    return [
-        ScreeningHit(
-            compound_id=f"C{i}",
-            best_score=float(s),
-            evaluations=1,
-            n_atoms=10,
-        )
-        for i, s in enumerate(scores)
-    ]
-
-
-def test_enrichment_top_fraction_one_is_unity():
-    hits = _hits([5.0, 4.0, 3.0, 2.0])
-    actives = {"C0", "C3"}
-    assert enrichment_factor(hits, actives, top_fraction=1.0) == 1.0
-
-
-def test_enrichment_with_score_ties():
-    hits = _hits([5.0, 5.0, 5.0, 1.0])
-    # Top 50% (2 hits) of 4; both actives tie at the top score.
-    assert enrichment_factor(
-        hits, {"C0", "C1"}, top_fraction=0.5
-    ) == pytest.approx(2.0)
-
-
-def test_enrichment_invalid_fraction():
-    hits = _hits([1.0])
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            enrichment_factor(hits, {"C0"}, top_fraction=bad)
-
-
-def test_enrichment_empty_inputs():
-    assert enrichment_factor([], {"C0"}) == 0.0
-    assert enrichment_factor(_hits([1.0]), set()) == 0.0
 
 
 # -- resume semantics -------------------------------------------------------
@@ -354,7 +294,6 @@ def test_load_policy_bare_npz(policy_net, tmp_path):
     path = tmp_path / "net.npz"
     save_network(policy_net, path)
     bundle = load_policy(path)
-    assert bundle.input_dim == policy_net.params()[0].shape[0]
     net = bundle.build_network()
     for a, b in zip(policy_net.params(), net.params()):
         assert np.array_equal(a, b)

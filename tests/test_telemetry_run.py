@@ -9,14 +9,14 @@ from repro.rl.agent import AgentConfig, DQNAgent
 from repro.rl.trainer import Trainer
 from repro.telemetry import (
     MANIFEST_NAME,
-    MemorySink,
-    RecordingCallback,
     RunManifest,
     StepInfo,
     TelemetryRun,
     read_events,
     read_metrics_csv,
 )
+
+from tests.doubles import MemorySink, RecordingCallback
 
 
 class ChainEnv:

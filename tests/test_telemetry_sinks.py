@@ -9,13 +9,13 @@ import pytest
 from repro.telemetry.sinks import (
     CsvMetricsSink,
     JsonlEventSink,
-    MemorySink,
-    NullSink,
     TelemetrySink,
     json_safe,
     read_events,
     read_metrics_csv,
 )
+
+from tests.doubles import MemorySink
 
 
 class TestJsonSafe:
@@ -49,7 +49,6 @@ class TestProtocol:
     def test_all_sinks_satisfy_protocol(self, tmp_path):
         sinks = [
             MemorySink(),
-            NullSink(),
             JsonlEventSink(tmp_path / "e.jsonl"),
             CsvMetricsSink(tmp_path / "m.csv"),
         ]

@@ -90,11 +90,8 @@ class TestSpanTracer:
     def test_reports(self):
         tr = SpanTracer()
         assert tr.report() == "(no timed sections)"
-        assert tr.flat_report() == "(no timed sections)"
         with tr.span("train"):
             with tr.span("act"):
                 pass
         tree = tr.report()
         assert "train" in tree and "  act" in tree
-        flat = tr.flat_report()
-        assert "total=" in flat and "calls=" in flat

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.ascii_plot import ascii_line_plot, sparkline
-from repro.utils.running_stats import ExponentialMovingAverage, RunningStats
+from repro.utils.running_stats import RunningStats
 from repro.utils.tables import render_table
 
 
@@ -116,27 +116,6 @@ class TestRunningStats:
         s.update(5.0)
         assert s.variance == 0.0
 
-    def test_merge_equals_concatenation(self, rng):
-        a_data = rng.normal(size=37)
-        b_data = rng.normal(size=53) + 2.0
-        a, b = RunningStats(), RunningStats()
-        for x in a_data:
-            a.update(x)
-        for x in b_data:
-            b.update(x)
-        merged = a.merge(b)
-        both = np.concatenate([a_data, b_data])
-        assert merged.count == 90
-        assert merged.mean == pytest.approx(both.mean())
-        assert merged.variance == pytest.approx(both.var())
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.update(1.0)
-        merged = a.merge(RunningStats())
-        assert merged.count == 1
-        assert merged.mean == pytest.approx(1.0)
-
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_property_matches_numpy(self, values):
         s = RunningStats()
@@ -145,24 +124,3 @@ class TestRunningStats:
         arr = np.asarray(values)
         assert s.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
         assert s.variance == pytest.approx(arr.var(), rel=1e-6, abs=1e-4)
-
-
-class TestEMA:
-    def test_bias_correction_first_value(self):
-        e = ExponentialMovingAverage(0.1)
-        assert e.update(10.0) == pytest.approx(10.0)
-
-    def test_converges_to_constant(self):
-        e = ExponentialMovingAverage(0.5)
-        for _ in range(50):
-            e.update(3.0)
-        assert e.value == pytest.approx(3.0)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(1.5)
-
-    def test_zero_before_updates(self):
-        assert ExponentialMovingAverage(0.3).value == 0.0

@@ -1,11 +1,8 @@
-"""RNG plumbing: determinism, independence, spawning."""
+"""RNG plumbing: determinism and independence."""
 
 import numpy as np
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.utils.rng import RngFactory, as_generator, sobol_like_grid, spawn_seeds
+from repro.utils.rng import RngFactory, as_generator
 
 
 class TestAsGenerator:
@@ -30,27 +27,6 @@ class TestAsGenerator:
         seq = np.random.SeedSequence(7)
         gen = as_generator(seq)
         assert isinstance(gen, np.random.Generator)
-
-
-class TestSpawnSeeds:
-    def test_count(self):
-        assert len(spawn_seeds(0, 5)) == 5
-
-    def test_deterministic(self):
-        a = [s.entropy for s in spawn_seeds(1, 3)]
-        b = [s.entropy for s in spawn_seeds(1, 3)]
-        assert a == b
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
-    def test_children_differ(self):
-        kids = spawn_seeds(9, 4)
-        draws = [np.random.default_rng(k).uniform(size=4) for k in kids]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(draws[i], draws[j])
 
 
 class TestRngFactory:
@@ -79,24 +55,3 @@ class TestRngFactory:
         a = RngFactory(1).get("x").uniform(size=6)
         b = RngFactory(2).get("x").uniform(size=6)
         assert not np.array_equal(a, b)
-
-
-class TestSobolLikeGrid:
-    def test_shape_and_bounds(self):
-        pts = sobol_like_grid(100, 3, rng=0)
-        assert pts.shape == (100, 3)
-        assert (pts >= 0).all() and (pts < 1).all()
-
-    def test_zero_points(self):
-        assert sobol_like_grid(0, 4).shape == (0, 4)
-
-    @given(st.integers(min_value=2, max_value=64), st.integers(min_value=1, max_value=6))
-    def test_better_spread_than_degenerate(self, n, dims):
-        pts = sobol_like_grid(n, dims, rng=0)
-        # All points distinct (lattice + jitter never collides).
-        assert len(np.unique(pts.round(12), axis=0)) == n
-
-    def test_covers_both_halves_in_each_dim(self):
-        pts = sobol_like_grid(64, 2, rng=1)
-        for d in range(2):
-            assert (pts[:, d] < 0.5).any() and (pts[:, d] >= 0.5).any()

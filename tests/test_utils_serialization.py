@@ -7,8 +7,8 @@ import pytest
 
 from repro.rl.trainer import EpisodeStats, TrainingHistory
 from repro.utils.serialization import (
+    decode_history,
     dump_json,
-    load_history,
     load_json,
     save_history,
 )
@@ -78,7 +78,7 @@ class TestHistoryRoundtrip:
         h = self._history()
         p = tmp_path / "h.json"
         save_history(h, p)
-        back = load_history(p)
+        back = decode_history(load_json(p))
         assert back.total_steps == 20
         assert back.wall_seconds == 1.5
         assert len(back.episodes) == 3
@@ -93,7 +93,7 @@ class TestHistoryRoundtrip:
         result = run_figure4_experiment(tiny_run_config)
         p = tmp_path / "run.json"
         save_history(result.history, p)
-        back = load_history(p)
+        back = decode_history(load_json(p))
         assert back.best_score == pytest.approx(result.history.best_score)
         assert back.docking_success_rate() == pytest.approx(
             result.history.docking_success_rate()

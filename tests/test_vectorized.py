@@ -150,12 +150,12 @@ class TestVectorTrainer:
         venv = make_venv(4, horizon=8)
         agent = tiny_agent()
         VectorTrainer(venv, agent).run(total_steps=600)
-        from repro.rl.trainer import greedy_rollout
+        from repro.rl.evaluation import evaluate_policy
 
-        best, _trace = greedy_rollout(
-            CountingEnv(horizon=8), agent, max_steps=8
+        rollout = evaluate_policy(
+            CountingEnv(horizon=8), agent, episodes=1, max_steps=8, epsilon=0.0
         )
-        assert best == pytest.approx(8.0)
+        assert rollout.max_best_score == pytest.approx(8.0)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
@@ -166,9 +166,10 @@ class TestVectorTrainer:
         agent = tiny_agent()
         history = VectorTrainer(venv, agent).run(total_steps=20)
         assert history.wall_seconds > 0
-        assert np.isfinite(history.reward_series()).all()
+        rewards = np.asarray([e.total_reward for e in history.episodes])
+        assert np.isfinite(rewards).all()
         # Every transition's reward lands in exactly one episode row.
-        assert history.reward_series().sum() == sum(
+        assert rewards.sum() == sum(
             agent.replay[i].reward for i in range(20)
         )
         assert "env-step" in history.timer_report

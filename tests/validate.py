@@ -9,12 +9,14 @@ molecules.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.chem.builders import BuiltComplex, _in_pocket
 from repro.chem.molecule import Molecule
+from repro.chem.topology import adjacency
 
 
 @dataclass
@@ -116,3 +118,25 @@ def validate_complex(built: BuiltComplex) -> ValidationReport:
     if crystal_d >= initial_d:
         rep.errors.append("crystal pose is not closer than the initial pose")
     return rep
+
+
+def connected_components(n_atoms: int, bonds: np.ndarray) -> list[list[int]]:
+    """Connected components of the bond graph (BFS), sorted by first atom."""
+    adj = adjacency(n_atoms, bonds)
+    seen = np.zeros(n_atoms, dtype=bool)
+    comps: list[list[int]] = []
+    for start in range(n_atoms):
+        if seen[start]:
+            continue
+        comp = []
+        q = deque([start])
+        seen[start] = True
+        while q:
+            u = q.popleft()
+            comp.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    q.append(v)
+        comps.append(sorted(comp))
+    return comps
