@@ -37,8 +37,9 @@ numbers the outer field level is accountable for.
 
 ``rebuild_us_crystal`` / ``rebuild_us_pose_a`` are the median cost of
 one Verlet-list build (neighbour query + per-pair gather) in the two
-regimes -- what every pose *jump* pays, and the row the screening
-search's throughput follows.
+regimes -- what a walk step pays when it leaves the skin.  Jumped poses
+(``score_batch``, the screening search) skip the list and pay a
+cutoff-radius query plus the gather of their within-cutoff pairs.
 
 The speedup floors (incremental >= 5x, field >= 29x, field >= 10x at
 pose A) are anchored on ``tests/frozen_eq1.py`` -- the exact scorer as
@@ -228,7 +229,7 @@ def _rebuild_us(scorer: IncrementalScorer, poses: np.ndarray) -> float:
     """Median Verlet-list build cost in microseconds over ``poses``.
 
     One forced build per pose (neighbour query + per-pair gather) --
-    what a pose jump costs the scatter search before it scores.
+    what a walk step costs when it leaves the skin, before it scores.
     """
     times = np.empty(len(poses))
     for i, p in enumerate(poses):
@@ -243,7 +244,7 @@ def _measure_batch(
 ) -> tuple[float, np.ndarray]:
     """(poses/second, scores) scoring the trajectory in k-pose batches."""
     scores = np.empty(len(poses))
-    scorer.score_batch(poses[:k])  # warm-up (maps, tables, Verlet list)
+    scorer.score_batch(poses[:k])  # warm-up (field maps, lazy tables)
     best = float("inf")
     for _ in range(PASSES):
         t0 = time.perf_counter()
@@ -291,9 +292,11 @@ def test_bench_score_step(paper_complex):
     s_field32 = np.array([fld32.score(p) for p in poses])
 
     # Batched rows: the same trajectory scored in BATCH_K batches
-    # through score_batch (field: the fused pose-major kernel; cutoff /
-    # incremental: a sequential loop, so ~1.0x and unasserted).  Every
-    # batch path is bitwise-equal to the single-pose scores above.
+    # through score_batch (field: the fused pose-major kernel; cutoff:
+    # a sequential loop, ~1.0x; incremental: a per-pose loop that skips
+    # the Verlet list and queries each pose at the cutoff, ~1x of the
+    # list on this walk -- both unasserted).  Every batch path is
+    # bitwise-equal to the single-pose scores above.
     rate_field_batch, sb_field = _measure_batch(fld, poses)
     rate_cutoff_batch, sb_cutoff = _measure_batch(cutoff, poses)
     inc_batch = IncrementalScorer(

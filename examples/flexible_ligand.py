@@ -21,7 +21,6 @@ from repro.config import ci_scale_config
 from repro.env.flexible_env import FlexibleDockingEnv
 from repro.env.factory import make_env
 from repro.env.wrappers import TimeLimit
-from repro.experiments.figure4 import build_agent
 from repro.metadock.engine import MetadockEngine
 from repro.metadock.pose import Pose
 from repro.rl.agent import AgentConfig, DQNAgent

@@ -57,21 +57,18 @@ class Sidecar:
     the way the learner reads them.
     """
 
-    def __init__(self, q_net, weights, actor_index: int, head):
+    def __init__(self, q_net, weights, head):
         self.q_net = q_net
         self.head = head
         self.version = -1
         self._params = q_net.params()
         self._weights = weights
-        self._actor_index = actor_index
 
     def refresh(self, version: int) -> bool:
         """Blocking-fetch exactly ``version``; False means shutdown."""
         if version == self.version:
             return True
-        if not self._weights.fetch(
-            version, self._params, actor_index=self._actor_index
-        ):
+        if not self._weights.fetch(version, self._params):
             return False
         self.q_net.weights_changed()
         self.version = version
@@ -117,7 +114,7 @@ def actor_worker(
             exploration_steps=exploration_steps,
             rng=RngFactory(seed).get(policy_stream_name(index)),
         )
-        sidecar = Sidecar(q_net, weights, index, head)
+        sidecar = Sidecar(q_net, weights, head)
         conn.send(("ready", None))
         while True:
             cmd, data = conn.recv()

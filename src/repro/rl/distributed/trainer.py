@@ -169,9 +169,7 @@ class ActorLearnerTrainer:
         ctx = mp.get_context("fork")
         params = self.agent.q_net.params()
         self._weights = SharedWeightBlock(
-            [p.shape for p in params],
-            self.num_actors,
-            dtype=params[0].dtype,
+            [p.shape for p in params], dtype=params[0].dtype
         )
         self._rings = [
             TransitionRing(

@@ -52,12 +52,9 @@ class SharedWeightBlock:
     def __init__(
         self,
         param_shapes: Sequence[tuple[int, ...]],
-        n_actors: int,
         *,
         dtype=np.float32,
     ):
-        if n_actors < 1:
-            raise ValueError("n_actors must be >= 1")
         self.dtype = np.dtype(dtype)
         if self.dtype not in _TYPECODES:
             raise TypeError(f"unsupported weight dtype {self.dtype}")
@@ -65,7 +62,6 @@ class SharedWeightBlock:
         sizes = [int(np.prod(s)) for s in self.param_shapes]
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.n_params = int(self._offsets[-1])
-        self.n_actors = int(n_actors)
         code = _TYPECODES[self.dtype]
         self._slots = np.frombuffer(
             RawArray(code, SLOT_DEPTH * max(self.n_params, 1)),
@@ -75,12 +71,6 @@ class SharedWeightBlock:
             RawArray("q", SLOT_DEPTH), dtype=np.int64
         )
         self._slot_version[:] = _IN_PROGRESS
-        # Written by each actor after a successful fetch; read by the
-        # learner for the weight-staleness telemetry.
-        self._applied = np.frombuffer(
-            RawArray("q", self.n_actors), dtype=np.int64
-        )
-        self._applied[:] = _IN_PROGRESS
         self._stop = RawValue("B", 0)
 
     # -- shutdown ---------------------------------------------------------
@@ -116,7 +106,6 @@ class SharedWeightBlock:
         version: int,
         params_out: Sequence[np.ndarray],
         *,
-        actor_index: int | None = None,
         poll_interval: float = 1e-4,
         timeout: float | None = None,
     ) -> bool:
@@ -142,8 +131,6 @@ class SharedWeightBlock:
                         p, row[lo:hi].reshape(p.shape), casting="same_kind"
                     )
                 if self._slot_version[j] == version:
-                    if actor_index is not None:
-                        self._applied[actor_index] = version
                     return True
                 continue  # torn read detected; re-resolve the slot
             if current > version:

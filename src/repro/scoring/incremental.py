@@ -1,9 +1,10 @@
-"""Incremental Verlet-list pose scoring (cutoff + skin).
+"""Cutoff pose scoring for two access patterns: the walk and the jump.
 
 The RL action set moves the ligand at most ~1 A per step (Table 1), so
 the set of receptor atoms within the cutoff of any ligand atom barely
-changes between consecutive scores.  :class:`IncrementalScorer` exploits
-this with the classic Verlet-list construction:
+changes between consecutive scores.  :meth:`IncrementalScorer.score`
+(the *walk*: env steps, actor rollouts) exploits this with the classic
+Verlet-list construction:
 
 - the *pair list* holds every (receptor atom, ligand atom) pair within
   ``cutoff + skin`` of the ligand's position at the last *build*;
@@ -17,30 +18,41 @@ this with the classic Verlet-list construction:
 At build time everything per-pair scoring needs is gathered once into
 preallocated flat tables — Coulomb charge products, combined
 Lorentz-Berthelot sigma/epsilon, H-bond eligibility and receptor donor
-directions — so the per-step kernel is pure vectorized arithmetic over
-contiguous buffers with no per-step allocation and no Python-level
-loops.
+directions — so a cached step is pure vectorized arithmetic over
+contiguous buffers with no per-step allocation.
+
+A search that *jumps* — a scatter search's population, recombined
+children — breaks the skin budget on most poses: a list would be
+built for nearly every one and then scored over a superset about twice
+its cutoff pair set.  :meth:`IncrementalScorer.score_batch` (the jump
+path) therefore skips the list: each pose queries the shared receptor
+``CellList`` at radius ``cutoff`` and is scored on exactly its
+within-cutoff pairs, leaving the walk's list and counters untouched.
+Both paths end in one energy kernel, :meth:`IncrementalScorer._energy`.
 
 Bit-stability (checkpoint safety)
 ---------------------------------
 The pair-list cache is *derived* state: it is never checkpointed, and a
 resumed run starts with a cold cache.  The score must therefore be a
-pure function of the pose, independent of when the list was last built.
-Two properties guarantee this:
+pure function of the pose, independent of when the list was last built
+and of which path scored it.  Two properties guarantee this:
 
 1. :func:`repro.scoring.neighborlist.candidate_pairs` returns pairs in
    the receptor ``CellList``'s canonical order (ligand-atom-major, cells
    ascending, stored index ascending within a cell), which depends only
-   on pair *membership*, not on where the query was centered; and
-2. each evaluation first *compresses* the cached superset list to
-   exactly the pairs with ``r <= cutoff`` — a subset whose content and
-   order is the same whether the list was built at this pose or up to
-   skin/2 away — and every reduction runs over those compressed arrays.
+   on pair *membership*, not on the query radius or where the query was
+   centered; and
+2. each evaluation first *compresses* its candidates — the cached
+   ``cutoff + skin`` list on the walk, the pose's own ``cutoff`` query
+   on the jump — to exactly the pairs with ``r <= cutoff``, with the
+   same arithmetic, and every reduction runs over those compressed
+   arrays.
 
-Hence a fresh scorer and a scorer carrying a warm cache produce
-bit-identical floats for the same coordinates (pinned by
-``tests/test_scoring_incremental.py``), and interrupt/resume of a run
-using ``--scoring-method incremental`` stays bit-stable per
+Hence a fresh scorer, a scorer carrying a warm cache and a batch entry
+produce bit-identical floats for the same coordinates (pinned by
+``tests/test_scoring_incremental.py`` and
+``tests/test_scoring_batch.py``), and interrupt/resume of a run using
+``--scoring-method incremental`` stays bit-stable per
 ``docs/CHECKPOINTS.md``.
 
 Accuracy matches :class:`repro.scoring.scorers.CutoffScorer` at the
@@ -86,7 +98,7 @@ ACTIVE_PAIRS_METRIC = "scoring/active_pairs"
 
 
 class IncrementalScorer:
-    """Verlet-list scorer: cached cutoff+skin pairs, rebuilt on demand.
+    """Cutoff scorer: a Verlet list for the walk, exact pairs per jump.
 
     Parameters
     ----------
@@ -97,7 +109,7 @@ class IncrementalScorer:
         Interaction cutoff in angstrom — the accuracy knob, identical
         in meaning to :class:`CutoffScorer`'s.
     skin:
-        Extra list radius in angstrom — the cadence knob.
+        Extra list radius in angstrom — the walk's cadence knob.
     shifted:
         Use the energy-shifted Coulomb form (matches ``CutoffScorer``).
     cells:
@@ -109,7 +121,7 @@ class IncrementalScorer:
     rebuild_count:
         Number of pair-list builds performed so far.
     active_pairs:
-        Within-cutoff pair count of the most recent evaluation.
+        Within-cutoff pair count of the most recent :meth:`score`.
     tracer / metrics:
         Optional telemetry hooks (a ``SpanTracer`` and a
         ``MetricsRegistry``); wired automatically by ``MetadockEngine``.
@@ -195,10 +207,8 @@ class IncrementalScorer:
         # Build-time gather tables (filled at rebuild, read every step).
         self._lig_idx = np.empty(cap, dtype=np.int64)
         self._rec_xyz = np.empty((cap, 3))
-        # Rows: Coulomb-prescaled charge product k*q_r*q_l, combined
-        # sigma (s_r+s_l)/2, and 4*sqrt(e_r*e_l) (the 12-6 prefactor) —
-        # one (3, cap) block so the per-step compression is one call
-        # over contiguous rows.
+        # _gather_static's rows as one (3, cap) block, so the per-step
+        # compression is one call over contiguous rows.
         self._static = np.empty((3, cap))
         self._elig = np.empty(cap, dtype=bool)
         self._dirs = np.empty((cap, 3))
@@ -209,16 +219,39 @@ class IncrementalScorer:
         self._r2 = np.empty(cap)
         self._act = np.empty(cap, dtype=bool)
         self._both = np.empty(cap, dtype=bool)
-        # ... and over the compressed within-cutoff subset.
+        # ... and over the compressed within-cutoff subset (``_c_work``
+        # is _energy's scratch: 1/r, Coulomb terms, sigma/r, its 6th
+        # power, LJ terms).
         self._c_static = np.empty((3, cap))
         self._c_r = np.empty(cap)
-        self._c_inv = np.empty(cap)
-        self._c_e = np.empty(cap)
-        self._c_x = np.empty(cap)
-        self._c_x6 = np.empty(cap)
-        self._c_elj = np.empty(cap)
+        self._c_work = tuple(np.empty(cap) for _ in range(5))
         self._c_elig = np.empty(cap, dtype=bool)
         self._cap = cap
+
+    # -- per-pair tables -----------------------------------------------------
+    def _gather_static(
+        self, rec_idx: np.ndarray, lig_idx: np.ndarray, static: np.ndarray
+    ) -> None:
+        """Fill the (3, n) ``static`` rows for the pairs ``(rec_idx, lig_idx)``.
+
+        Rows: Coulomb-prescaled charge product k*q_r*q_l, combined sigma
+        (s_r+s_l)/2, and 4*sqrt(e_r*e_l) (the 12-6 prefactor).
+        """
+        rec = self.receptor
+        lig_mol = self.ligand
+        qq = static[0]
+        np.take(rec.charges, rec_idx, out=qq)
+        qq *= lig_mol.charges[lig_idx]
+        qq *= COULOMB_CONSTANT
+        sig = static[1]
+        np.take(rec.sigma, rec_idx, out=sig)
+        sig += lig_mol.sigma[lig_idx]
+        sig *= 0.5
+        eps = static[2]
+        np.take(rec.epsilon, rec_idx, out=eps)
+        eps *= lig_mol.epsilon[lig_idx]
+        np.sqrt(eps, out=eps)
+        eps *= 4.0
 
     # -- list construction --------------------------------------------------
     def _rebuild(self, lig: np.ndarray) -> None:
@@ -231,24 +264,12 @@ class IncrementalScorer:
         n = int(rec_idx.size)
         self._ensure_capacity(n)
         self._n_pairs = n
-        rec = self.receptor
-        lig_mol = self.ligand
         if n:
             self._lig_idx[:n] = lig_idx
-            np.take(rec.coords, rec_idx, axis=0, out=self._rec_xyz[:n])
-            qq = self._static[0, :n]
-            np.take(rec.charges, rec_idx, out=qq)
-            qq *= lig_mol.charges[lig_idx]
-            qq *= COULOMB_CONSTANT
-            sig = self._static[1, :n]
-            np.take(rec.sigma, rec_idx, out=sig)
-            sig += lig_mol.sigma[lig_idx]
-            sig *= 0.5
-            eps = self._static[2, :n]
-            np.take(rec.epsilon, rec_idx, out=eps)
-            eps *= lig_mol.epsilon[lig_idx]
-            np.sqrt(eps, out=eps)
-            eps *= 4.0
+            np.take(
+                self.receptor.coords, rec_idx, axis=0, out=self._rec_xyz[:n]
+            )
+            self._gather_static(rec_idx, lig_idx, self._static[:, :n])
             self._elig[:n] = self._mask_full[rec_idx, lig_idx]
             self._any_elig = bool(self._elig[:n].any())
             if self._any_elig:
@@ -292,23 +313,62 @@ class IncrementalScorer:
         return self._score_pose(as_pose(coords, self.ligand.n_atoms))
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
-        """Scores for (k, m, 3) poses; reuses the Verlet cache across poses.
+        """Scores for (k, m, 3) poses, each from its own cutoff pair set.
 
-        A sequential loop over the single-pose body, so each entry --
-        and every rebuild decision, ``rebuild_count`` increment and
-        ``active_pairs`` gauge update -- is bitwise what :meth:`score`
-        calls in batch order would produce.  Poses within skin/2 of the
-        current reference are scored off the cached list; a pose farther
-        away triggers a rebuild centered on it.  Batches of *nearby*
-        candidate poses -- vector-env steps, a metaheuristic's local moves --
-        therefore share one pair list; scattered batches degrade
-        gracefully to one list build per pose.
+        The jump path.  A batch holds poses a search has *jumped* to
+        (scatter-search populations, recombined children), so a Verlet
+        list would be rebuilt for most of them and then scored over a
+        ``cutoff + skin`` superset about twice the pose's cutoff pair
+        set.  Each finite pose instead queries the shared cell list at
+        radius ``cutoff``, keeps exactly the pairs with
+        ``r <= cutoff``, gathers the per-pair tables for those alone
+        and runs :meth:`_energy` on them -- the pair set, order and
+        arithmetic :meth:`score` reduces over, so every entry is bitwise
+        a fresh scorer's ``score(coords_batch[i])``.
+
+        The walk's state is neither read nor written: the Verlet list,
+        ``rebuild_count``, ``active_pairs`` and the telemetry gauges are
+        what they were before the call, and a walk with batch calls
+        interleaved rebuilds exactly when it would alone.  Temporaries
+        are sized to one pose's pairs.
         """
         cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
         out = np.empty(cb.shape[0])
         for i, lig in enumerate(cb):
-            out[i] = self._score_pose(lig)
+            out[i] = self._score_jump(lig)
         return out
+
+    def _score_jump(self, lig: np.ndarray) -> float:
+        if not np.isfinite(lig).all():
+            return float("nan")
+        rec_idx, lig_idx = candidate_pairs(self._cells, lig, self.cutoff)
+        diff = np.take(lig, lig_idx, axis=0)
+        diff -= np.take(self.receptor.coords, rec_idx, axis=0)
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        # candidate_pairs may keep a few pairs beyond the cutoff by
+        # rounding only; drop them exactly as the walk's compression does.
+        act = r2 <= self._cutoff_sq
+        na = int(np.count_nonzero(act))
+        if na == 0:
+            return 0.0
+        if na < r2.size:
+            rec_idx = np.compress(act, rec_idx)
+            lig_idx = np.compress(act, lig_idx)
+            r2 = np.compress(act, r2)
+            diff = np.compress(act, diff, axis=0)
+        static = np.empty((3, na))
+        self._gather_static(rec_idx, lig_idx, static)
+        hbond = None
+        elig = self._mask_full[rec_idx, lig_idx]
+        if elig.any():
+            rec_el = np.compress(elig, rec_idx)
+            hbond = (
+                elig,
+                np.compress(elig, diff, axis=0),
+                np.take(self._dirs_full, rec_el, axis=0),
+                np.take(self._iso_full, rec_el),
+            )
+        return -self._energy(r2, static, np.empty((5, na)), hbond)
 
     def _score_cached(self, lig: np.ndarray) -> float:
         n = self._n_pairs
@@ -326,7 +386,7 @@ class IncrementalScorer:
         np.einsum("ij,ij->i", diff, diff, out=r2)
         # Compress to the exact within-cutoff pair set.  This subset
         # (content *and* order) is a pure function of the pose, so every
-        # reduction below is bit-stable across rebuild states.
+        # reduction in _energy is bit-stable across rebuild states.
         act = self._act[:n]
         np.less_equal(r2, self._cutoff_sq, out=act)
         na = int(np.count_nonzero(act))
@@ -337,52 +397,72 @@ class IncrementalScorer:
             return 0.0
         c_r = self._c_r[:na]
         np.compress(act, r2, out=c_r)
-        np.sqrt(c_r, out=c_r)
-        np.maximum(c_r, MIN_DISTANCE, out=c_r)
         c_static = self._c_static[:, :na]
         np.compress(act, self._static[:, :n], axis=1, out=c_static)
-        # Electrostatics (optionally energy-shifted at the cutoff).
-        c_inv = self._c_inv[:na]
-        np.divide(1.0, c_r, out=c_inv)
-        if self.shifted:
-            c_inv -= self._inv_cutoff
-        e = self._c_e[:na]
-        np.multiply(c_static[0], c_inv, out=e)
-        energy = float(e.sum())
-        # Lennard-Jones: 4 eps ((sig/r)^12 - (sig/r)^6), cube-then-square
-        # like lennard_jones_energy_matrix.
-        x = self._c_x[:na]
-        np.divide(c_static[1], c_r, out=x)
-        x6 = self._c_x6[:na]
-        np.multiply(x, x, out=x6)
-        x6 *= x
-        x6 *= x6
-        e_lj = self._c_elj[:na]
-        np.multiply(x6, x6, out=e_lj)
-        e_lj -= x6
-        e_lj *= c_static[2]
-        energy += float(e_lj.sum())
-        # Hydrogen-bond correction on eligible pairs (small subset; the
-        # transient selections here are tiny).
+        # Hydrogen-bond inputs of the eligible pairs (a small subset;
+        # the transient selections here are tiny).
+        hbond = None
         if self._any_elig:
             c_elig = self._c_elig[:na]
             np.compress(act, self._elig[:n], out=c_elig)
             if c_elig.any():
                 both = self._both[:n]
                 np.logical_and(act, self._elig[:n], out=both)
-                d_el = np.compress(c_elig, c_r)
-                u = np.compress(both, diff, axis=0)
-                dirs = np.compress(both, self._dirs[:n], axis=0)
-                iso = np.compress(both, self._iso[:n])
-                e_lj_sub = np.compress(c_elig, e_lj)
-                norm = np.maximum(np.linalg.norm(u, axis=1), 1e-9)
-                cos = (dirs * u).sum(axis=1) / norm
-                cos[iso] = 1.0
-                np.clip(cos, 0.0, 1.0, out=cos)
-                sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-                c_hb, d_hb = hb.hbond_coefficients()
-                e_1210 = c_hb / d_el**12 - d_hb / d_el**10
-                energy += float(
-                    (cos * e_1210 - (1.0 - sin) * e_lj_sub).sum()
+                hbond = (
+                    c_elig,
+                    np.compress(both, diff, axis=0),
+                    np.compress(both, self._dirs[:n], axis=0),
+                    np.compress(both, self._iso[:n]),
                 )
-        return -energy
+        return -self._energy(c_r, c_static, self._c_work, hbond)
+
+    def _energy(self, c_r, c_static, work, hbond) -> float:
+        """Interaction energy over one pose's exact within-cutoff pairs.
+
+        The one kernel behind :meth:`score` and :meth:`score_batch`.
+        ``c_r`` holds the pairs' squared distances in canonical pair
+        order (overwritten with the clamped distances), ``c_static``
+        their :meth:`_gather_static` rows and ``work`` five scratch rows
+        at least as long.  ``hbond`` is None when no pair is H-bond
+        eligible, else ``(mask, u, dirs, iso)``: the eligibility mask
+        over the pairs, then the ligand-minus-receptor vectors, receptor
+        donor directions and isotropy flags of the eligible ones.
+        """
+        na = c_r.shape[0]
+        np.sqrt(c_r, out=c_r)
+        np.maximum(c_r, MIN_DISTANCE, out=c_r)
+        # Electrostatics (optionally energy-shifted at the cutoff).
+        c_inv = work[0][:na]
+        np.divide(1.0, c_r, out=c_inv)
+        if self.shifted:
+            c_inv -= self._inv_cutoff
+        e = work[1][:na]
+        np.multiply(c_static[0], c_inv, out=e)
+        energy = float(e.sum())
+        # Lennard-Jones: 4 eps ((sig/r)^12 - (sig/r)^6), cube-then-square
+        # like lennard_jones_energy_matrix.
+        x = work[2][:na]
+        np.divide(c_static[1], c_r, out=x)
+        x6 = work[3][:na]
+        np.multiply(x, x, out=x6)
+        x6 *= x
+        x6 *= x6
+        e_lj = work[4][:na]
+        np.multiply(x6, x6, out=e_lj)
+        e_lj -= x6
+        e_lj *= c_static[2]
+        energy += float(e_lj.sum())
+        # Hydrogen-bond correction on eligible pairs.
+        if hbond is not None:
+            c_elig, u, dirs, iso = hbond
+            d_el = np.compress(c_elig, c_r)
+            e_lj_sub = np.compress(c_elig, e_lj)
+            norm = np.maximum(np.linalg.norm(u, axis=1), 1e-9)
+            cos = (dirs * u).sum(axis=1) / norm
+            cos[iso] = 1.0
+            np.clip(cos, 0.0, 1.0, out=cos)
+            sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+            c_hb, d_hb = hb.hbond_coefficients()
+            e_1210 = c_hb / d_el**12 - d_hb / d_el**10
+            energy += float((cos * e_1210 - (1.0 - sin) * e_lj_sub).sum())
+        return energy

@@ -249,9 +249,9 @@ class TestSidecar:
         )
         params = agent.q_net.params()
         block = SharedWeightBlock(
-            [p.shape for p in params], 1, dtype=params[0].dtype
+            [p.shape for p in params], dtype=params[0].dtype
         )
-        sidecar = Sidecar(agent.q_net.clone(), block, 0, agent.head)
+        sidecar = Sidecar(agent.q_net.clone(), block, agent.head)
         tails = rng.standard_normal((5, 6)).astype(np.float32)
 
         def q_values():
@@ -281,7 +281,6 @@ class TestSidecar:
         assert not np.array_equal(q1, q0)
         for tail, q in zip(tails, q1):
             np.testing.assert_array_equal(q, agent.predict_q(tail))
-        assert block._applied[0] == 1
 
     def test_sidecar_reads_q_through_the_agents_head(self):
         from repro.rl.agent import AgentConfig, DQNAgent
@@ -297,9 +296,9 @@ class TestSidecar:
         )
         params = agent.q_net.params()
         block = SharedWeightBlock(
-            [p.shape for p in params], 1, dtype=params[0].dtype
+            [p.shape for p in params], dtype=params[0].dtype
         )
-        sidecar = Sidecar(agent.q_net.clone(), block, 0, agent.head)
+        sidecar = Sidecar(agent.q_net.clone(), block, agent.head)
         block.publish(0, params)
         assert sidecar.refresh(0)
         state = np.linspace(-1.0, 1.0, 5)

@@ -861,7 +861,7 @@ class TestCompactAgent:
         assert refreshes_all(other.target_net.layers[0])
 
         class Block:  # a weight block that always holds the learner's
-            def fetch(self, version, params_out, *, actor_index=None):
+            def fetch(self, version, params_out):
                 for dst, src in zip(params_out, agent.q_net.params()):
                     dst[...] = src
                 return True
@@ -869,7 +869,7 @@ class TestCompactAgent:
         actor_net = other.q_net.clone()
         actor_net.layers[0]._prefix_bias()
         agent.learn()
-        assert Sidecar(actor_net, Block(), 0, agent.head).refresh(1)
+        assert Sidecar(actor_net, Block(), agent.head).refresh(1)
         assert refreshes_all(actor_net.layers[0])
         _assert_same_bits(
             actor_net.layers[0]._prefix_bias(),

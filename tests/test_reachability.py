@@ -23,7 +23,9 @@ code: the modules under ``src/repro`` (package ``__init__`` re-exports
 do not count), ``benchmarks/e2e/*.py`` and ``examples/*.py``.  A
 reference is an :mod:`ast` ``Name`` load, an ``Attribute``, an import
 alias or a string constant that is an identifier (``getattr`` lookups
-and registries).  Top-level names match through the module that defines
+and registries).  A module-level ``from M import X`` counts only if the
+importing module loads ``X`` or lists it in ``__all__``: an unused
+import keeps nothing alive.  Top-level names match through the module that defines
 them; methods match on the attribute name anywhere, which keeps the
 rule conservative for protocols.  References made inside a name count
 only once that name is itself referenced (a fixed point), so a chain of
@@ -275,10 +277,14 @@ def _scopes(tree: ast.Module):
             yield from walk(top, top.name if isinstance(top, _DEFS) else None)
 
 
-def _references(node: ast.AST, module: str | None, paths) -> set[tuple]:
+def _references(
+    node: ast.AST, module: str | None, paths, loaded: set[str] | None = None
+) -> set[tuple]:
     """What one node refers to: ``("def", module, name)`` for a name
     bound in a known module, ``("any", name)`` for an attribute or an
-    identifier string, which may name a method or a function anywhere."""
+    identifier string, which may name a method or a function anywhere.
+    With ``loaded`` given, an imported name refers to its definition only
+    if it is in ``loaded``."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return {("def", module, node.id)} if module else set()
     if isinstance(node, ast.Attribute):
@@ -289,6 +295,7 @@ def _references(node: ast.AST, module: str | None, paths) -> set[tuple]:
         return {
             ("def", _definer(node.module, alias.name, paths), alias.name)
             for alias in node.names
+            if loaded is None or (alias.asname or alias.name) in loaded
         }
     return set()
 
@@ -313,11 +320,20 @@ def unreached_names(
         tree = ast.parse(path.read_text())
         if module is not None:
             items.update(f"{module}.{item}" for item in _items(tree))
+        # A module-level import the module never loads is no reference
+        # (an ``__all__`` listing is one through its identifier string).
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
         for owner, node in _scopes(tree):
             # Everything in a root script runs; only items can be dead.
             key = (module, owner if module else None)
             refs.setdefault(key, set()).update(
-                _references(node, module, paths)
+                _references(
+                    node, module, paths, loaded if owner is None else None
+                )
             )
     reached = {name for name in kept if name in items}
     seen: set[tuple] = set()
@@ -421,6 +437,30 @@ def _orphan_tree(tmp_path: Path, source: str) -> Path:
 )
 def test_scan_names_an_orphan_name(tmp_path, source, expected):
     root = _orphan_tree(tmp_path, source)
+    assert unreached_names(root) == [
+        f"repro.chem.molecule.{name}" for name in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "importer_tail, expected",
+    [
+        ("", ["orphan_fn"]),
+        ("\n_ALIAS = orphan_fn\n", []),
+        ("\n__all__ = ['orphan_fn']\n", []),
+    ],
+    ids=["unused-import", "import-loaded", "import-in-all"],
+)
+def test_scan_names_a_name_kept_only_by_an_unused_import(
+    tmp_path, importer_tail, expected
+):
+    root = _orphan_tree(tmp_path, "\n\ndef orphan_fn():\n    return 1\n")
+    importer = root / "repro" / "chem" / "builders.py"
+    importer.write_text(
+        importer.read_text()
+        + "\nfrom repro.chem.molecule import orphan_fn\n"
+        + importer_tail
+    )
     assert unreached_names(root) == [
         f"repro.chem.molecule.{name}" for name in expected
     ]

@@ -22,9 +22,11 @@ the fine and the outer box) and *straddling* poses (fine, shell and
 beyond-outer atoms in one pose), batches split across several fused
 chunks, per-pose ``near_fraction`` / histogram telemetry in batch mode,
 and the cross-ligand ``score_field_group`` /
-``score_pose_group`` front doors.  For the incremental scorer: the
-batch loop's rebuild decisions and gauge updates equal sequential
-calls'.
+``score_pose_group`` front doors.  For the incremental scorer:
+generated batches of calm, clash, beyond-cutoff, cutoff-straddling and
+non-finite poses score bitwise as fresh single calls and leave the
+Verlet walk -- its list, counters, gauges and rebuild decisions --
+exactly as it was.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metadock.library import generate_library
 from repro.scoring.field import (
@@ -231,24 +235,97 @@ class _RecordingMetrics:
         self.calls.append(("set", name, value))
 
 
-def test_incremental_batch_telemetry_matches_sequential(small_complex, rng):
-    """The batch loop rebuilds exactly when sequential ``score`` calls
-    would and publishes the same gauge updates in the same order."""
+#: Pose kinds of the generated incremental batches.
+_KINDS = ("calm", "clash", "beyond", "straddle", "nan")
+
+
+@st.composite
+def _jump_batches(draw):
+    """(kinds, seed, straddle offsets) for a batch of 0-12 poses.
+
+    A *straddle* pose puts one ligand atom ``cutoff + t * 1e-14`` A from
+    a receptor atom along x (``t`` in -2..2), so the pair sits within a
+    few ulps of the cutoff on either side -- inside the neighbour
+    query's rounding margin, where only the exact ``r <= cutoff``
+    compression decides.
+    """
+    kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=12))
+    offsets = [draw(st.integers(-2, 2)) for _ in kinds]
+    return kinds, draw(st.integers(0, 2**32 - 1)), offsets
+
+
+def _make_batch(built, cutoff, kinds, seed, offsets) -> np.ndarray:
+    base = built.ligand_crystal.coords
+    rec = built.receptor.coords
+    rng = np.random.default_rng(seed)
+    poses = []
+    for kind, t in zip(kinds, offsets):
+        pose = base + rng.normal(scale=0.3, size=base.shape)
+        atom = int(rng.integers(base.shape[0]))
+        near = rec[int(rng.integers(rec.shape[0]))]
+        if kind == "clash":
+            pose[atom] = near
+        elif kind == "beyond":
+            u = rng.normal(size=3)
+            pose += (60.0 + cutoff) * u / np.linalg.norm(u)
+        elif kind == "straddle":
+            pose[atom] = near + [cutoff + t * 1e-14, 0.0, 0.0]
+        elif kind == "nan":
+            pose[atom, int(rng.integers(3))] = np.nan
+        poses.append(pose)
+    return np.array(poses).reshape((len(kinds),) + base.shape)
+
+
+def _walk_state(scorer) -> tuple:
+    return scorer.rebuild_count, scorer.active_pairs, len(scorer.metrics.calls)
+
+
+# Every kind, including a straddling pair just beyond the cutoff: a
+# score_batch that kept the neighbour query's rounding-margin extras
+# instead of compressing to r <= cutoff fails on it.
+@example(
+    batch=(list(_KINDS) + ["straddle"] * 4, 7, [0, 0, 0, 1, 0, 2, 1, 2, -1]),
+    cutoff=12.0,
+    walk_seed=0,
+    interleave=[True, False, True, True],
+)
+@given(
+    batch=_jump_batches(),
+    cutoff=st.sampled_from([6.0, 12.0]),
+    walk_seed=st.integers(0, 2**32 - 1),
+    interleave=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_incremental_batch_leaves_the_walk_alone(
+    small_complex, batch, cutoff, walk_seed, interleave
+):
+    """``score_batch`` scores each pose on its own exact cutoff pair set:
+    every entry is bitwise a fresh scorer's ``score``, the Verlet walk's
+    counters and telemetry do not move, and a walk with batch calls
+    interleaved scores and rebuilds exactly as the walk alone."""
     rec = small_complex.receptor
     lig = small_complex.ligand_crystal
-    calm, clash, oob, mixed = _pose_batches(small_complex, rng)
-    # Near poses share a list, jumps force rebuilds, far poses list
-    # nothing: every branch of the rebuild test in one batch.
-    cb = np.concatenate([calm, mixed, oob[:2], calm[:2]])
-    batch, single = (IncrementalScorer(rec, lig) for _ in range(2))
-    batch.metrics, single.metrics = _RecordingMetrics(), _RecordingMetrics()
-    got = batch.score_batch(cb)
-    ref = np.array([single.score(p) for p in cb])
-    assert np.array_equal(got, ref)
-    assert 1 < batch.rebuild_count < len(cb)
-    assert batch.rebuild_count == single.rebuild_count
-    assert batch.active_pairs == single.active_pairs
-    assert batch.metrics.calls == single.metrics.calls
+    cb = _make_batch(small_complex, cutoff, *batch)
+    ref = np.array(
+        [IncrementalScorer(rec, lig, cutoff=cutoff).score(p) for p in cb]
+    )
+    alone, mixed = (IncrementalScorer(rec, lig, cutoff=cutoff) for _ in "ab")
+    alone.metrics, mixed.metrics = _RecordingMetrics(), _RecordingMetrics()
+    rng = np.random.default_rng(walk_seed)
+    pose = lig.coords
+    for batch_first in interleave:
+        if batch_first:
+            before = _walk_state(mixed)
+            got = mixed.score_batch(cb)
+            assert got.shape == (len(cb),)
+            assert got.tobytes() == ref.tobytes()
+            assert _walk_state(mixed) == before
+        pose = pose + rng.normal(scale=0.5, size=pose.shape)
+        a, b = alone.score(pose), mixed.score(pose)
+        assert np.array([a]).tobytes() == np.array([b]).tobytes()
+        assert alone.rebuild_count == mixed.rebuild_count
+    assert _walk_state(mixed) == _walk_state(alone)
+    assert mixed.metrics.calls == alone.metrics.calls
 
 
 def test_field_batch_near_fraction_and_histogram(small_complex, rng):

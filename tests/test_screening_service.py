@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.chem.builders import build_complex
+from repro.config import ci_scale_config
 from repro.metadock.library import generate_library
 from repro.nn.checkpoints import (
     CheckpointMismatchError,
@@ -160,6 +161,47 @@ def test_shared_cells_scoring_matches_per_ligand(built, library):
         )
         assert shared.hits == serial.hits
         assert len(direct) == len(shared.hits)
+
+
+#: ``(compound_id, best_score.hex(), evaluations)`` per ranked hit of
+#: the incremental-scored screens below, frozen from the code before
+#: ``IncrementalScorer.score_batch`` stopped building a Verlet list per
+#: jumped pose.  ``scatter`` scores mostly jumps; ``local`` mostly small
+#: improve moves, one pose per ``score_batch`` call.
+FROZEN_RANKINGS = {
+    "scatter": [
+        ("LIG00000", "0x1.8940deeef1566p+7", 96),
+        ("LIG00003", "0x1.5144dcb80d9b2p+7", 96),
+        ("LIG00001", "0x1.18de3f8fe2064p+7", 96),
+        ("LIG00002", "0x1.83474035a111fp+6", 96),
+    ],
+    "local": [
+        ("LIG00003", "0x1.76ab065ef9bc3p+7", 112),
+        ("LIG00000", "0x1.6678ede28d208p+7", 112),
+        ("LIG00001", "0x1.d16a6b8b5bce6p+6", 112),
+        ("LIG00002", "0x1.82adb2a43f473p+6", 112),
+    ],
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(FROZEN_RANKINGS))
+def test_incremental_screen_ranking_is_frozen(strategy):
+    cfg = ci_scale_config(seed=0).complex
+    result = run_screening(
+        build_complex(cfg),
+        generate_library(cfg, 4, seed=11),
+        ScreeningConfig(
+            strategy=strategy,
+            budget=96,
+            seed=5,
+            scoring_method="incremental",
+        ),
+    )
+    got = [
+        (h["compound_id"], float(h["best_score"]).hex(), h["evaluations"])
+        for h in result.ranking
+    ]
+    assert got == FROZEN_RANKINGS[strategy]
 
 
 # -- library validation -----------------------------------------------------
