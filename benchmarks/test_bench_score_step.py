@@ -9,9 +9,11 @@ this bench measures that call at full 2BSM scale (3,264-atom receptor,
 Alongside throughput it records the accuracy figures the scoring
 policy (docs/PERFORMANCE.md, "Scoring kernels") promises:
 
-- the incremental scorer tracks the cutoff scorer at the same cutoff to
-  ~1e-15 relative (bound: ``DRIFT_REL_BOUND``) -- same pair set, same
-  formulas, only floating-point association differs;
+- the incremental scorer and the "cutoff" method (the same scorer at
+  skin 0) track ``tests/cutoff_reference.py``, an independently
+  written cutoff scorer, at the same cutoff to ~1e-15 relative (bound:
+  ``DRIFT_REL_BOUND``) -- same pair set, same formulas, only
+  floating-point association differs;
 - cutoff truncation vs the exact scorer is the *cutoff's* accuracy
   knob, bounded per regime on the per-step score *change* (what the RL
   reward derives from): at most ``TRUNCATION_STEP_BOUND`` kcal/mol per
@@ -81,7 +83,8 @@ from repro.scoring.incremental import (
     DRIFT_REL_BOUND,
     IncrementalScorer,
 )
-from repro.scoring.scorers import CutoffScorer, ExactScorer
+from repro.scoring.scorers import ExactScorer, make_scorer
+from tests.cutoff_reference import CutoffReference
 from tests.frozen_eq1 import FrozenExactScorer
 
 #: Artifact path (repo root under plain pytest; override via env).
@@ -261,7 +264,7 @@ def test_bench_score_step(paper_complex):
 
     exact = ExactScorer(rec, lig)
     frozen = FrozenExactScorer(rec, lig)
-    cutoff = CutoffScorer(rec, lig, cutoff=DEFAULT_CUTOFF)
+    cutoff = make_scorer("cutoff", rec, lig, cutoff=DEFAULT_CUTOFF)
     inc = IncrementalScorer(
         rec, lig, cutoff=DEFAULT_CUTOFF, skin=DEFAULT_SKIN
     )
@@ -292,10 +295,10 @@ def test_bench_score_step(paper_complex):
     s_field32 = np.array([fld32.score(p) for p in poses])
 
     # Batched rows: the same trajectory scored in BATCH_K batches
-    # through score_batch (field: the fused pose-major kernel; cutoff:
-    # a sequential loop, ~1.0x; incremental: a per-pose loop that skips
-    # the Verlet list and queries each pose at the cutoff, ~1x of the
-    # list on this walk -- both unasserted).  Every batch path is
+    # through score_batch (field: the fused pose-major kernel; cutoff
+    # and incremental: a per-pose loop that skips the Verlet list and
+    # queries each pose at the cutoff, ~1x of the list on this walk --
+    # both unasserted).  Every batch path is
     # bitwise-equal to the single-pose scores above.
     rate_field_batch, sb_field = _measure_batch(fld, poses)
     rate_cutoff_batch, sb_cutoff = _measure_batch(cutoff, poses)
@@ -311,9 +314,17 @@ def test_bench_score_step(paper_complex):
     total_inc_calls = PASSES * N_POSES + 20
     rebuild_rate = inc.rebuild_count / total_inc_calls
 
-    # Accuracy, part 1: incremental vs cutoff at the same cutoff.
-    rel = np.abs(s_inc - s_cutoff) / np.maximum(1.0, np.abs(s_cutoff))
-    max_rel_inc_vs_cutoff = float(rel.max())
+    # Accuracy, part 1: incremental and cutoff vs the independently
+    # written reference at the same cutoff.
+    reference = CutoffReference(rec, lig, cutoff=DEFAULT_CUTOFF)
+    s_ref = np.array([reference.score(p) for p in poses])
+
+    def max_rel(scores):
+        rel = np.abs(scores - s_ref) / np.maximum(1.0, np.abs(s_ref))
+        return float(rel.max())
+
+    max_rel_inc_vs_cutoff = max_rel(s_inc)
+    max_rel_cutoff_vs_reference = max_rel(s_cutoff)
 
     # Accuracy, part 2: truncation vs exact on per-step score changes
     # (the RL-relevant quantity), split by regime.
@@ -419,6 +430,7 @@ def test_bench_score_step(paper_complex):
         "rebuild_us_crystal": round(rebuild_us_crystal, 1),
         "rebuild_us_pose_a": round(rebuild_us_pose_a, 1),
         "max_rel_drift_incremental_vs_cutoff": max_rel_inc_vs_cutoff,
+        "max_rel_drift_cutoff_vs_reference": max_rel_cutoff_vs_reference,
         "calm_steps": int(calm.sum()),
         "calm_step_delta_drift_vs_exact": round(calm_step_drift, 3),
         "clash_rel_delta_drift_vs_exact": clash_rel_drift,
@@ -488,6 +500,7 @@ def test_bench_score_step(paper_complex):
     # bounds.
     assert rate_inc >= INCREMENTAL_SPEEDUP_BOUND * rate_frozen, payload
     assert max_rel_inc_vs_cutoff <= DRIFT_REL_BOUND, payload
+    assert max_rel_cutoff_vs_reference <= DRIFT_REL_BOUND, payload
     assert calm_step_drift <= TRUNCATION_STEP_BOUND, payload
     assert clash_rel_drift <= TRUNCATION_CLASH_REL_BOUND, payload
     # The Verlet list must actually amortize: far fewer rebuilds than

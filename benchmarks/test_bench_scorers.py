@@ -8,7 +8,7 @@ analogue of METADOCK's windowed-GPU evaluation choices.
 import numpy as np
 import pytest
 
-from repro.scoring.scorers import CutoffScorer, ExactScorer
+from repro.scoring.scorers import ExactScorer, make_scorer
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def test_bench_exact_scorer(benchmark, scorer_setup):
 
 def test_bench_cutoff_scorer(benchmark, scorer_setup):
     rec, template, coords = scorer_setup
-    scorer = CutoffScorer(rec, template, cutoff=12.0)
+    scorer = make_scorer("cutoff", rec, template, cutoff=12.0)
     s = benchmark(scorer.score, coords)
     assert np.isfinite(s)
 
@@ -38,7 +38,7 @@ def test_scorer_accuracy_ladder(scorer_setup):
     exact = ExactScorer(rec, template).score(coords)
     rows = []
     for cutoff in (12.0, 16.0, 20.0):
-        s = CutoffScorer(rec, template, cutoff=cutoff).score(coords)
+        s = make_scorer("cutoff", rec, template, cutoff=cutoff).score(coords)
         rows.append((f"cutoff {cutoff:.0f} A", s, abs(s - exact)))
     print(f"\nexact score: {exact:.3f}")
     for name, s, err in rows:

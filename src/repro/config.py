@@ -155,8 +155,9 @@ class DQNDockingConfig:
     #: docs/OBSERVATIONS.md).
     observation_mode: str = "raw"
     #: Pose-scoring kernel: "exact" (full Eq. 1, the correctness
-    #: reference), "cutoff" (cell-list truncation), "incremental"
-    #: (Verlet-list scorer, see :mod:`repro.scoring.incremental`) or
+    #: reference), "incremental" (Verlet-list scorer, see
+    #: :mod:`repro.scoring.incremental`), "cutoff" (the same scorer with
+    #: no skin: each moved pose re-queries its cutoff pairs) or
     #: "field" (hybrid precomputed-field scorer with an exact
     #: near-field path, see :mod:`repro.scoring.field` and
     #: docs/PERFORMANCE.md).

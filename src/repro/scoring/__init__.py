@@ -18,9 +18,9 @@ baseline for the vectorization speedup bench.
 :mod:`repro.scoring.scorers` registers the pose scorers built on them:
 the Eq. 1 oracle ("exact"), the production precomputed-field scorer
 ("field", :mod:`repro.scoring.field`) and one neighbour-list family
-over :mod:`repro.scoring.neighborlist` -- the Verlet-list scorer
-("incremental", :mod:`repro.scoring.incremental`) with the stateless
-"cutoff" scorer as its test reference.
+over :mod:`repro.scoring.neighborlist`, the Verlet-list scorer of
+:mod:`repro.scoring.incremental` ("incremental", and "cutoff" at
+skin 0).
 """
 
 from repro.scoring.composite import (
@@ -30,13 +30,12 @@ from repro.scoring.composite import (
 )
 from repro.scoring.lennard_jones import lennard_jones_energy
 from repro.scoring.neighborlist import CellList
-from repro.scoring.field import FieldMaps, FieldScorer, score_field_group
+from repro.scoring.field import FieldMaps, FieldScorer
 from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.reference import sequential_score_algorithm1
 from repro.scoring.scorers import (
     SCORER_REGISTRY,
     SCORING_METHODS,
-    CutoffScorer,
     ExactScorer,
     ScorerEntry,
     as_pose,
@@ -55,13 +54,11 @@ __all__ = [
     "CellList",
     "FieldMaps",
     "FieldScorer",
-    "score_field_group",
     "score_pose_group",
     "as_pose",
     "as_pose_batch",
     "sequential_score_algorithm1",
     "ExactScorer",
-    "CutoffScorer",
     "IncrementalScorer",
     "ScorerEntry",
     "SCORER_REGISTRY",

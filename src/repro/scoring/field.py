@@ -47,10 +47,9 @@ overlap an atom inside it (a CSR candidate table over the same node
 distances the maps integrate), so at score time candidates arrive in
 one gather with no spatial query at all, and a distance check keeps
 the actual ``r < clash_radius`` pairs (the table is validated against
-:func:`~repro.scoring.neighborlist.query_pairs` on a receptor
-``CellList`` in the tests).  The clash-dominating terms are therefore
-computed exactly, pair by pair, while everything smooth stays two
-table lookups per atom.
+an exact query on a receptor ``CellList`` in the tests).  The
+clash-dominating terms are therefore computed exactly, pair by pair,
+while everything smooth stays two table lookups per atom.
 
 Two lattice levels
 ------------------
@@ -359,8 +358,9 @@ class FieldMaps:
         # holding the fine nodes followed by the outer nodes), so
         # *every* ligand scored against this receptor gathers from the
         # same array -- the property the fused cross-ligand batch path
-        # (:func:`score_field_group`) relies on.  Slots are append-only;
-        # the stack is (re)assembled lazily in :meth:`flat_stack`.
+        # (:func:`~repro.scoring.scorers.score_pose_group`) relies on.
+        # Slots are append-only; the stack is (re)assembled lazily in
+        # :meth:`flat_stack`.
         self._slot: dict[tuple, int] = {}
         self._flat_stack: np.ndarray | None = None
         self._flat_slots = -1
@@ -1372,45 +1372,3 @@ def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
         corr -= cos_c * e1210_c - (1.0 - sin_c) * lj_c[sel]
         e[sel] += corr
     return e
-
-
-def score_field_group(entries) -> np.ndarray:
-    """Score one pose per :class:`FieldScorer` in fused evaluations.
-
-    ``entries`` is a sequence of ``(scorer, coords)`` pairs -- the
-    scorers may wrap *different ligands* (heterogeneous atom counts and
-    types).  Entries are grouped by their shared :class:`FieldMaps`
-    instance; each group evaluates through one fused kernel over the
-    maps' combined stack, so a screening shard's ligands against one
-    receptor batch into a single gather.  Per-entry results (score,
-    ``near_fraction`` / ``outer_fraction`` and their histogram
-    observations) are bitwise-equal to calling ``scorer.score(coords)``
-    sequentially.
-    """
-    n = len(entries)
-    out = np.empty(n)
-    if n == 0:
-        return out
-    prepared = []
-    for sc, coords in entries:
-        if not isinstance(sc, FieldScorer):
-            raise TypeError(
-                "score_field_group entries must pair FieldScorer "
-                f"instances with coords, got {type(sc).__name__}"
-            )
-        m = sc.ligand.n_atoms
-        lig = as_pose(coords, m)
-        sc._ensure_built()
-        prepared.append((sc, lig, m))
-    groups: dict[int, list[int]] = {}
-    for i, (sc, _, _) in enumerate(prepared):
-        groups.setdefault(id(sc._maps), []).append(i)
-    for idxs in groups.values():
-        scorers = [prepared[i][0] for i in idxs]
-        sizes = [prepared[i][2] for i in idxs]
-        pts = np.concatenate([prepared[i][1] for i in idxs], axis=0)
-        scores, near, outer = _fused_scores(scorers, pts, sizes)
-        for j, i in enumerate(idxs):
-            out[i] = scores[j]
-            scorers[j]._record(near[j], outer[j])
-    return out

@@ -55,11 +55,14 @@ produce bit-identical floats for the same coordinates (pinned by
 ``--scoring-method incremental`` stays bit-stable per
 ``docs/CHECKPOINTS.md``.
 
-Accuracy matches :class:`repro.scoring.scorers.CutoffScorer` at the
-same ``cutoff`` to within :data:`DRIFT_REL_BOUND` (same pair set, same
-per-pair formulas; only floating-point association differs).  The
-truncation error *versus the exact scorer* is the cutoff's accuracy
-knob, shared with ``CutoffScorer`` and quantified per cutoff in
+At ``skin = 0`` the list radius is the cutoff itself, so every moved
+pose rebuilds and the walk is the stateless cutoff scorer: the
+registry's "cutoff" method is this class with the skin fixed at 0.
+Any skin matches ``tests/cutoff_reference.py``, an independently
+written cutoff scorer, to within :data:`DRIFT_REL_BOUND` (same pair
+set, same per-pair formulas; only floating-point association
+differs).  The truncation error *versus the exact scorer* is the
+cutoff's accuracy knob, quantified per cutoff in
 ``docs/PERFORMANCE.md`` and ``benchmarks/test_bench_score_step.py``.
 """
 
@@ -81,11 +84,17 @@ from repro.scoring.pairwise import direction_vectors
 #: candidate pairs per step.
 DEFAULT_SKIN: float = 3.0
 
-#: Documented bound on the relative score drift of the incremental
-#: scorer versus the cutoff reference implementation at the same cutoff
-#: (``max |inc - cutoff| / max(1, |cutoff|)``): identical pair set and
-#: per-pair arithmetic, so only floating-point association differs.
-#: Measured ~1e-15 on the 2BSM-scale bench trajectory; enforced by
+#: Documented bound on the relative score drift of this scorer, at any
+#: skin including the registry "cutoff" method's 0, versus the
+#: independently written reference in ``tests/cutoff_reference.py`` at
+#: the same cutoff (``max |inc - ref| / max(1, |ref|)``): identical pair
+#: set and per-pair formulas, so only floating-point association
+#: differs -- products and powers are grouped differently, and at
+#: skin > 0 the cell size, hence the summation order, differs too.
+#: Measured at most 1.7e-14 (8 A cutoff) and 1.2e-14 (12 A) at skin 0,
+#: 1.7e-14 and 1.3e-14 at the default skin, over 651 crystal-walk,
+#: pose-A-walk and scattered poses on the 2BSM complex; enforced by
+#: tests/test_scoring_incremental.py and
 #: benchmarks/test_bench_score_step.py.  The error versus the *exact*
 #: scorer is the cutoff truncation itself — see the "Scoring kernels"
 #: section of docs/PERFORMANCE.md for the measured truncation table and
@@ -100,21 +109,32 @@ ACTIVE_PAIRS_METRIC = "scoring/active_pairs"
 class IncrementalScorer:
     """Cutoff scorer: a Verlet list for the walk, exact pairs per jump.
 
+    At ``skin = 0`` -- the registry's "cutoff" method -- the list holds
+    exactly one pose's cutoff pairs and every moved pose rebuilds it.
+
     Parameters
     ----------
     receptor, ligand:
         The static receptor and the ligand template (topology and
         charges; coordinates arrive per call).
     cutoff:
-        Interaction cutoff in angstrom — the accuracy knob, identical
-        in meaning to :class:`CutoffScorer`'s.
+        Interaction cutoff in angstrom — the accuracy knob.
     skin:
-        Extra list radius in angstrom — the walk's cadence knob.
+        Extra list radius in angstrom (>= 0) — the walk's cadence knob.
     shifted:
-        Use the energy-shifted Coulomb form (matches ``CutoffScorer``).
+        Use the energy-shifted Coulomb form ``k q_i q_j (1/r - 1/Rc)``
+        (default), which is continuous at the cutoff.  With sharp
+        truncation, shells of like-charged receptor atoms enter the sum
+        discontinuously as the cutoff grows, and the error is large and
+        non-monotone on inhomogeneously charged receptors.
     cells:
-        A prebuilt :meth:`receptor_cache` to share between the scorers
-        of one receptor; built privately when omitted.
+        A prebuilt :meth:`receptor_cache` for this receptor, cutoff and
+        skin, to share between the scorers of one receptor; built
+        privately when omitted.  Checked once here: a non-``CellList``
+        raises ``TypeError``; a cell list over other points, or with
+        another cell size (hence another canonical pair order, e.g. an
+        "incremental" cache passed to a "cutoff" scorer), raises
+        ``ValueError``.
 
     Attributes
     ----------
@@ -137,10 +157,10 @@ class IncrementalScorer:
         shifted: bool = True,
         cells: CellList | None = None,
     ):
-        if cutoff <= 0:
+        if not cutoff > 0:  # NaN too: it would score every pose 0.0
             raise ValueError("cutoff must be positive")
-        if skin <= 0:
-            raise ValueError("skin must be positive")
+        if not skin >= 0:
+            raise ValueError("skin must be non-negative")
         self.receptor = receptor
         self.ligand = ligand
         self.cutoff = float(cutoff)
@@ -154,11 +174,26 @@ class IncrementalScorer:
         self._half_skin_sq = (0.5 * self.skin) ** 2
         self._cutoff_sq = self.cutoff * self.cutoff
         self._inv_cutoff = 1.0 / self.cutoff
-        self._cells = (
-            cells
-            if cells is not None
-            else self.receptor_cache(receptor, cutoff, skin)
-        )
+        if cells is None:
+            cells = self.receptor_cache(receptor, cutoff, skin)
+        elif not isinstance(cells, CellList):
+            raise TypeError(
+                "cells must be a prebuilt CellList, got "
+                f"{type(cells).__name__}"
+            )
+        elif not np.array_equal(cells.points, receptor.coords):
+            raise ValueError(
+                "cells was built over other points than the receptor's "
+                "coordinates"
+            )
+        elif cells.cell_size != self._list_radius / 2.0:
+            raise ValueError(
+                f"cells has cell_size {cells.cell_size}, but cutoff "
+                f"{self.cutoff} and skin {self.skin} need "
+                f"{self._list_radius / 2.0}: build it with "
+                "receptor_cache for the same scoring kwargs"
+            )
+        self._cells = cells
         self._dirs_full = direction_vectors(receptor.coords, receptor.bonds)
         self._iso_full = (np.abs(self._dirs_full) < 1e-12).all(axis=1)
         self._mask_full = hb.eligible_pairs_mask(
@@ -190,9 +225,9 @@ class IncrementalScorer:
         per-pair arithmetic are ignored) and returns what ``__init__``
         builds for itself when ``cells`` is None -- screening workers
         sort the receptor once and pass it to every ligand's scorer.
-        The bin edge ``(cutoff + skin) / 2`` only fixes the canonical
-        pair order (hence the summation order, hence every digest);
-        query cost does not depend on it.
+        The bin edge ``(cutoff + skin) / 2`` (``cutoff / 2`` at skin 0)
+        only fixes the canonical pair order (hence the summation order,
+        hence every digest); query cost does not depend on it.
         """
         return CellList(
             receptor.coords, cell_size=(float(cutoff) + float(skin)) / 2.0

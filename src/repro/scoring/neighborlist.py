@@ -86,15 +86,23 @@ class CellList:
 def candidate_pairs(
     cell_list: CellList, probe_points: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A canonical-order superset of :func:`query_pairs`' result.
+    """(stored_index, probe_index) pairs within ``radius``, and a few more.
 
     Every pair within ``radius`` is present, plus possibly a few that
     are beyond it by rounding only (squared distance within
     ``_ROUNDING_MARGIN * (R + radius)**2`` of ``radius**2``, ``R`` the
-    probes' bounding radius about their centroid).  Dropping the extras
-    leaves exactly :func:`query_pairs`' arrays, so a caller that filters
-    by distance itself -- the Verlet scorer compresses its list to
-    ``r <= cutoff`` on every score -- can skip the exact pass.
+    probes' bounding radius about their centroid).  The caller filters
+    by exact distance itself -- the Verlet scorer compresses its list
+    to ``r <= cutoff`` on every score -- and is left with exactly the
+    pairs within the radius.
+
+    Pair order is canonical and *probe-major*: pairs of probe ``k`` come
+    before those of probe ``k+1``; within a probe, stored points appear
+    in ``cell_list.order`` -- cells in ascending (ix, iy, iz) order,
+    members within a cell in ascending stored order.  This order is
+    independent of which probe positions the query is centered on (only
+    membership changes), which the incremental scorer relies on for
+    bit-stable rescoring (see :mod:`repro.scoring.incremental`).
 
     Raises ``ValueError`` on a non-finite probe.
     """
@@ -137,31 +145,3 @@ def candidate_pairs(
     probe_of = hit // n_near
     hit -= probe_of * n_near
     return np.take(np.take(cell_list.order, near), hit), probe_of
-
-
-def query_pairs(
-    cell_list: CellList, probe_points: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (stored_index, probe_index) pairs within ``radius``, vectorized.
-
-    :func:`candidate_pairs`' superset filtered with exact arithmetic
-    (stored minus probe, squared norm, ``<= radius**2``), so membership
-    does not depend on how the candidates were found.
-
-    Pair order is canonical and *probe-major*: pairs of probe ``k`` come
-    before those of probe ``k+1``; within a probe, stored points appear
-    in ``cell_list.order`` -- cells in ascending (ix, iy, iz) order,
-    members within a cell in ascending stored order.  This order is
-    independent of which probe positions the query is centered on (only
-    membership changes), which the incremental scorer relies on for
-    bit-stable rescoring (see :mod:`repro.scoring.incremental`).
-
-    Raises ``ValueError`` on a non-finite probe.
-    """
-    cand, probe_of = candidate_pairs(cell_list, probe_points, radius)
-    probes = np.asarray(probe_points, dtype=float).reshape(-1, 3)
-    r = float(radius)
-    diff = np.take(cell_list.points, cand, axis=0)
-    diff -= np.take(probes, probe_of, axis=0)
-    keep = np.einsum("ij,ij->i", diff, diff) <= r * r
-    return np.compress(keep, cand), np.compress(keep, probe_of)

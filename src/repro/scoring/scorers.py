@@ -10,9 +10,8 @@ trades (the GPU METADOCK plays the same game with spot-local windows):
   kernel; see :mod:`repro.scoring.field`);
 - ``IncrementalScorer`` ("incremental") -- Eq. 1 truncated at ``cutoff``
   over a cached Verlet pair list (fast but truncating; see
-  :mod:`repro.scoring.incremental`), with the stateless
-  :class:`CutoffScorer` ("cutoff") kept as the reference its drift
-  bound is pinned against.
+  :mod:`repro.scoring.incremental`); "cutoff" is the same class with
+  the skin fixed at 0, the stateless cutoff scorer.
 
 All scorers share the one-pose ``score(coords)`` and many-pose
 ``score_batch(coords_batch)`` interface; every ``score_batch`` entry is
@@ -30,13 +29,9 @@ from typing import Any, Callable, Mapping, Protocol
 import numpy as np
 
 from repro.chem.molecule import Molecule
-from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
-from repro.scoring import hbond as hb
 from repro.scoring.composite import Eq1Kernel, as_pose, as_pose_batch
-from repro.scoring.field import FieldScorer, score_field_group
+from repro.scoring.field import FieldScorer, _fused_scores
 from repro.scoring.incremental import IncrementalScorer
-from repro.scoring.neighborlist import CellList, query_pairs
-from repro.scoring.pairwise import direction_vectors
 
 
 class PoseScorer(Protocol):
@@ -71,148 +66,41 @@ class ExactScorer:
         return np.array([self._kernel.score(pose) for pose in cb])
 
 
-class CutoffScorer:
-    """Eq. 1 truncated to receptor atoms within ``cutoff`` of any ligand atom.
-
-    The receptor is put in cell-sorted order once; each evaluation
-    touches O(ligand x local-density) pairs instead of all n x m.
-
-    ``shifted=True`` (default) uses the energy-shifted Coulomb form
-    ``k q_i q_j (1/r - 1/Rc)``, which is continuous at the cutoff.  With
-    sharp truncation, shells of like-charged receptor atoms enter the
-    sum discontinuously as the cutoff grows and the error is large and
-    non-monotone on inhomogeneously charged receptors (measured in the
-    scorer bench); the shifted form converges smoothly.
-    """
-
-    def __init__(
-        self,
-        receptor: Molecule,
-        ligand: Molecule,
-        cutoff: float = DEFAULT_CUTOFF,
-        *,
-        shifted: bool = True,
-        cells: CellList | None = None,
-    ):
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        self.receptor = receptor
-        self.ligand = ligand
-        self.cutoff = float(cutoff)
-        self.shifted = bool(shifted)
-        self._cells = (
-            cells
-            if cells is not None
-            else self.receptor_cache(receptor, cutoff)
-        )
-        self._dirs = direction_vectors(receptor.coords, receptor.bonds)
-        self._mask_full = hb.eligible_pairs_mask(
-            receptor.hbond_donor,
-            receptor.hbond_acceptor,
-            ligand.hbond_donor,
-            ligand.hbond_acceptor,
-        )
-
-    @classmethod
-    def receptor_cache(
-        cls,
-        receptor: Molecule,
-        cutoff: float = DEFAULT_CUTOFF,
-        **_pair_kwargs,
-    ) -> CellList:
-        """The receptor cell list every ligand's scorer can share.
-
-        Takes the scorer's config kwargs (those that only shape the
-        per-pair arithmetic are ignored) and returns what ``__init__``
-        builds for itself when ``cells`` is None -- screening workers
-        sort the receptor once and pass it to every ligand's scorer.
-        The bin edge ``cutoff / 2`` only fixes the canonical pair order
-        (hence the summation order); query cost and pair membership do
-        not depend on it.
-        """
-        return CellList(receptor.coords, cell_size=cutoff / 2.0)
-
-    def _score_pose(self, lig: np.ndarray) -> float:
-        if not np.isfinite(lig).all():
-            # No pair is "in range" of a NaN: without this the pose
-            # would score 0.0 and outrank every clash.
-            return float("nan")
-        rec = self.receptor
-        lig_mol = self.ligand
-        rec_idx, lig_idx = query_pairs(self._cells, lig, self.cutoff)
-        if rec_idx.size == 0:
-            return 0.0
-        diff = lig[lig_idx] - rec.coords[rec_idx]
-        r = np.sqrt((diff**2).sum(axis=1))
-        np.maximum(r, MIN_DISTANCE, out=r)
-        # Electrostatics (optionally energy-shifted at the cutoff).
-        qq = rec.charges[rec_idx] * lig_mol.charges[lig_idx]
-        inv = 1.0 / r
-        if self.shifted:
-            inv = inv - 1.0 / self.cutoff
-        e_el = COULOMB_CONSTANT * qq * inv
-        # Lennard-Jones.
-        sigma = 0.5 * (rec.sigma[rec_idx] + lig_mol.sigma[lig_idx])
-        eps = np.sqrt(rec.epsilon[rec_idx] * lig_mol.epsilon[lig_idx])
-        x6 = (sigma / r) ** 6
-        e_lj = 4.0 * eps * (x6 * x6 - x6)
-        energy = float(e_el.sum()) + float(e_lj.sum())
-        # Hydrogen-bond correction on eligible pairs.
-        eligible = self._mask_full[rec_idx, lig_idx]
-        if eligible.any():
-            r_el = r[eligible]
-            u_el = diff[eligible]
-            dirs_el = self._dirs[rec_idx[eligible]]
-            norm = np.maximum(np.linalg.norm(u_el, axis=1), 1e-9)
-            cos = (dirs_el * u_el).sum(axis=1) / norm
-            iso = (np.abs(dirs_el) < 1e-12).all(axis=1)
-            cos[iso] = 1.0
-            np.clip(cos, 0.0, 1.0, out=cos)
-            sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-            c_hb, d_hb = hb.hbond_coefficients()
-            e_1210 = c_hb / r_el**12 - d_hb / r_el**10
-            energy += float(
-                (cos * e_1210 - (1.0 - sin) * e_lj[eligible]).sum()
-            )
-        return -energy
-
-    def score(self, coords: np.ndarray) -> float:
-        return self._score_pose(as_pose(coords, self.ligand.n_atoms))
-
-    def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
-        """Sequential loop over the single-pose body: bitwise-equal to
-        :meth:`score` per entry by construction."""
-        cb = as_pose_batch(coords_batch, self.ligand.n_atoms)
-        out = np.empty(cb.shape[0])
-        for i, lig in enumerate(cb):
-            out[i] = self._score_pose(lig)
-        return out
-
-
 def score_pose_group(entries) -> np.ndarray:
     """Score one ``(scorer, coords)`` pose per entry, fusing where possible.
 
-    The cross-ligand batching front door used by the screening rollout:
-    entries whose scorer is a :class:`~repro.scoring.field.FieldScorer`
-    are routed through :func:`~repro.scoring.field.score_field_group`
-    (one fused gather per shared :class:`FieldMaps`, covering
-    heterogeneous ligands against one receptor); every other scorer
-    falls back to its single-pose ``score()``.  Entry ``i``'s result is
-    bitwise-equal to ``entries[i][0].score(entries[i][1])``, including
-    scorer-side telemetry, evaluated in entry order within each path.
+    The cross-ligand batching front door used by the screening rollout.
+    Entries whose scorer is a :class:`~repro.scoring.field.FieldScorer`
+    are grouped by their shared :class:`~repro.scoring.field.FieldMaps`
+    and each group runs one fused kernel over the maps' combined stack,
+    so the ligands of a shard -- heterogeneous atom counts and types --
+    batch into a single gather against one receptor; every other scorer
+    is evaluated through its single-pose ``score()``.  Entry ``i``'s
+    result is bitwise-equal to ``entries[i][0].score(entries[i][1])``,
+    including scorer-side telemetry (``near_fraction`` /
+    ``outer_fraction`` and their histograms), evaluated in entry order
+    within each path.
     """
     entries = list(entries)
     out = np.empty(len(entries))
-    field_idx = []
+    groups: dict[int, list[tuple[int, FieldScorer, np.ndarray]]] = {}
     for i, (scorer, coords) in enumerate(entries):
         if isinstance(scorer, FieldScorer):
-            field_idx.append(i)
+            lig = as_pose(coords, scorer.ligand.n_atoms)
+            scorer._ensure_built()
+            groups.setdefault(id(scorer._maps), []).append((i, scorer, lig))
         else:
             out[i] = scorer.score(coords)
-    if field_idx:
-        fused = score_field_group([entries[i] for i in field_idx])
-        for j, i in enumerate(field_idx):
-            out[i] = fused[j]
+    for group in groups.values():
+        idxs, scorers, ligs = zip(*group)
+        scores, near, outer = _fused_scores(
+            scorers,
+            np.concatenate(ligs, axis=0),
+            [sc.ligand.n_atoms for sc in scorers],
+        )
+        out[list(idxs)] = scores
+        for sc, f, g in zip(scorers, near, outer):
+            sc._record(f, g)
     return out
 
 
@@ -221,14 +109,15 @@ class ScorerEntry:
     """One registered scoring method: factory + declared kwargs.
 
     ``kwargs`` maps each accepted keyword to its allowed value types;
-    ``runtime_only`` names kwargs that are legal when constructing a
-    scorer in-process (shared in-memory caches) but meaningless in a
-    JSON config.
+    ``cells`` (a shared in-memory receptor cache) is legal when
+    constructing a scorer in-process but meaningless in a JSON config.
+    ``fixed`` holds keywords the entry passes to the factory and its
+    ``receptor_cache`` itself, which callers cannot set.
     """
 
     factory: Callable[..., PoseScorer]
     kwargs: Mapping[str, tuple[type, ...]] = field(default_factory=dict)
-    runtime_only: frozenset[str] = frozenset()
+    fixed: Mapping[str, Any] = field(default_factory=dict)
 
 
 _NUMBER = (int, float)
@@ -237,14 +126,15 @@ _NUMBER = (int, float)
 #: valid ``scoring_method`` / ``scoring_kwargs`` combinations.
 SCORER_REGISTRY: dict[str, ScorerEntry] = {
     "exact": ScorerEntry(factory=ExactScorer),
+    # The stateless cutoff scorer: a Verlet list with no skin.
     "cutoff": ScorerEntry(
-        factory=CutoffScorer,
+        factory=IncrementalScorer,
         kwargs={
             "cutoff": _NUMBER,
             "shifted": (bool,),
             "cells": (object,),
         },
-        runtime_only=frozenset({"cells"}),
+        fixed={"skin": 0.0},
     ),
     "incremental": ScorerEntry(
         factory=IncrementalScorer,
@@ -254,7 +144,6 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
             "shifted": (bool,),
             "cells": (object,),
         },
-        runtime_only=frozenset({"cells"}),
     ),
     "field": ScorerEntry(
         factory=FieldScorer,
@@ -265,7 +154,6 @@ SCORER_REGISTRY: dict[str, ScorerEntry] = {
             "dtype": (str,),
             "cells": (object,),
         },
-        runtime_only=frozenset({"cells"}),
     ),
 }
 
@@ -306,7 +194,7 @@ def validate_scoring_kwargs(
                 f"scoring method {method!r} accepts no kwarg {name!r} "
                 f"(valid: {valid})"
             )
-        if name in entry.runtime_only:
+        if name == "cells":
             if not allow_runtime:
                 raise ValueError(
                     f"scoring kwarg {name!r} is runtime-only (a shared "
@@ -332,7 +220,8 @@ def make_scorer(
 ) -> PoseScorer:
     """Scorer factory keyed by config string (thin registry shim)."""
     validate_scoring_kwargs(method, kwargs, allow_runtime=True)
-    return SCORER_REGISTRY[method].factory(receptor, ligand, **kwargs)
+    entry = SCORER_REGISTRY[method]
+    return entry.factory(receptor, ligand, **entry.fixed, **kwargs)
 
 
 def receptor_cache(method: str, receptor: Molecule, **kwargs):
@@ -345,5 +234,6 @@ def receptor_cache(method: str, receptor: Molecule, **kwargs):
     that keeps no receptor-side structure.
     """
     validate_scoring_kwargs(method, kwargs)
-    build = getattr(SCORER_REGISTRY[method].factory, "receptor_cache", None)
-    return None if build is None else build(receptor, **kwargs)
+    entry = SCORER_REGISTRY[method]
+    build = getattr(entry.factory, "receptor_cache", None)
+    return None if build is None else build(receptor, **entry.fixed, **kwargs)

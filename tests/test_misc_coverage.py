@@ -45,13 +45,15 @@ class TestCutoffBruteForceParity:
     def test_matches_masked_full_sum(self, small_complex):
         """Cutoff scorer == full Eq. 1 restricted to in-range pairs."""
         from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
-        from repro.scoring.scorers import CutoffScorer
+        from repro.scoring.scorers import make_scorer
 
         rec = small_complex.receptor
         lig = small_complex.ligand_crystal
         template = lig.with_coords(lig.coords - lig.centroid())
         cutoff = 9.0
-        scorer = CutoffScorer(rec, template, cutoff=cutoff, shifted=False)
+        scorer = make_scorer(
+            "cutoff", rec, template, cutoff=cutoff, shifted=False
+        )
         got = scorer.score(lig.coords)
 
         # Brute force: all pairs within the cutoff.

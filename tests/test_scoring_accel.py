@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.scoring.neighborlist import CellList, query_pairs
+from repro.scoring.neighborlist import CellList
+from tests.cutoff_reference import query_pairs
 
 
 def _within(cl, center, radius):

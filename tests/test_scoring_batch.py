@@ -21,12 +21,14 @@ For the field scorer additionally: *shell* poses (every atom between
 the fine and the outer box) and *straddling* poses (fine, shell and
 beyond-outer atoms in one pose), batches split across several fused
 chunks, per-pose ``near_fraction`` / histogram telemetry in batch mode,
-and the cross-ligand ``score_field_group`` /
-``score_pose_group`` front doors.  For the incremental scorer:
-generated batches of calm, clash, beyond-cutoff, cutoff-straddling and
+and the cross-ligand ``score_pose_group`` front door.  For the
+incremental scorer, at the default skin and at skin 0: generated
+batches of calm, clash, beyond-cutoff, cutoff-straddling and
 non-finite poses score bitwise as fresh single calls and leave the
 Verlet walk -- its list, counters, gauges and rebuild decisions --
-exactly as it was.
+exactly as it was; the "cutoff" method tracks the independently
+written reference in ``tests/cutoff_reference.py`` on the same
+batches.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ from repro.scoring.field import (
     OUTER_FRACTION_METRIC,
     FieldMaps,
     FieldScorer,
-    score_field_group,
 )
-from repro.scoring.incremental import IncrementalScorer
+from repro.scoring.incremental import (
+    DEFAULT_SKIN,
+    DRIFT_REL_BOUND,
+    IncrementalScorer,
+)
 from repro.scoring.scorers import (
     SCORER_REGISTRY,
     ExactScorer,
@@ -55,6 +60,7 @@ from repro.scoring.scorers import (
     score_pose_group,
 )
 from repro.telemetry.metrics import MetricsRegistry
+from tests.cutoff_reference import CutoffReference
 
 METHODS = list(SCORER_REGISTRY)
 
@@ -286,30 +292,42 @@ def _walk_state(scorer) -> tuple:
 @example(
     batch=(list(_KINDS) + ["straddle"] * 4, 7, [0, 0, 0, 1, 0, 2, 1, 2, -1]),
     cutoff=12.0,
+    skin=DEFAULT_SKIN,
+    walk_seed=0,
+    interleave=[True, False, True, True],
+)
+@example(
+    batch=(list(_KINDS) + ["straddle"] * 4, 7, [0, 0, 0, 1, 0, 2, 1, 2, -1]),
+    cutoff=12.0,
+    skin=0.0,
     walk_seed=0,
     interleave=[True, False, True, True],
 )
 @given(
     batch=_jump_batches(),
     cutoff=st.sampled_from([6.0, 12.0]),
+    skin=st.sampled_from([0.0, DEFAULT_SKIN]),
     walk_seed=st.integers(0, 2**32 - 1),
     interleave=st.lists(st.booleans(), min_size=1, max_size=6),
 )
 @settings(max_examples=25, deadline=None)
 def test_incremental_batch_leaves_the_walk_alone(
-    small_complex, batch, cutoff, walk_seed, interleave
+    small_complex, batch, cutoff, skin, walk_seed, interleave
 ):
     """``score_batch`` scores each pose on its own exact cutoff pair set:
     every entry is bitwise a fresh scorer's ``score``, the Verlet walk's
     counters and telemetry do not move, and a walk with batch calls
-    interleaved scores and rebuilds exactly as the walk alone."""
+    interleaved scores and rebuilds exactly as the walk alone -- with a
+    skin, and at skin 0 where every walk step rebuilds."""
     rec = small_complex.receptor
     lig = small_complex.ligand_crystal
     cb = _make_batch(small_complex, cutoff, *batch)
-    ref = np.array(
-        [IncrementalScorer(rec, lig, cutoff=cutoff).score(p) for p in cb]
-    )
-    alone, mixed = (IncrementalScorer(rec, lig, cutoff=cutoff) for _ in "ab")
+
+    def fresh():
+        return IncrementalScorer(rec, lig, cutoff=cutoff, skin=skin)
+
+    ref = np.array([fresh().score(p) for p in cb])
+    alone, mixed = fresh(), fresh()
     alone.metrics, mixed.metrics = _RecordingMetrics(), _RecordingMetrics()
     rng = np.random.default_rng(walk_seed)
     pose = lig.coords
@@ -326,6 +344,29 @@ def test_incremental_batch_leaves_the_walk_alone(
         assert alone.rebuild_count == mixed.rebuild_count
     assert _walk_state(mixed) == _walk_state(alone)
     assert mixed.metrics.calls == alone.metrics.calls
+
+
+@given(batch=_jump_batches(), cutoff=st.sampled_from([6.0, 12.0]))
+@settings(max_examples=25, deadline=None)
+def test_cutoff_method_tracks_the_reference(small_complex, batch, cutoff):
+    """The registry's "cutoff" method (the Verlet scorer at skin 0)
+    stays within ``DRIFT_REL_BOUND`` of the independently written
+    reference on generated poses, scores ``nan`` exactly where it does,
+    and its ``score`` walk equals a fresh scorer's ``score_batch`` bit
+    for bit."""
+    rec = small_complex.receptor
+    lig = small_complex.ligand_crystal
+    cb = _make_batch(small_complex, cutoff, *batch)
+    walk = make_scorer("cutoff", rec, lig, cutoff=cutoff)
+    got = np.array([walk.score(p) for p in cb])
+    jump = make_scorer("cutoff", rec, lig, cutoff=cutoff).score_batch(cb)
+    assert jump.tobytes() == got.tobytes()
+    ref = CutoffReference(rec, lig, cutoff=cutoff)
+    want = np.array([ref.score(p) for p in cb])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    rel = np.abs(got[ok] - want[ok]) / np.maximum(1.0, np.abs(want[ok]))
+    assert (rel <= DRIFT_REL_BOUND).all(), rel.max()
 
 
 def test_field_batch_near_fraction_and_histogram(small_complex, rng):
@@ -373,7 +414,7 @@ def _shell_batches(built, rng):
 
 def test_field_shell_and_straddling_batches_bitwise(small_complex, rng):
     """Both lattice levels and the exact columns in one fused batch:
-    ``score_batch`` and ``score_field_group`` reproduce ``score``'s
+    ``score_batch`` and ``score_pose_group`` reproduce ``score``'s
     floats and per-pose fractions."""
     rec = small_complex.receptor
     lig = small_complex.ligand_crystal
@@ -408,7 +449,7 @@ def test_field_shell_and_straddling_batches_bitwise(small_complex, rng):
 
     maps = FieldMaps(rec)
     group = [FieldScorer(rec, lig, cells=maps) for _ in mixed]
-    got = score_field_group(list(zip(group, mixed)))
+    got = score_pose_group(list(zip(group, mixed)))
     assert np.array_equal(got, np.array(ref))
     assert [sc.near_fraction for sc in group] == near
     assert [sc.outer_fraction for sc in group] == outer
@@ -450,7 +491,7 @@ def test_field_batch_bitwise_across_chunks(small_complex, rng, monkeypatch):
         assert batch.metrics.get(name).count == k
 
 
-def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
+def test_score_pose_group_heterogeneous_shared_maps(small_complex, rng):
     """Different ligands sharing one FieldMaps fuse into one kernel and
     still reproduce each scorer's single-pose floats."""
     rec = small_complex.receptor
@@ -467,7 +508,7 @@ def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
         if j % 2:
             pose[: sc.ligand.n_atoms // 2, 0] += 40.0  # into the shell
         entries.append((sc, pose))
-    got = score_field_group(entries)
+    got = score_pose_group(entries)
     assert scorers[1].outer_fraction > 0.0
     ref = np.array(
         [
@@ -476,13 +517,6 @@ def test_score_field_group_heterogeneous_shared_maps(small_complex, rng):
         ]
     )
     assert np.array_equal(got, ref)
-
-
-def test_score_field_group_rejects_non_field_scorer(small_complex):
-    lig = small_complex.ligand_crystal
-    exact = ExactScorer(small_complex.receptor, lig)
-    with pytest.raises(TypeError, match="FieldScorer"):
-        score_field_group([(exact, lig.coords)])
 
 
 def test_score_pose_group_mixed_scorers(small_complex, rng):

@@ -217,7 +217,8 @@ class TestClassification:
         # The voxel CSR table is a precomputed cell list: expanding it
         # for a probe and range-filtering must yield exactly the pairs
         # the reference CellList query finds at clash_radius.
-        from repro.scoring.neighborlist import CellList, query_pairs
+        from repro.scoring.neighborlist import CellList
+        from tests.cutoff_reference import query_pairs
 
         rec, template, coords = pair
         fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)

@@ -2,8 +2,10 @@
 
 The load-bearing properties (see ``repro/scoring/incremental.py``):
 
-- trajectory equivalence with the cutoff reference *across rebuild
-  boundaries* to the documented :data:`DRIFT_REL_BOUND`;
+- trajectory equivalence with the independently written cutoff
+  reference (``tests/cutoff_reference.py``) *across rebuild
+  boundaries* to the documented :data:`DRIFT_REL_BOUND`, at the
+  default skin and at skin 0 (the registry's "cutoff" method);
 - bit-stable cache independence — a warm scorer and a fresh scorer
   agree bitwise at every pose (checkpoint safety: the pair list is
   derived state);
@@ -35,13 +37,14 @@ from repro.scoring.incremental import (
     IncrementalScorer,
 )
 from repro.scoring import incremental, neighborlist
-from repro.scoring.neighborlist import CellList, candidate_pairs, query_pairs
+from repro.scoring.neighborlist import CellList, candidate_pairs
 from repro.scoring.scorers import (
     SCORING_METHODS,
-    CutoffScorer,
     ExactScorer,
     make_scorer,
+    receptor_cache,
 )
+from tests.cutoff_reference import CutoffReference, query_pairs
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +269,7 @@ class TestTrajectoryEquivalence:
     def _walk(self, rec, template, coords, moves, tol=DRIFT_REL_BOUND):
         """Score a pose sequence with incremental vs cutoff reference."""
         inc = _fresh(rec, template)
-        ref = CutoffScorer(rec, template, cutoff=10.0)
+        ref = CutoffReference(rec, template, cutoff=10.0)
         pose = coords.copy()
         worst = 0.0
         for mv in moves:
@@ -317,7 +320,7 @@ class TestTrajectoryEquivalence:
             scoring_method="incremental",
             scoring_kwargs={"cutoff": 10.0, "skin": 2.0},
         )
-        ref = CutoffScorer(eng.receptor, eng.template, cutoff=10.0)
+        ref = CutoffReference(eng.receptor, eng.template, cutoff=10.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
             eng.apply_action(int(rng.integers(0, eng.n_actions)))
@@ -337,7 +340,7 @@ class TestTrajectoryEquivalence:
             scoring_kwargs={"cutoff": 10.0, "skin": 2.0},
         )
         env = DockingEnv(eng)
-        ref = CutoffScorer(eng.receptor, eng.template, cutoff=10.0)
+        ref = CutoffReference(eng.receptor, eng.template, cutoff=10.0)
         env.reset()
         done = False
         for _ in range(200):
@@ -350,6 +353,50 @@ class TestTrajectoryEquivalence:
                 break
         assert done and info["termination"] == "escape"
         assert eng.scorer.rebuild_count >= 2
+
+    @pytest.mark.parametrize("cutoff", [8.0, 12.0])
+    def test_cutoff_method_on_paper_complex(self, cutoff):
+        # The registry's "cutoff" method (skin 0) on the 2BSM complex:
+        # a 300-step walk of Table 1 moves and 150 scattered poses stay
+        # inside the drift bound of the reference, every moved pose
+        # rebuilds, and score() is score_batch() bit for bit.
+        from repro.chem.builders import build_complex
+        from repro.config import ComplexConfig
+
+        built = build_complex(ComplexConfig())
+        rec, lig = built.receptor, built.ligand_initial
+        base = built.ligand_crystal.coords
+        centre = base.mean(axis=0)
+        rng = np.random.default_rng(34)
+        poses, pose = [], base
+        for _ in range(300):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            if rng.random() < 0.5:
+                pose = pose + u  # a 1 A shift
+            else:  # a 0.5 degree rotation about the centroid (Rodrigues)
+                k = np.cross(np.eye(3), u)
+                a = np.radians(0.5)
+                rot = np.eye(3) + np.sin(a) * k + (1 - np.cos(a)) * k @ k
+                c = pose.mean(axis=0)
+                pose = (pose - c) @ rot.T + c
+            poses.append(pose)
+        for _ in range(150):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            poses.append(
+                (base - centre) @ q + centre + rng.normal(scale=4.0, size=3)
+            )
+        poses = np.array(poses)
+        scorer = make_scorer("cutoff", rec, lig, cutoff=cutoff)
+        ref = CutoffReference(rec, lig, cutoff=cutoff)
+        got = np.array([scorer.score(p) for p in poses])
+        want = np.array([ref.score(p) for p in poses])
+        assert scorer.skin == 0.0 and scorer.rebuild_count == len(poses)
+        rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert rel.max() <= DRIFT_REL_BOUND, rel.max()
+        assert np.abs(want).max() > 1e10  # clash poses are in the set
+        batch = make_scorer("cutoff", rec, lig, cutoff=cutoff)
+        assert batch.score_batch(poses).tobytes() == got.tobytes()
 
     def test_converges_to_exact_with_cutoff(self, pair):
         rec, template, coords = pair
@@ -481,10 +528,12 @@ class TestRebuildCadence:
 
     def test_validation(self, pair):
         rec, template, coords = pair
-        with pytest.raises(ValueError, match="cutoff"):
-            IncrementalScorer(rec, template, cutoff=0.0)
-        with pytest.raises(ValueError, match="skin"):
-            IncrementalScorer(rec, template, skin=-1.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="cutoff"):
+                IncrementalScorer(rec, template, cutoff=bad)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="skin"):
+                IncrementalScorer(rec, template, skin=bad)
         inc = _fresh(rec, template)
         with pytest.raises(ValueError, match="shape"):
             inc.score(coords[:3])
@@ -503,6 +552,51 @@ class TestPlumbing:
         assert isinstance(s, IncrementalScorer)
         assert s.cutoff == 9.0 and s.skin == 1.5
         assert "incremental" in SCORING_METHODS
+
+    def test_cutoff_method_is_skin_zero(self, pair):
+        rec, template, coords = pair
+        s = make_scorer("cutoff", rec, template, cutoff=9.0)
+        assert isinstance(s, IncrementalScorer)
+        assert s.cutoff == 9.0 and s.skin == 0.0
+        assert s._cells.cell_size == 4.5
+        s.score(coords)
+        s.score(coords)  # the same pose reuses its list
+        assert s.rebuild_count == 1
+        s.score(coords + [1e-9, 0.0, 0.0])  # any move rebuilds
+        assert s.rebuild_count == 2
+        with pytest.raises(ValueError, match="accepts no kwarg 'skin'"):
+            make_scorer("cutoff", rec, template, skin=0.0)
+
+    @pytest.mark.parametrize(
+        "cells, method, error, match",
+        [
+            pytest.param("x", "incremental", TypeError, "CellList", id="str"),
+            pytest.param(
+                "other-receptor", "incremental", ValueError,
+                "other points", id="other-receptor",
+            ),
+            pytest.param(
+                "cutoff", "incremental", ValueError, "cell_size",
+                id="cutoff-cache-to-incremental",
+            ),
+            pytest.param(
+                "incremental", "cutoff", ValueError, "cell_size",
+                id="incremental-cache-to-cutoff",
+            ),
+        ],
+    )
+    def test_cells_checked_at_construction(
+        self, pair, cells, method, error, match
+    ):
+        # A wrong cache fails when the scorer is built, not at the first
+        # score -- and never scores in another pair order silently.
+        rec, template, coords = pair
+        if cells == "other-receptor":
+            cells = CellList(rec.coords + [0.5, 0.0, 0.0], 5.0)
+        elif cells in SCORING_METHODS:
+            cells = receptor_cache(cells, rec)
+        with pytest.raises(error, match=match):
+            make_scorer(method, rec, template, cells=cells)
 
     def test_config_validates_against_factory_methods(self):
         # The config validates against the scorer registry.
@@ -610,7 +704,7 @@ class TestSatelliteEquality:
 
     def test_cutoff_batch_bitwise(self, pair, rng):
         rec, template, coords = pair
-        scorer = CutoffScorer(rec, template, cutoff=10.0)
+        scorer = make_scorer("cutoff", rec, template, cutoff=10.0)
         batch = np.concatenate(
             [
                 coords[None] + rng.normal(scale=1.0, size=(4, 1, 3)),
@@ -623,7 +717,7 @@ class TestSatelliteEquality:
     def test_batch_shape_validation(self, pair):
         rec, template, coords = pair
         for scorer in (
-            CutoffScorer(rec, template, cutoff=10.0),
+            make_scorer("cutoff", rec, template, cutoff=10.0),
             IncrementalScorer(rec, template, cutoff=10.0),
         ):
             with pytest.raises(ValueError, match="coords_batch"):

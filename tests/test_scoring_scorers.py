@@ -5,10 +5,10 @@ import pytest
 
 from repro.metadock.engine import MetadockEngine
 from repro.scoring.composite import interaction_score
+from repro.scoring.incremental import IncrementalScorer
 from repro.scoring.scorers import (
     SCORER_REGISTRY,
     SCORING_METHODS,
-    CutoffScorer,
     ExactScorer,
     make_scorer,
     validate_scoring_kwargs,
@@ -40,12 +40,16 @@ class TestExactScorer:
 
 
 class TestCutoffScorer:
+    """The registry's "cutoff" method: the Verlet scorer at skin 0."""
+
     def test_converges_to_exact(self, pair):
         rec, template, coords = pair
         exact = ExactScorer(rec, template).score(coords)
         errors = []
         for cutoff in (6.0, 12.0, 24.0):
-            approx = CutoffScorer(rec, template, cutoff=cutoff).score(coords)
+            approx = make_scorer(
+                "cutoff", rec, template, cutoff=cutoff
+            ).score(coords)
             errors.append(abs(approx - exact))
         assert errors[-1] <= errors[0]
         assert errors[-1] < 0.05 * max(abs(exact), 1.0)
@@ -53,25 +57,27 @@ class TestCutoffScorer:
     def test_huge_unshifted_cutoff_is_exact(self, pair):
         rec, template, coords = pair
         exact = ExactScorer(rec, template).score(coords)
-        full = CutoffScorer(
-            rec, template, cutoff=1000.0, shifted=False
+        full = make_scorer(
+            "cutoff", rec, template, cutoff=1000.0, shifted=False
         ).score(coords)
         assert full == pytest.approx(exact, rel=1e-9)
 
     def test_shift_vanishes_with_cutoff(self, pair):
         rec, template, coords = pair
         exact = ExactScorer(rec, template).score(coords)
-        shifted = CutoffScorer(rec, template, cutoff=1e6).score(coords)
+        shifted = make_scorer(
+            "cutoff", rec, template, cutoff=1e6
+        ).score(coords)
         assert shifted == pytest.approx(exact, rel=1e-4)
 
     def test_far_pose_scores_zero(self, pair):
         rec, template, coords = pair
-        scorer = CutoffScorer(rec, template, cutoff=8.0)
+        scorer = make_scorer("cutoff", rec, template, cutoff=8.0)
         assert scorer.score(coords + 500.0) == 0.0
 
     def test_batch_matches_single(self, pair, rng):
         rec, template, coords = pair
-        scorer = CutoffScorer(rec, template, cutoff=10.0)
+        scorer = make_scorer("cutoff", rec, template, cutoff=10.0)
         batch = coords[None] + rng.normal(scale=1.0, size=(3, 1, 3))
         out = scorer.score_batch(batch)
         for k in range(3):
@@ -80,11 +86,11 @@ class TestCutoffScorer:
     def test_invalid_cutoff(self, pair):
         rec, template, _ = pair
         with pytest.raises(ValueError):
-            CutoffScorer(rec, template, cutoff=0.0)
+            make_scorer("cutoff", rec, template, cutoff=0.0)
 
     def test_clash_still_catastrophic(self, pair):
         rec, template, _coords = pair
-        scorer = CutoffScorer(rec, template, cutoff=10.0)
+        scorer = make_scorer("cutoff", rec, template, cutoff=10.0)
         clash = np.tile(rec.coords[0], (template.n_atoms, 1))
         assert scorer.score(clash) < -1e6
 
@@ -159,9 +165,8 @@ class TestFactoryAndEngine:
     def test_factory(self, pair):
         rec, template, _ = pair
         assert isinstance(make_scorer("exact", rec, template), ExactScorer)
-        assert isinstance(
-            make_scorer("cutoff", rec, template, cutoff=9.0), CutoffScorer
-        )
+        cut = make_scorer("cutoff", rec, template, cutoff=9.0)
+        assert isinstance(cut, IncrementalScorer) and cut.skin == 0.0
         with pytest.raises(ValueError):
             make_scorer("quantum", rec, template)
 

@@ -164,28 +164,53 @@ def test_shared_cells_scoring_matches_per_ligand(built, library):
 
 
 #: ``(compound_id, best_score.hex(), evaluations)`` per ranked hit of
-#: the incremental-scored screens below, frozen from the code before
+#: the screens below, by ``(scoring_method, strategy)``.  The
+#: incremental rows are frozen from the code before
 #: ``IncrementalScorer.score_batch`` stopped building a Verlet list per
-#: jumped pose.  ``scatter`` scores mostly jumps; ``local`` mostly small
-#: improve moves, one pose per ``score_batch`` call.
+#: jumped pose; the cutoff rows from the code that made "cutoff" the same
+#: scorer at skin 0 (its cell size ``cutoff / 2`` orders the pair sums
+#: differently, so some scores sit one ulp from the incremental ones).
+#: ``scatter`` scores mostly jumps; ``local`` mostly small improve moves,
+#: one pose per ``score_batch`` call.
 FROZEN_RANKINGS = {
-    "scatter": [
+    ("incremental", "scatter"): [
         ("LIG00000", "0x1.8940deeef1566p+7", 96),
         ("LIG00003", "0x1.5144dcb80d9b2p+7", 96),
         ("LIG00001", "0x1.18de3f8fe2064p+7", 96),
         ("LIG00002", "0x1.83474035a111fp+6", 96),
     ],
-    "local": [
+    ("incremental", "local"): [
         ("LIG00003", "0x1.76ab065ef9bc3p+7", 112),
         ("LIG00000", "0x1.6678ede28d208p+7", 112),
         ("LIG00001", "0x1.d16a6b8b5bce6p+6", 112),
         ("LIG00002", "0x1.82adb2a43f473p+6", 112),
     ],
+    ("cutoff", "scatter"): [
+        ("LIG00000", "0x1.8940deeef1566p+7", 96),
+        ("LIG00003", "0x1.5144dcb80d9b2p+7", 96),
+        ("LIG00001", "0x1.18de3f8fe2064p+7", 96),
+        ("LIG00002", "0x1.83474035a111fp+6", 96),
+    ],
+    ("cutoff", "local"): [
+        ("LIG00003", "0x1.76ab065ef9bc4p+7", 112),
+        ("LIG00000", "0x1.6678ede28d208p+7", 112),
+        ("LIG00001", "0x1.d16a6b8b5bce7p+6", 112),
+        ("LIG00002", "0x1.82adb2a43f473p+6", 112),
+    ],
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(FROZEN_RANKINGS))
-def test_incremental_screen_ranking_is_frozen(strategy):
+@pytest.mark.parametrize(
+    "method, strategy",
+    [
+        # Both methods run IncrementalScorer ("cutoff" at skin 0).
+        pytest.param(
+            *key, id=key[1] if key[0] == "incremental" else "-".join(key)
+        )
+        for key in sorted(FROZEN_RANKINGS)
+    ],
+)
+def test_incremental_screen_ranking_is_frozen(method, strategy):
     cfg = ci_scale_config(seed=0).complex
     result = run_screening(
         build_complex(cfg),
@@ -194,14 +219,14 @@ def test_incremental_screen_ranking_is_frozen(strategy):
             strategy=strategy,
             budget=96,
             seed=5,
-            scoring_method="incremental",
+            scoring_method=method,
         ),
     )
     got = [
         (h["compound_id"], float(h["best_score"]).hex(), h["evaluations"])
         for h in result.ranking
     ]
-    assert got == FROZEN_RANKINGS[strategy]
+    assert got == FROZEN_RANKINGS[method, strategy]
 
 
 # -- library validation -----------------------------------------------------
