@@ -13,6 +13,9 @@ from repro.chem.builders import build_complex
 from repro.config import ComplexConfig, ci_scale_config
 from repro.metadock.engine import MetadockEngine
 
+# Keeps the benches off the user's field-map cache (autouse, session).
+from tests.conftest import _session_map_cache  # noqa: F401
+
 BENCH_COMPLEX_CFG = ComplexConfig(
     receptor_atoms=800,
     ligand_atoms=20,

@@ -56,14 +56,19 @@ burst of load on a shared runner land on one side only (the same code
 read 25.8x and 29.3x in two runs).
 
 ``field_build_s`` / ``field_build_cpu_s`` / ``field_build_threads``
-record the one-time map build: wall time, CPU time of every build
-thread, and the thread count (one per core the process may use).
+record the one-time map build against an empty temp map cache: wall
+time, CPU time of every build thread, and the thread count (one per
+core the process may use).  ``field_load_s`` is what a later process
+pays instead: a second scorer's load of the stored maps from that cache
+plus the assembly of its combined stack (a second build where the
+cache is off, see ``repro.scoring.fieldbuild``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,12 +77,13 @@ import numpy as np
 from repro.config import DQNDockingConfig
 from repro.constants import DEFAULT_CUTOFF
 from repro.metadock.engine import MetadockEngine
+from repro.runtime.threads import blas_build
 from repro.scoring.field import (
     FIELD_CALM_STEP_BOUND,
     FIELD_CLASH_REL_BOUND,
     FieldScorer,
-    _pool_size,
 )
+from repro.scoring.fieldbuild import _pool_size
 from repro.scoring.incremental import (
     DEFAULT_SKIN,
     DRIFT_REL_BOUND,
@@ -269,14 +275,37 @@ def test_bench_score_step(paper_complex):
         rec, lig, cutoff=DEFAULT_CUTOFF, skin=DEFAULT_SKIN
     )
 
-    fld = FieldScorer(rec, lig)
     fld32 = FieldScorer(rec, lig, dtype="float32")
-    t0, c0 = time.perf_counter(), time.process_time()
-    field_bytes = fld.maps.nbytes()  # first access builds both levels
-    field_build_s = time.perf_counter() - t0
-    # CPU seconds of every build thread (the wall time above is shared
-    # out over _pool_size threads, one per core the process may use).
-    field_build_cpu_s = time.process_time() - c0
+    with tempfile.TemporaryDirectory() as cache:
+        # The build against an empty map cache, then a second scorer's
+        # load of what it stored (what every later process pays).
+        xdg = os.environ.get("XDG_CACHE_HOME")
+        os.environ["XDG_CACHE_HOME"] = cache
+        try:
+            fld = FieldScorer(rec, lig)
+            t0, c0 = time.perf_counter(), time.process_time()
+            field_bytes = fld.maps.nbytes()  # first access builds both levels
+            field_build_s = time.perf_counter() - t0
+            # CPU seconds of every build thread (the wall time above is
+            # shared out over _pool_size threads, one per core the
+            # process may use).
+            field_build_cpu_s = time.process_time() - c0
+            assert fld.maps.build_count == 1
+            warm = FieldScorer(rec, lig)
+            t0 = time.perf_counter()
+            warm.maps.flat_stack()
+            field_load_s = time.perf_counter() - t0
+            # A load, or a build where the cache is off (no BLAS
+            # kernel set to key on).
+            cached = blas_build() is not None
+            assert warm.maps.load_count == cached
+            assert warm.maps.build_count == (not cached)
+            assert np.array_equal(warm.maps.flat_stack(), fld.maps.flat_stack())
+        finally:
+            if xdg is None:
+                os.environ.pop("XDG_CACHE_HOME")
+            else:
+                os.environ["XDG_CACHE_HOME"] = xdg
     field_build_threads = _pool_size(fld.maps.n_nodes)
 
     rate_exact, s_exact = _measure(exact, poses)
@@ -467,6 +496,7 @@ def test_bench_score_step(paper_complex):
         "field_build_s": round(field_build_s, 2),
         "field_build_cpu_s": round(field_build_cpu_s, 2),
         "field_build_threads": field_build_threads,
+        "field_load_s": round(field_load_s, 3),
         "pose_a_seeds": list(POSE_A_SEEDS),
         "pose_a_pairs_per_seed": POSE_A_PAIRS,
         "pose_a_exact_poses_per_second": round(rate_a_exact, 2),

@@ -3,7 +3,8 @@
 Full-state checkpointing (:mod:`~repro.runtime.checkpoint`), graceful
 shutdown (:mod:`~repro.runtime.signals`), and the checkpointing run
 loops every experiment driver trains through
-(:mod:`~repro.runtime.loop`).  See docs/CHECKPOINTS.md.
+(:mod:`~repro.runtime.loop`).  See docs/CHECKPOINTS.md.  The BLAS
+thread budget is scoped through :mod:`~repro.runtime.threads`.
 """
 
 from repro.runtime.checkpoint import (

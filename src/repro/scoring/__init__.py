@@ -17,7 +17,9 @@ baseline for the vectorization speedup bench.
 
 :mod:`repro.scoring.scorers` registers the pose scorers built on them:
 the Eq. 1 oracle ("exact"), the production precomputed-field scorer
-("field", :mod:`repro.scoring.field`) and one neighbour-list family
+("field", :mod:`repro.scoring.field`, whose receptor maps
+:mod:`repro.scoring.fieldbuild` builds once and caches on disk) and one
+neighbour-list family
 over :mod:`repro.scoring.neighborlist`, the Verlet-list scorer of
 :mod:`repro.scoring.incremental` ("incremental", and "cutoff" at
 skin 0).

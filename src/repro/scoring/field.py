@@ -94,10 +94,13 @@ docs/PERFORMANCE.md ("Scoring kernels").
 
 Bit-stability (checkpoint safety)
 ---------------------------------
-Maps are *derived* state: never checkpointed, resumed runs start cold.
+Maps are *derived* state: never checkpointed.  A resumed run (like any
+later process over the same receptor) loads bit-identical maps from the
+on-disk cache of :mod:`repro.scoring.fieldbuild`, or builds them cold.
 Every map's content is a pure function of (receptor, geometry, atom
 type) -- each is accumulated independently of which other types share a
-build pass, and of how many threads ran it (``_MapBuild``) -- the
+build pass, and of how many threads ran it
+(:mod:`repro.scoring.fieldbuild`) -- the
 overlap-pair enumeration follows the candidate
 table's canonical atom-major-then-receptor-ascending order, and the
 pair corrections are pure functions of the pose, so a warm (shared /
@@ -110,8 +113,6 @@ produce bit-identical floats for the same coordinates (pinned by
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 
 import numpy as np
 
@@ -119,6 +120,7 @@ from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
 from repro.scoring import hbond as hb
 from repro.scoring.composite import Eq1Kernel, as_pose, as_pose_batch
+from repro.scoring.fieldbuild import fill_maps
 from repro.scoring.pairwise import direction_vectors
 
 #: Default lattice spacing, angstrom.  The error-vs-spacing table in
@@ -168,6 +170,9 @@ FIELD_CLASH_REL_BOUND: float = 1e-3
 #: Gauge reporting the built field maps' memory footprint (both
 #: levels' maps plus the shared combined interpolation stack).
 FIELD_BYTES_METRIC = "scoring/field_bytes"
+#: Gauge counting the ``ensure`` passes whose maps came (at least in
+#: part) off the on-disk map cache instead of the build kernel.
+FIELD_LOADS_METRIC = "scoring/field_map_loads"
 #: Histogram over the per-call fraction of ligand atoms routed through
 #: the exact pairwise path (overlapping atoms, or atoms outside both
 #: boxes; ``repro inspect`` renders its mean/max).
@@ -369,13 +374,16 @@ class FieldMaps:
         # build iterates over.
         dirs_full = direction_vectors(receptor.coords, receptor.bonds)
         self.dirs_full = dirs_full
-        self.iso_full = (np.abs(dirs_full) < 1e-12).all(axis=1)
+        self.iso_full = hb.isotropic(dirs_full)
         rel = np.flatnonzero(receptor.hbond_donor | receptor.hbond_acceptor)
         self._hrel = rel
         self._hdirs = dirs_full[rel]
         self._hiso = self.iso_full[rel]
         self._hdot = (self._hdirs * receptor.coords[rel]).sum(axis=1)
+        #: ensure() passes that ran the build kernel / that took maps
+        #: off the on-disk cache (:mod:`repro.scoring.fieldbuild`).
         self.build_count = 0
+        self.load_count = 0
 
     # -- class topology ----------------------------------------------------
     def class_eligible(self, cls: tuple[bool, bool]) -> np.ndarray:
@@ -500,15 +508,18 @@ class FieldMaps:
 
     # -- construction ------------------------------------------------------
     def ensure(self, specs) -> bool:
-        """Build any maps missing for the given atom-type specs.
+        """Attach any maps missing for the given atom-type specs.
 
         ``specs`` is an iterable of ``(sigma, epsilon, donor,
-        acceptor)`` tuples.  Returns True if a build pass ran.  Map
-        contents are independent of batching: a type built alone and
-        one built alongside others yield bitwise-identical arrays
-        (each accumulates from its own receptor-parameter vectors over
-        the same node distances).  All or nothing: both levels are
-        computed before either is written, and the specs get their
+        acceptor)`` tuples.  Returns True if any map was added.  Each
+        missing map is loaded from the on-disk cache when it is there
+        and built otherwise (:func:`~repro.scoring.fieldbuild.fill_maps`);
+        either way its bits are a cold build's.  Map contents are
+        independent of batching: a type built alone and one built
+        alongside others yield bitwise-identical arrays (each
+        accumulates from its own receptor-parameter vectors over the
+        same node distances).  All or nothing: both levels are computed
+        and loaded before either is written, and the specs get their
         stack slots only then, so a build that raises (an interrupt, a
         MemoryError) leaves the maps exactly as they were.
         """
@@ -533,377 +544,15 @@ class FieldMaps:
             if pair not in self._hblj and pair not in hb_pairs:
                 hb_pairs.append(pair)
         first = self.phi is None
-        built = bool(first or lj_keys or classes or hb_pairs)
-        if built:
-            _MapBuild(self, first, lj_keys, classes, hb_pairs).run()
-            self.build_count += 1
+        added = bool(first or lj_keys or classes or hb_pairs)
+        if added:
+            built, loaded = fill_maps(self, first, lj_keys, classes, hb_pairs)
+            self.build_count += built
+            self.load_count += loaded
         for s in specs:
             if s not in self._slot:
                 self._slot[s] = len(self._slot)
-        return built
-
-
-def _pool_size(n_jobs: int) -> int:
-    """Build threads: one per core this process may run on, at most
-    one per node chunk (a one-thread pool is the sequential build)."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # no affinity API (macOS, Windows)
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, n_jobs))
-
-
-def _run_pool(work, jobs, workspaces) -> None:
-    """``work(ws, job)`` for every job, one thread per workspace.
-
-    The caller's thread drains the job list with ``workspaces[0]``;
-    each further workspace gets its own thread.  Jobs are handed out
-    one at a time, so cheap and dear chunks balance.  The first error
-    (a worker's exception, or an interrupt in the caller) stops every
-    thread after its current job and is raised here once all of them
-    have been joined.
-    """
-    pending = iter(jobs)
-    lock = threading.Lock()
-    stop = threading.Event()
-    errors: list[BaseException] = []
-
-    def drain(ws):
-        try:
-            while not stop.is_set():
-                with lock:
-                    job = next(pending, None)
-                if job is None:
-                    return
-                work(ws, job)
-        except BaseException as exc:  # raised in the caller, below
-            errors.append(exc)
-            stop.set()
-
-    threads = [
-        threading.Thread(target=drain, args=(ws,), name=f"field-build-{i}")
-        for i, ws in enumerate(workspaces[1:], 1)
-    ]
-    for t in threads:
-        t.start()
-    try:
-        drain(workspaces[0])
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
-class _Workspace:
-    """One build thread's scratch, allocated once by the caller.
-
-    Each chunk operand is the ``rows * width`` prefix of a flat buffer,
-    so a short last chunk gets the layout a fresh array of its shape
-    would have: every GEMV and row sum sees the operands the sequential
-    build gave it, whether the chunk is full or not.
-    """
-
-    def __init__(self, chunk: int, n: int, n_h: int):
-        self.iota = np.arange(chunk, dtype=np.int64)
-        self.node = np.empty(chunk, dtype=np.int64)
-        self.ijk = np.empty((chunk, 3), dtype=np.int64)
-        self.pts = np.empty((chunk, 3))
-        self.sq = np.empty((chunk, 3))
-        self.p2 = np.empty(chunk)
-        self.mask = np.empty(chunk * n, dtype=bool)
-        # (chunk, n_receptor) blocks: r2, 1/r, and two power buffers.
-        self.wide = np.empty((4, chunk * n))
-        # (n_h, chunk) blocks of the H-bond terms (at most that wide).
-        self.narrow = np.empty((9, chunk * n_h))
-
-    @staticmethod
-    def block(buf: np.ndarray, j: int, rows: int, cols: int) -> np.ndarray:
-        """C-contiguous ``(rows, cols)`` view of ``buf[j]``'s prefix."""
-        return buf[j, : rows * cols].reshape(rows, cols)
-
-
-def _take_rows(x: np.ndarray, sel: np.ndarray, buf: np.ndarray):
-    """Rows ``sel`` of ``x`` into ``buf`` (``x`` itself if ``sel``
-    lists every row: ``sel`` is ascending and unique)."""
-    if sel.size == x.shape[0]:
-        return x
-    return np.take(x, sel, axis=0, out=buf)
-
-
-class _LevelOutputs:
-    """One lattice level's float64 build outputs, pending commit."""
-
-    def __init__(self, level: FieldMaps, build: "_MapBuild"):
-        n_nodes = level.n_nodes
-        self.level = level
-        # The clash-voxel candidate table exists on the fine level only.
-        self.tabulate = build.first and level.outer is not None
-        self.phi = np.empty(n_nodes) if build.first else None
-        self.count = (
-            np.zeros(n_nodes, dtype=np.int32) if self.tabulate else None
-        )
-        # Per-chunk candidate lists; None where a chunk has none.
-        self.cand: list[np.ndarray | None] = (
-            [None] * -(-n_nodes // build.chunk) if self.tabulate else []
-        )
-        self.lj = {k: (np.empty(n_nodes), np.empty(n_nodes))
-                   for k in build.lj_keys}
-        self.hb1210 = {c: np.empty(n_nodes) for c in build.classes}
-        self.hblj = {p: (np.empty(n_nodes), np.empty(n_nodes))
-                     for p in build.hb_pairs}
-
-    def finished(self) -> dict:
-        """The level's attributes after the build, in the map dtype."""
-        level = self.level
-        shape3 = tuple(int(v) for v in level.shape)
-
-        def stored(arr):
-            return arr.astype(level._np_dtype, copy=False).reshape(shape3)
-
-        attrs = {
-            "_lj": {**level._lj, **{
-                k: (stored(rep), stored(disp))
-                for k, (rep, disp) in self.lj.items()
-            }},
-            "_hb1210": {**level._hb1210, **{
-                c: stored(v) for c, v in self.hb1210.items()
-            }},
-            "_hblj": {**level._hblj, **{
-                p: (stored(rep), stored(disp))
-                for p, (rep, disp) in self.hblj.items()
-            }},
-        }
-        if self.phi is not None:
-            attrs["phi"] = stored(self.phi)
-        if self.tabulate:
-            count = self.count
-            starts = np.zeros(level.n_nodes, dtype=np.int64)
-            starts[1:] = np.cumsum(count[:-1], dtype=np.int64)
-            parts = [c for c in self.cand if c is not None]
-            attrs.update(
-                near_mask=(count > 0).reshape(shape3),
-                cand_count=count,
-                cand_start=starts,
-                cand_atoms=(
-                    np.concatenate(parts)
-                    if parts
-                    else np.empty(0, dtype=np.int32)
-                ),
-            )
-        return attrs
-
-
-class _MapBuild:
-    """One ``ensure`` build pass: the missing maps of both levels.
-
-    Both levels' lattices are cut into the same fixed node chunks of
-    ``max(32, 200_000 // n_receptor)`` rows -- a function of the
-    receptor alone, so every map sees the same chunk boundaries
-    whichever pass builds it (shared == private, warm == cold
-    bitwise); a different chunk size changes the GEMVs' row blocking
-    and with it the bits.  The chunks are spread over a thread pool
-    (:func:`_pool_size`; numpy and BLAS release the GIL), each thread
-    running :meth:`_chunk` through its own :class:`_Workspace`.  Each
-    chunk writes only its own rows of the outputs, so the result does
-    not depend on which thread ran which chunk or on the pool size.
-    The per-node arithmetic is the sequential build's, operation for
-    operation (``tests/frozen_field_build.py`` pins the bits).
-    """
-
-    def __init__(self, maps: FieldMaps, first, lj_keys, classes, hb_pairs):
-        rec = maps.receptor
-        self.first = first
-        self.lj_keys = lj_keys
-        self.classes = classes
-        self.hb_pairs = hb_pairs
-        self.n = n = rec.n_atoms
-        # Cache-sized (chunk, n) temporaries (~1.6 MB each): with 32 MB
-        # ones the build was page-fault/DRAM-bound and twice as slow.
-        self.chunk = max(32, int(200_000 // max(1, n)))
-        self.coords_t = rec.coords.T
-        self.a2 = (rec.coords * rec.coords).sum(axis=1)[None, :]
-        self.q = rec.charges
-        # Per-type receptor weight vectors: 4 sqrt(eps_j eps_t) with the
-        # *arithmetic* sigma combination (sigma_j + sigma_t)/2 -- the
-        # exact Lorentz-Berthelot pair coefficients.
-        self.w12 = {}
-        self.w6 = {}
-        for key in {k for k in lj_keys} | {p[0] for p in hb_pairs}:
-            sig_t, eps_t = key
-            sig_pair = 0.5 * (rec.sigma + sig_t)
-            eps_pair = 4.0 * np.sqrt(rec.epsilon * eps_t)
-            s6 = sig_pair**6
-            self.w6[key] = eps_pair * s6
-            self.w12[key] = eps_pair * s6 * s6
-        rel = maps._hrel
-        self.need_hb = bool(classes or hb_pairs) and bool(rel.size)
-        self.rel = rel
-        self.hdirs_t = maps._hdirs.T
-        self.hdot = maps._hdot
-        self.iso_cols = np.flatnonzero(maps._hiso)
-        # Per class: its columns within the h-relevant subset, and the
-        # (type x class) weight vectors gathered on them.
-        self.class_plan = []
-        for cls in {c for c in classes} | {p[1] for p in hb_pairs}:
-            sel = maps.class_eligible(cls)
-            gsel = rel[sel]
-            weights = [
-                (p, self.w12[p[0]][gsel], self.w6[p[0]][gsel])
-                for p in hb_pairs
-                if p[1] == cls
-            ]
-            self.class_plan.append((cls, sel, weights))
-        self.c_hb, self.d_hb = hb.hbond_coefficients()
-        self.levels = [
-            _LevelOutputs(maps, self), _LevelOutputs(maps.outer, self)
-        ]
-
-    def run(self) -> None:
-        """Compute both levels, then write them onto the maps."""
-        jobs = [
-            (out, i, start)
-            for out in self.levels
-            for i, start in enumerate(
-                range(0, out.level.n_nodes, self.chunk)
-            )
-        ]
-        workspaces = [
-            _Workspace(self.chunk, self.n, self.rel.size)
-            for _ in range(_pool_size(len(jobs)))
-        ]
-        _run_pool(self._chunk, jobs, workspaces)
-        # Convert everything before writing anything: a failure here
-        # must leave the maps untouched too.
-        done = [(out.level, out.finished()) for out in self.levels]
-        for level, attrs in done:
-            for name, value in attrs.items():
-                setattr(level, name, value)
-
-    def _chunk(self, ws: _Workspace, job) -> None:
-        """Rows ``start:start + chunk`` of one level's outputs."""
-        out, i, start = job
-        level = out.level
-        n = self.n
-        rows = min(self.chunk, level.n_nodes - start)
-        stop = start + rows
-
-        def wide(j):
-            return ws.block(ws.wide, j, rows, n)
-
-        _, ny, nz = (int(v) for v in level.shape)
-        # Node coordinates: origin + spacing * (ix, iy, iz).
-        node = np.add(ws.iota[:rows], start, out=ws.node[:rows])
-        ijk = ws.ijk[:rows]
-        np.divmod(node, ny * nz, out=(ijk[:, 0], node))
-        np.divmod(node, nz, out=(ijk[:, 1], ijk[:, 2]))
-        pts = np.multiply(level.spacing, ijk, out=ws.pts[:rows])
-        np.add(level.origin, pts, out=pts)
-        # |x - a|^2 via one GEMM; every kernel below sees the distance
-        # clipped at clash_radius (f_clip), so the fields stay smooth
-        # even on nodes inside receptor atoms.
-        sq = np.multiply(pts, pts, out=ws.sq[:rows])
-        p2 = np.sum(sq, axis=1, out=ws.p2[:rows])[:, None]
-        r2 = wide(0)
-        g = np.matmul(pts, self.coords_t, out=wide(3))
-        np.multiply(2.0, g, out=g)
-        np.add(p2, self.a2, out=r2)
-        np.subtract(r2, g, out=r2)
-        flag_r2 = level.flag_radius**2
-        if out.tabulate and r2.min() <= flag_r2:
-            # Voxel candidate extraction from the same distances the
-            # maps integrate, on the chunks that have any: the flat
-            # nonzero is row-major, so the CSR lists come out
-            # node-major with atoms ascending -- the canonical order
-            # the pair corrections sum in.
-            mask = ws.mask[: rows * n].reshape(rows, n)
-            np.less_equal(r2, flag_r2, out=mask)
-            np.sum(mask, axis=1, out=out.count[start:stop])
-            atoms = np.flatnonzero(mask)
-            np.remainder(atoms, n, out=atoms)
-            out.cand[i] = atoms.astype(np.int32)
-        np.maximum(r2, level.clip_radius**2, out=r2)
-        inv_r = np.sqrt(r2, out=wide(1))
-        np.divide(1.0, inv_r, out=inv_r)
-        if out.phi is not None:
-            phi = np.matmul(inv_r, self.q, out=out.phi[start:stop])
-            np.multiply(COULOMB_CONSTANT, phi, out=phi)
-        if self.lj_keys:
-            inv_r2 = np.multiply(inv_r, inv_r, out=wide(2))
-            inv_r6 = np.multiply(inv_r2, inv_r2, out=g)
-            np.multiply(inv_r6, inv_r2, out=inv_r6)
-            inv_r12 = np.multiply(inv_r6, inv_r6, out=inv_r2)
-            for key in self.lj_keys:
-                rep, disp = out.lj[key]
-                np.matmul(inv_r12, self.w12[key], out=rep[start:stop])
-                np.matmul(inv_r6, self.w6[key], out=disp[start:stop])
-        if self.need_hb:
-            self._hbond_rows(ws, out, pts, r2, rows, start)
-
-    def _hbond_rows(self, ws, out, pts, r2, rows, start) -> None:
-        """The H-bond maps' rows of one chunk.
-
-        The terms only see the donor/acceptor columns: gather them once
-        and work on the narrow block (elementwise, so the same floats as
-        on the full block).  The block is held transposed, ``(n_h,
-        rows)``: a class's columns are then contiguous rows, and the
-        column-major ``(rows, k)`` operands that ``x[:, sel]`` gave the
-        row sums and GEMVs -- which fix their summation order -- are
-        its plain ``.T`` views.
-        """
-        stop = start + rows
-        n_h = self.rel.size
-
-        def block(j, k=n_h):
-            return ws.block(ws.narrow, j, k, rows)
-
-        gathered = ws.block(ws.narrow, 0, rows, n_h)
-        np.take(r2, self.rel, axis=1, out=gathered)
-        r2_h = block(1)
-        np.copyto(r2_h, gathered.T)
-        # 1/r on the gathered r2: the same floats as gathering 1/r.
-        inv_h = np.sqrt(r2_h, out=block(2))
-        np.divide(1.0, inv_h, out=inv_h)
-        inv2_h = np.multiply(inv_h, inv_h, out=block(3))
-        inv6_h = np.multiply(inv2_h, inv2_h, out=block(4))
-        np.multiply(inv6_h, inv2_h, out=inv6_h)
-        inv12_h = np.multiply(inv6_h, inv6_h, out=inv2_h)
-        # cos(theta_j(x)) = dir_j . (x - a_j) / r_clip: the
-        # clipped-distance normalization is deliberate -- the pair
-        # corrections subtract exactly this convention.  Clamped to
-        # [0, 1] by maximum then minimum (np.clip's bits).
-        dots = np.matmul(pts, self.hdirs_t, out=gathered)
-        cos = np.subtract(dots.T, self.hdot[:, None], out=block(5))
-        np.multiply(cos, inv_h, out=cos)
-        cos[self.iso_cols] = 1.0
-        np.maximum(cos, 0.0, out=cos)
-        np.minimum(cos, 1.0, out=cos)
-        oms = np.multiply(cos, cos, out=block(0))
-        np.subtract(1.0, oms, out=oms)
-        np.maximum(0.0, oms, out=oms)
-        np.sqrt(oms, out=oms)
-        np.subtract(1.0, oms, out=oms)  # now (1 - sin)
-        # e_1210 = c inv12 - d (inv12 r2), into the spent 1/r block.
-        np.multiply(inv12_h, r2_h, out=r2_h)
-        np.multiply(self.d_hb, r2_h, out=r2_h)
-        e_1210 = np.multiply(self.c_hb, inv12_h, out=inv_h)
-        np.subtract(e_1210, r2_h, out=e_1210)
-        for cls, sel, weights in self.class_plan:
-            a, b, c = (block(j, sel.size) for j in (6, 7, 8))
-            if cls in out.hb1210:
-                prod = np.multiply(
-                    _take_rows(cos, sel, a), _take_rows(e_1210, sel, b), out=a
-                )
-                np.sum(prod.T, axis=1, out=out.hb1210[cls][start:stop])
-            if weights:
-                oms_c = _take_rows(oms, sel, a)
-                oms12 = np.multiply(oms_c, _take_rows(inv12_h, sel, b), out=b)
-                oms6 = np.multiply(oms_c, _take_rows(inv6_h, sel, c), out=c)
-                for pair, w12, w6 in weights:
-                    rep, disp = out.hblj[pair]
-                    np.matmul(oms12.T, w12, out=rep[start:stop])
-                    np.matmul(oms6.T, w6, out=disp[start:stop])
+        return added
 
 
 class FieldScorer:
@@ -1036,6 +685,9 @@ class FieldScorer:
         if self._metrics is not None and self._foff is not None:
             self._metrics.set(
                 FIELD_BYTES_METRIC, float(self._maps.nbytes())
+            )
+            self._metrics.set(
+                FIELD_LOADS_METRIC, float(self._maps.load_count)
             )
 
     # -- lazy build --------------------------------------------------------
@@ -1304,7 +956,7 @@ def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
 
     For each kept (receptor, ligand-row) pair of the fused batch the
     clipped-kernel contribution (what the maps tabulated, same
-    conventions as ``_MapBuild``) is subtracted and the exact-path
+    conventions as the build kernel) is subtracted and the exact-path
     energy at the MIN_DISTANCE-clamped true distance added -- so clash
     terms come out exact while the interpolated total needs no
     per-atom branching.  Per-pair values are independent of batch
@@ -1358,7 +1010,7 @@ def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
         np.clip(cos_e, 0.0, 1.0, out=cos_e)
         sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e * cos_e))
         # Map-side angular convention: normalized by the clipped
-        # distance (see _MapBuild).
+        # distance (see the build kernel in repro.scoring.fieldbuild).
         cos_c = dot * inv_c[sel]
         cos_c[maps.iso_full[ri]] = 1.0
         np.clip(cos_c, 0.0, 1.0, out=cos_c)

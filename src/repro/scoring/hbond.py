@@ -48,6 +48,17 @@ def eligible_pairs_mask(
     return (da & ab) | (aa & db)
 
 
+def isotropic(dirs: np.ndarray) -> np.ndarray:
+    """Rows of ``dirs`` (per-atom outward directions) that have none.
+
+    An atom without bonds gets a zero direction
+    (:func:`repro.scoring.pairwise.direction_vectors`) and counts as
+    ideally aligned with every partner: cos = 1, sin = 0.  Every scorer
+    takes the mask from here.
+    """
+    return (np.abs(dirs) < 1e-12).all(axis=1)
+
+
 def hbond_angle_factors(
     coords_a: np.ndarray,
     coords_b: np.ndarray,
@@ -60,19 +71,24 @@ def hbond_angle_factors(
     ``dir_a`` holds per-atom outward directions for the A-side atoms (the
     donor side of each pair is approximated as the A atom; symmetrizing
     over both directions changes the landscape negligibly and doubles
-    cost).  Zero direction vectors yield ideal alignment (cos=1, sin=0).
+    cost).  Zero direction vectors yield ideal alignment (cos=1, sin=0)
+    without forming a unit vector.
     """
     pa = np.asarray(coords_a, dtype=float)
     pb = np.asarray(coords_b, dtype=float)
-    diff = pb[None, :, :] - pa[:, None, :]  # (n, m, 3) donor->acceptor
-    norm = np.linalg.norm(diff, axis=2)
-    norm = np.maximum(norm, min_distance)
-    unit = diff / norm[:, :, None]
-    cos = np.einsum("nd,nmd->nm", np.asarray(dir_a, dtype=float), unit)
-    isotropic = (np.abs(dir_a) < 1e-12).all(axis=1)
-    cos[isotropic, :] = 1.0
-    np.clip(cos, 0.0, 1.0, out=cos)
-    sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+    dir_a = np.asarray(dir_a, dtype=float)
+    cos = np.ones((pa.shape[0], pb.shape[0]))
+    sin = np.zeros((pa.shape[0], pb.shape[0]))
+    ani = np.flatnonzero(~isotropic(dir_a))
+    if ani.size:
+        diff = pb[None, :, :] - pa[ani, None, :]  # donor->acceptor
+        norm = np.linalg.norm(diff, axis=2)
+        norm = np.maximum(norm, min_distance)
+        unit = diff / norm[:, :, None]
+        c = np.einsum("nd,nmd->nm", dir_a[ani], unit)
+        np.clip(c, 0.0, 1.0, out=c)
+        cos[ani] = c
+        sin[ani] = np.sqrt(np.maximum(0.0, 1.0 - c * c))
     return cos, sin
 
 

@@ -195,7 +195,7 @@ class IncrementalScorer:
             )
         self._cells = cells
         self._dirs_full = direction_vectors(receptor.coords, receptor.bonds)
-        self._iso_full = (np.abs(self._dirs_full) < 1e-12).all(axis=1)
+        self._iso_full = hb.isotropic(self._dirs_full)
         self._mask_full = hb.eligible_pairs_mask(
             receptor.hbond_donor,
             receptor.hbond_acceptor,
@@ -492,12 +492,16 @@ class IncrementalScorer:
             c_elig, u, dirs, iso = hbond
             d_el = np.compress(c_elig, c_r)
             e_lj_sub = np.compress(c_elig, e_lj)
-            norm = np.maximum(np.linalg.norm(u, axis=1), 1e-9)
-            cos = (dirs * u).sum(axis=1) / norm
-            cos[iso] = 1.0
-            np.clip(cos, 0.0, 1.0, out=cos)
-            sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
             c_hb, d_hb = hb.hbond_coefficients()
             e_1210 = c_hb / d_el**12 - d_hb / d_el**10
+            ani = np.flatnonzero(~iso)
+            cos = np.ones(iso.size)
+            sin = np.zeros(iso.size)
+            ua = u[ani]
+            norm = np.maximum(np.linalg.norm(ua, axis=1), 1e-9)
+            c = (dirs[ani] * ua).sum(axis=1) / norm
+            np.clip(c, 0.0, 1.0, out=c)
+            cos[ani] = c
+            sin[ani] = np.sqrt(np.maximum(0.0, 1.0 - c * c))
             energy += float((cos * e_1210 - (1.0 - sin) * e_lj_sub).sum())
         return energy

@@ -22,7 +22,12 @@ import numpy as np
 
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
-from repro.scoring.hbond import HBOND_DEPTH, HBOND_R0, hbond_coefficients
+from repro.scoring.hbond import (
+    HBOND_DEPTH,
+    HBOND_R0,
+    hbond_coefficients,
+    isotropic,
+)
 from repro.scoring.pairwise import direction_vectors
 
 
@@ -62,6 +67,7 @@ def sequential_score_algorithm1(
         conformations = [ligand.coords]
     c_hb, d_hb = hbond_coefficients(HBOND_R0, HBOND_DEPTH)
     dirs = direction_vectors(receptor.coords, receptor.bonds)
+    iso = isotropic(dirs)
     scores: list[float] = []
     for coords in conformations:
         coords = np.asarray(coords, dtype=float)
@@ -72,6 +78,7 @@ def sequential_score_algorithm1(
             sj = receptor.sigma[j]
             ej = receptor.epsilon[j]
             dj = dirs[j]
+            iso_j = bool(iso[j])
             donor_j = bool(receptor.hbond_donor[j])
             acc_j = bool(receptor.hbond_acceptor[j])
             for k in range(coords.shape[0]):
@@ -94,9 +101,7 @@ def sequential_score_algorithm1(
                     acc_j and bool(ligand.hbond_donor[k])
                 )
                 if eligible:
-                    if abs(dj[0]) < 1e-12 and abs(dj[1]) < 1e-12 and abs(
-                        dj[2]
-                    ) < 1e-12:
+                    if iso_j:
                         cos_t = 1.0
                     else:
                         # direction receptor->ligand against donor direction

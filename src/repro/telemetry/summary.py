@@ -185,12 +185,13 @@ def _metrics_section(record: RunRecord) -> str:
 
 def _field_section(record: RunRecord) -> str:
     """Render field-scorer telemetry when a run used ``--scoring-method
-    field``: total precomputed-map storage (both lattice levels) and
-    the fractions of ligand atoms that fell in the exact near-field
-    regime and in the coarse outer level (see
-    :mod:`repro.scoring.field`)."""
+    field``: total precomputed-map storage (both lattice levels), how
+    many times the maps came off the on-disk map cache, and the
+    fractions of ligand atoms that fell in the exact near-field regime
+    and in the coarse outer level (see :mod:`repro.scoring.field`)."""
     by_name = {m.get("name"): m for m in record.metrics}
     size = by_name.get("scoring/field_bytes")
+    loads = by_name.get("scoring/field_map_loads")
     fractions = [
         (label, by_name.get(name))
         for label, name in (
@@ -202,9 +203,11 @@ def _field_section(record: RunRecord) -> str:
         return ""
     lines = ["Field scorer"]
     if size is not None and size.get("value") is not None:
-        lines.append(
-            f"  precomputed maps: {size['value'] / (1024 * 1024):.1f} MiB"
-        )
+        line = f"  precomputed maps: {size['value'] / (1024 * 1024):.1f} MiB"
+        if loads is not None and loads.get("value") is not None:
+            n = int(loads["value"])
+            line += f" ({n} on-disk cache load{'' if n == 1 else 's'})"
+        lines.append(line)
     for label, hist in fractions:
         if hist is not None:
             lines.append(

@@ -124,16 +124,21 @@ def test_batch_bitwise_matches_singles(small_complex, rng, method):
     [pytest.param(m, {}, id=f"{m}-default") for m in METHODS]
     + [pytest.param(m, kw, id=f"{m}-tuned") for m, kw in TUNED_KWARGS.items()],
 )
-def test_warm_cold_shared_cache_bitwise(small_complex, rng, method, kw):
+def test_warm_cold_shared_cache_bitwise(
+    small_complex, rng, method, kw, fresh_map_cache
+):
     """A fresh scorer per pose, one long-lived scorer, and scorers fed
     the registry-built ``receptor_cache`` agree to the last bit."""
     rec = small_complex.receptor
     lig = small_complex.ligand_crystal
     *_, mixed = _pose_batches(small_complex, rng)
     poses = mixed[:3]  # one calm, one clash, one out-of-box
-    cold = np.array(
-        [make_scorer(method, rec, lig, **kw).score(p) for p in poses]
-    )
+
+    def cold_score(pose):
+        fresh_map_cache()  # field: each fresh scorer builds its maps cold
+        return make_scorer(method, rec, lig, **kw).score(pose)
+
+    cold = np.array([cold_score(p) for p in poses])
     warm_scorer = make_scorer(method, rec, lig, **kw)
     warm_scorer.score_batch(mixed[::-1])
     warm = np.array([warm_scorer.score(p) for p in poses])
@@ -295,6 +300,7 @@ def _walk_state(scorer) -> tuple:
     skin=DEFAULT_SKIN,
     walk_seed=0,
     interleave=[True, False, True, True],
+    bonded=False,
 )
 @example(
     batch=(list(_KINDS) + ["straddle"] * 4, 7, [0, 0, 0, 1, 0, 2, 1, 2, -1]),
@@ -302,6 +308,7 @@ def _walk_state(scorer) -> tuple:
     skin=0.0,
     walk_seed=0,
     interleave=[True, False, True, True],
+    bonded=True,
 )
 @given(
     batch=_jump_batches(),
@@ -309,19 +316,23 @@ def _walk_state(scorer) -> tuple:
     skin=st.sampled_from([0.0, DEFAULT_SKIN]),
     walk_seed=st.integers(0, 2**32 - 1),
     interleave=st.lists(st.booleans(), min_size=1, max_size=6),
+    bonded=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_incremental_batch_leaves_the_walk_alone(
-    small_complex, batch, cutoff, skin, walk_seed, interleave
+    small_complex, bonded_complex, batch, cutoff, skin, walk_seed,
+    interleave, bonded,
 ):
     """``score_batch`` scores each pose on its own exact cutoff pair set:
     every entry is bitwise a fresh scorer's ``score``, the Verlet walk's
     counters and telemetry do not move, and a walk with batch calls
     interleaved scores and rebuilds exactly as the walk alone -- with a
-    skin, and at skin 0 where every walk step rebuilds."""
-    rec = small_complex.receptor
-    lig = small_complex.ligand_crystal
-    cb = _make_batch(small_complex, cutoff, *batch)
+    skin, and at skin 0 where every walk step rebuilds; on a receptor
+    without bonds and on one whose H-bond atoms have directions."""
+    built = bonded_complex if bonded else small_complex
+    rec = built.receptor
+    lig = built.ligand_crystal
+    cb = _make_batch(built, cutoff, *batch)
 
     def fresh():
         return IncrementalScorer(rec, lig, cutoff=cutoff, skin=skin)
@@ -346,17 +357,24 @@ def test_incremental_batch_leaves_the_walk_alone(
     assert mixed.metrics.calls == alone.metrics.calls
 
 
-@given(batch=_jump_batches(), cutoff=st.sampled_from([6.0, 12.0]))
+@given(
+    batch=_jump_batches(),
+    cutoff=st.sampled_from([6.0, 12.0]),
+    bonded=st.booleans(),
+)
 @settings(max_examples=25, deadline=None)
-def test_cutoff_method_tracks_the_reference(small_complex, batch, cutoff):
+def test_cutoff_method_tracks_the_reference(
+    small_complex, bonded_complex, batch, cutoff, bonded
+):
     """The registry's "cutoff" method (the Verlet scorer at skin 0)
     stays within ``DRIFT_REL_BOUND`` of the independently written
     reference on generated poses, scores ``nan`` exactly where it does,
     and its ``score`` walk equals a fresh scorer's ``score_batch`` bit
-    for bit."""
-    rec = small_complex.receptor
-    lig = small_complex.ligand_crystal
-    cb = _make_batch(small_complex, cutoff, *batch)
+    for bit -- with and without receptor H-bond directions."""
+    built = bonded_complex if bonded else small_complex
+    rec = built.receptor
+    lig = built.ligand_crystal
+    cb = _make_batch(built, cutoff, *batch)
     walk = make_scorer("cutoff", rec, lig, cutoff=cutoff)
     got = np.array([walk.score(p) for p in cb])
     jump = make_scorer("cutoff", rec, lig, cutoff=cutoff).score_batch(cb)

@@ -143,6 +143,32 @@ class TestAccuracy:
         assert abs(se - sf) <= 1e-7 * abs(se)
         assert fld.near_fraction > 0.5
 
+    def test_bonded_receptor_pair_corrections(self, bonded_complex, rng):
+        # Receptor H-bond atoms with directions: every pair correction
+        # below is an eligible anisotropic clash pair, so its angular
+        # terms (the exact-path and the map-side convention) dominate
+        # the score, at angles from aligned to clamped at 90 degrees.
+        rec = bonded_complex.receptor
+        lig = bonded_complex.ligand_crystal
+        fld = FieldScorer(rec, lig, spacing=SPACING, padding=PADDING)
+        exact = ExactScorer(rec, lig)
+        maps = fld.maps
+        h = rec.hbond_donor | rec.hbond_acceptor
+        assert (h & maps.iso_full).any() and (h & ~maps.iso_full).any()
+        a = int(np.flatnonzero(lig.hbond_acceptor)[0])
+        donors = np.flatnonzero(rec.hbond_donor & ~maps.iso_full)
+        poses = []
+        for j in donors[:6]:
+            u = rng.normal(size=3)
+            pose = lig.coords + (rec.coords[j] - lig.coords[a])
+            poses.append(pose + 0.6 * u / np.linalg.norm(u))
+        poses = np.array(poses)
+        got = np.array([fld.score(p) for p in poses])
+        for pose, sf in zip(poses, got):
+            se = exact.score(pose)
+            assert abs(se - sf) <= 1e-7 * abs(se)
+        assert np.array_equal(fld.score_batch(poses), got)
+
     def test_out_of_box_bitwise_exact(self, scorers, pair):
         # No silent boundary clamp: fully out-of-box poses are exact.
         fld, exact = scorers
@@ -266,20 +292,30 @@ class TestClassification:
 
 
 class TestMapSharing:
-    def test_warm_equals_cold_bitwise(self, pair, rng):
+    def test_warm_equals_cold_bitwise(self, pair, rng, fresh_map_cache):
+        # Warm: shared maps paged in from the on-disk cache a first
+        # build filled.  Cold: a private build, each under an empty
+        # cache of its own.
         rec, template, coords = pair
+        fresh_map_cache()
+        FieldScorer(rec, template, spacing=SPACING, padding=PADDING).maps
         maps = FieldMaps(rec, spacing=SPACING, padding=PADDING)
         warm = FieldScorer(
             rec, template, spacing=SPACING, padding=PADDING, cells=maps
         )
+        warm.maps  # ensured now, under the filled cache
+        assert (maps.build_count, maps.load_count) == (0, 1)
         pose = coords.copy()
         for _ in range(20):
             pose = pose + rng.normal(scale=0.4, size=pose.shape)
+            fresh_map_cache()
             cold = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
             assert warm.score(pose) == cold.score(pose)  # bitwise
+            assert (cold.maps.build_count, cold.maps.load_count) == (1, 0)
 
-    def test_ensure_order_independent(self, pair):
-        # Maps built alongside other types == maps built alone.
+    def test_ensure_order_independent(self, pair, fresh_map_cache):
+        # Maps built alongside other types == maps built alone (each
+        # build under an empty cache of its own: both stay cold).
         rec, template, _ = pair
         maps_a = FieldMaps(rec, spacing=1.0)
         maps_b = FieldMaps(rec, spacing=1.0)
@@ -288,7 +324,9 @@ class TestMapSharing:
             (3.1, 0.12, False, True),
             (2.8, 0.02, False, False),
         ]
+        fresh_map_cache()
         maps_a.ensure(specs)  # one batched pass
+        fresh_map_cache()
         for s in reversed(specs):  # three passes, reverse order
             maps_b.ensure([s])
         assert maps_a.build_count == 1 and maps_b.build_count == 3
@@ -511,17 +549,26 @@ class TestOuterLevel:
         assert (center - reach > outer_low).all()
         assert (center + reach < outer_top).all()
 
-    def test_shared_equals_private_including_outer(self, pair, rng):
+    def test_shared_equals_private_including_outer(
+        self, pair, rng, fresh_map_cache
+    ):
         rec, template, coords = pair
+        fresh_map_cache()
         maps = FieldMaps(rec, spacing=SPACING, padding=PADDING)
-        # Warm the shared maps with a different ligand type set first.
+        # Warm the shared maps with a different ligand type set first;
+        # both sides build cold, each under an empty cache of its own.
         maps.ensure([(3.3, 0.09, True, False)])
         shared = FieldScorer(
             rec, template, spacing=SPACING, padding=PADDING, cells=maps
         )
+        shared.maps
+        fresh_map_cache()
         private = FieldScorer(
             rec, template, spacing=SPACING, padding=PADDING
         )
+        private.maps
+        assert (maps.build_count, maps.load_count) == (2, 0)
+        assert (private.maps.build_count, private.maps.load_count) == (1, 0)
         shell = _shell_pose(shared, coords)
         for _ in range(10):
             pose = shell + rng.normal(scale=0.4, size=shell.shape)
@@ -745,7 +792,7 @@ class TestTelemetry:
 
 
 class TestFieldResume:
-    def test_interrupt_resume_bit_exact(self, tmp_path):
+    def test_interrupt_resume_bit_exact(self, tmp_path, fresh_map_cache):
         from repro.experiments.figure4 import build_agent_for_env
         from repro.rl.trainer import Trainer
         from repro.runtime import (
@@ -777,6 +824,9 @@ class TestFieldResume:
                 on_episode_end=on_episode_end,
             )
 
+        # The uninterrupted run builds its maps cold and stores them;
+        # the interrupted one pages them in from that cache.
+        fresh_map_cache()
         rt_a = RuntimeContext(tmp_path / "a", checkpoint_every=2)
         env, agent_a, trainer = make_trainer()
         hist_a = RunLoop(rt_a, phase="t").run_episodes(trainer)
@@ -796,12 +846,15 @@ class TestFieldResume:
             RunLoop(rt_b, phase="t").run_episodes(trainer_b)
         env.close()
 
-        # Resume in a fresh stack: maps rebuild cold, which must not
-        # perturb a single float (maps are derived state).
+        # Resume in a fresh stack under an empty cache: maps rebuild
+        # cold, which must not perturb a single float (maps are derived
+        # state, and loaded maps equal built ones).
+        cold = fresh_map_cache()
         rt_c = RuntimeContext(tmp_path / "b", checkpoint_every=2)
         env, agent_c, trainer_c = make_trainer()
         hist_b = RunLoop(rt_c, phase="t").run_episodes(trainer_c)
         env.close()
+        assert any(cold.rglob("*.npy"))  # the resume built (and stored)
 
         assert hist_a.total_steps == hist_b.total_steps
         assert len(hist_a.episodes) == len(hist_b.episodes)

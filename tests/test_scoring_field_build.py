@@ -23,8 +23,10 @@ import pytest
 
 from repro.chem.builders import build_complex
 from repro.config import ci_scale_config
-from repro.scoring import field
-from repro.scoring.field import FieldMaps, FieldScorer, _MapBuild
+from repro.scoring import fieldbuild
+from repro.scoring.field import FieldMaps, FieldScorer
+from repro.scoring.fieldbuild import _MapBuild
+from tests.conftest import with_random_bonds
 from tests.frozen_field_build import frozen_ensure
 
 #: A CI-scale lattice cut into 32 fine + 5 outer node chunks: 37 jobs,
@@ -45,9 +47,22 @@ SPECS = [
 MORE_SPECS = [(2.9, 0.2, True, True), (3.4, 0.086, True, False)]
 
 
+@pytest.fixture(autouse=True)
+def _cold(cold_map_cache):
+    """Every test here asserts a cold build: no map comes off disk."""
+
+
 @pytest.fixture(scope="module")
 def receptor():
     return build_complex(ci_scale_config().complex).receptor
+
+
+@pytest.fixture(scope="module")
+def bonded_receptor(receptor):
+    """The receptor with random bonds: most H-bond atoms have an
+    outward direction (the anisotropic angle path), a few stay
+    isotropic."""
+    return with_random_bonds(receptor, seed=11, per_atom=0.5)
 
 
 def _maps(receptor) -> FieldMaps:
@@ -91,7 +106,7 @@ def frozen(receptor):
 
 
 def _force_pool(monkeypatch, size: int) -> None:
-    monkeypatch.setattr(field, "_pool_size", lambda n_jobs: min(size, n_jobs))
+    monkeypatch.setattr(fieldbuild, "_pool_size", lambda n_jobs: min(size, n_jobs))
 
 
 def test_lattice_has_ragged_chunks(receptor):
@@ -148,6 +163,22 @@ def test_stress_more_threads_than_cores(receptor, frozen, monkeypatch):
     _assert_same(_arrays(maps), frozen[0])
 
 
+@pytest.mark.parametrize("pool", [1, 2])
+def test_bonded_build_equals_frozen(bonded_receptor, monkeypatch, pool):
+    _force_pool(monkeypatch, pool)
+    ref = _maps(bonded_receptor)
+    h = ref._hrel.size
+    assert 0 < int(ref._hiso.sum()) < h
+    frozen_ensure(ref, SPECS)
+    want_first = _arrays(ref)
+    frozen_ensure(ref, MORE_SPECS)
+    maps = _maps(bonded_receptor)
+    assert maps.ensure(SPECS)
+    _assert_same(_arrays(maps), want_first)
+    assert maps.ensure(MORE_SPECS)
+    _assert_same(_arrays(maps), _arrays(ref))
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_stored_dtype(receptor, dtype):
     maps = FieldMaps(receptor, spacing=SPACING, padding=PADDING, dtype=dtype)
@@ -196,9 +227,13 @@ def test_worker_error_reaches_caller(receptor, monkeypatch):
             MemoryError()],
     ids=["error", "interrupt", "memory"],
 )
-def test_failed_outer_pass_is_all_or_nothing(receptor, monkeypatch, exc):
+def test_failed_outer_pass_is_all_or_nothing(
+    receptor, monkeypatch, tmp_path, exc
+):
     cold = _maps(receptor)
-    cold.ensure(SPECS + MORE_SPECS)
+    with monkeypatch.context() as m:  # a cache of its own: stays cold
+        m.setenv("XDG_CACHE_HOME", str(tmp_path / "reference"))
+        cold.ensure(SPECS + MORE_SPECS)
     maps = _maps(receptor)
     # Fail on the outer level: its jobs follow the fine level's.
     with monkeypatch.context() as m:

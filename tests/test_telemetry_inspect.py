@@ -214,24 +214,31 @@ class TestCli:
         assert "engine-step" in out  # deep spans reached the snapshot
         assert "status completed" in out
 
-    def test_field_run_inspect_renders_both_fractions(self, tmp_path, capsys):
-        d = tmp_path / "field-run"
-        code = main([
-            "figure4", "--episodes", "2", "--max-steps", "5",
-            "--scoring-method", "field", "--log-dir", str(d),
-        ])
-        assert code == 0
-        capsys.readouterr()
-        assert main(["inspect", str(d)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        at = lines.index("Field scorer")
-        assert lines[at + 1].startswith("  precomputed maps: ")
-        assert lines[at + 2].startswith(
-            "  near-field (exact-path) atom fraction: mean "
-        )
-        assert lines[at + 3].startswith(
-            "  outer-level (shell) atom fraction: mean "
-        )
+    def test_field_run_inspect_renders_both_fractions(
+        self, tmp_path, capsys, cold_map_cache
+    ):
+        # The first run builds its maps cold; the second one, over the
+        # same receptor, loads them from the on-disk cache.
+        for run, loads in (("field-run", "0 on-disk cache loads"),
+                           ("field-rerun", "1 on-disk cache load")):
+            d = tmp_path / run
+            code = main([
+                "figure4", "--episodes", "2", "--max-steps", "5",
+                "--scoring-method", "field", "--log-dir", str(d),
+            ])
+            assert code == 0
+            capsys.readouterr()
+            assert main(["inspect", str(d)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            at = lines.index("Field scorer")
+            assert lines[at + 1].startswith("  precomputed maps: ")
+            assert lines[at + 1].endswith(f" MiB ({loads})")
+            assert lines[at + 2].startswith(
+                "  near-field (exact-path) atom fraction: mean "
+            )
+            assert lines[at + 3].startswith(
+                "  outer-level (shell) atom fraction: mean "
+            )
 
     def test_inspect_golden_via_cli(self, tmp_path, capsys):
         d = make_golden_run(tmp_path)
